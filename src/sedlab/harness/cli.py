@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import bounds, kinetic, metrics, micro
 from ..errors import SedlabError
-from ..kernels import oseen_tensor
+from ..kernels import GridSpec, StokesOperator, oseen_tensor, stokes_direct_sum
 from .config import default_config, load_config
 from .runner import run
 from .sweeps import compare_tiers, sweep_hydrodynamic, sweep_meanfield
@@ -125,6 +125,12 @@ def _cmd_check_identities(args):
     parity = np.abs(oseen_tensor(-pts) - tensors).max()
     homog = np.abs(oseen_tensor(2.0 * pts) - tensors / 2.0).max()
     checks.append(("stokeslet symmetry/parity/homogeneity", float(max(sym, parity, homog)), 1e-13))
+
+    grid = GridSpec(8.0, 8)
+    force = np.random.default_rng(1).standard_normal((8, 8, 8, 3))  # faces included
+    direct = stokes_direct_sum(grid, force)
+    err = float(np.abs(StokesOperator(grid).apply(force) - direct).max() / np.abs(direct).max())
+    checks.append(("grid Stokes vs direct sum", err, 1e-13))
 
     n = 32
     x = 8.0 + 1.5 * rng.standard_normal((n, 3))

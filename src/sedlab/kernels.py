@@ -9,7 +9,11 @@ Grid solves tabulate a regularized version of Phi on a zero-padded
 box (twice the side length), so the FFT convolution is the exact
 linear convolution for sources and targets inside the box: there are
 no periodic images.  The origin cell is handled by `oseen_regularized`
-with a smoothing length of one grid spacing.
+with a smoothing length of one grid spacing.  The convolution is pruned
+and blocked (see `StokesOperator`): it transforms only the rows of the
+padded cube that can be nonzero or are kept, and it works through the
+spectrum a few ky columns at a time.  A force of the form rho g (a
+density times one direction) needs a single forward transform.
 
 Fields live on cell centers (i + 1/2) h of a cube [0, L)^3.  Energy
 integrals over the box omit the O(h/L) far-field tail outside it;
@@ -20,7 +24,7 @@ cloud diameter well under L.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import csv
 import struct
 
@@ -63,34 +67,40 @@ _SIGMA_D1 = np.polynomial.polynomial.polyder(_SIGMA, 1)
 _SIGMA_D2 = np.polynomial.polynomial.polyder(_SIGMA, 2)
 
 
+def _oseen_generator(r2: np.ndarray, eps: float):
+    """Isotropic and anisotropic coefficients of the regularized Oseen tensor.
+
+    Phi_eps(x) = iso(|x|^2) I + aniso(|x|^2) x xT.  Writes Phi as
+    (I Lap - grad grad) applied to a radial generator B(r) with
+    B(r) = r / 8pi outside the core |x| < 4 eps, and swaps r for a quintic
+    in r^2 inside; both tabulations of the kernel use these coefficients.
+    """
+    r0 = 4.0 * eps
+    u = r2 / (r0 * r0)
+    inside = u < 1.0
+    # sigma'(u), sigma''(u): quintic branch inside, sqrt branch outside
+    su = np.where(inside, u, 1.0)
+    s1 = np.polynomial.polynomial.polyval(su, _SIGMA_D1)
+    s2 = np.polynomial.polynomial.polyval(su, _SIGMA_D2)
+    uo = np.where(inside, 1.0, u)
+    s1 = np.where(inside, s1, 0.5 / np.sqrt(uo))
+    s2 = np.where(inside, s2, -0.25 / uo**1.5)
+    iso = (s1 + u * s2) / (2.0 * np.pi * r0)
+    aniso = -s2 / (2.0 * np.pi * r0**3)
+    return iso, aniso
+
+
 def oseen_regularized(x: np.ndarray, eps: float) -> np.ndarray:
     """Oseen tensor with the singular core replaced inside |x| < 4 eps.
 
-    Writes Phi as (I Lap - grad grad) applied to a radial generator B(r)
-    with B(r) = r / 8pi outside the core, and swaps r for a quintic in
-    r^2 inside.  Outside the core the result is the Oseen tensor exactly,
-    not approximately; the splice is C^1 in the entries.  At x = 0 the
-    matrix is (1 / 4 pi eps) I.
+    Outside the core the result is the Oseen tensor exactly, not
+    approximately; the splice is C^1 in the entries.  At x = 0 the
+    matrix is (1 / 4 pi eps) I.  See `_oseen_generator`.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     x = np.asarray(x, dtype=float)
-    r0 = 4.0 * eps
-    u = np.sum(x * x, axis=-1) / (r0 * r0)
-
-    inside = u < 1.0
-    # sigma'(u), sigma''(u): quintic branch inside, sqrt branch outside
-    su = np.where(inside, u, 1.0)
-    s1_in = np.polynomial.polynomial.polyval(su, _SIGMA_D1)
-    s2_in = np.polynomial.polynomial.polyval(su, _SIGMA_D2)
-    uo = np.where(inside, 1.0, u)
-    s1_out = 0.5 / np.sqrt(uo)
-    s2_out = -0.25 / uo ** 1.5
-    s1 = np.where(inside, s1_in, s1_out)
-    s2 = np.where(inside, s2_in, s2_out)
-
-    iso = (s1 + u * s2) / (2.0 * np.pi * r0)
-    aniso = -s2 / (2.0 * np.pi * r0 ** 3)
+    iso, aniso = _oseen_generator(np.sum(x * x, axis=-1), eps)
     eye = np.eye(3)
     return eye * iso[..., None, None] + aniso[..., None, None] * x[..., :, None] * x[..., None, :]
 
@@ -162,12 +172,39 @@ class VectorGrid:
 
 @dataclass
 class FluidState:
-    """Result of a grid solve: velocity plus convergence diagnostics."""
+    """Result of a grid solve: velocity plus convergence diagnostics.
+
+    The finite-difference velocity gradient behind `grad_sup_norm` and
+    `dirichlet_energy` is built on first use of either, once; solves whose
+    gradient nobody reads never build it.
+    """
 
     velocity: VectorGrid
     residual: float
     iterations: int
-    grad_sup_norm: float
+    _gradient_norms: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _norms(self) -> tuple:
+        if self._gradient_norms is None:
+            g = velocity_gradient(self.velocity)
+            g *= g
+            sup = float(np.sqrt(g.sum(axis=(-2, -1)).max()))
+            self._gradient_norms = (sup, float(g.sum() * self.velocity.spec.cell_volume))
+        return self._gradient_norms
+
+    @property
+    def grad_sup_norm(self) -> float:
+        """Sup over cells of the Frobenius norm of the velocity gradient.
+
+        Frobenius dominates the operator norm, so Lipschitz-type bounds
+        built from this value stay valid envelopes.
+        """
+        return self._norms()[0]
+
+    @property
+    def dirichlet_energy(self) -> float:
+        """Box quadrature of |grad u|^2; the far-field tail outside is dropped."""
+        return self._norms()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +289,12 @@ def interpolate(field: VectorGrid, positions: np.ndarray) -> np.ndarray:
 # spectral free-space Stokes operator
 
 
+# the six stored tensor components and, for each row a, the component of (a, b)
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_ROW_COMPONENTS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
+_BLOCK_MODES = 4096  # (ky, kx, kz) modes per pass through the x transforms and the product
+
+
 class StokesOperator:
     """FFT application of the free-space Stokes mobility on one grid.
 
@@ -259,86 +302,96 @@ class StokesOperator:
     the doubled box and transformed once.  Zero padding makes the circular
     convolution equal the exact linear convolution for sources and targets
     inside the box.  Tabulation is even in x, hence the transform is real;
-    we store the six independent tensor components.
+    the six independent tensor components are kept in one ky-major table
+    of shape (2n, 6, 2n, n + 1), indexed [ky, component, kx, kz].
+
+    `apply` never forms the padded (2n)^3 force or the full spectrum of
+    all three components.  Seven eighths of the padded cube is zero on the
+    way in and thrown away on the way out, so each 1-d pass transforms only
+    the rows that can be nonzero or are kept:
+
+    1. rfft along z, padded to 2n, on the n x n input rows;
+    2. fft along y, padded to 2n, on the n x-rows of that half spectrum;
+    3. for each block of ky columns: fft along x (padded), the symmetric
+       3x3 real-by-complex product with the table, inverse fft along x,
+       keeping the first n rows;
+    4. inverse fft along y, keeping n;
+    5. irfft along z, keeping n.
 
     Solenoidality: the kernel is (I Lap - grad grad) of a radial generator,
     so div K = 0 identically, core included.  The grid output therefore
     samples an exactly divergence-free continuum field, and no k-space
-    projection is applied by default.  Mode-by-mode projection of the
-    transform is available (`project=True`) but measurably harmful: the
-    box truncation of a 1/r kernel leaves large longitudinal leakage in
-    individual modes (up to ~70% at high k) whose removal perturbs the
-    reconstructed far field at the percent level, while the unprojected
-    convolution is exact to rounding.  Use `divergence_rel` to audit the
-    discrete divergence of any solve.
+    projection is applied: the box truncation of a 1/r kernel leaves large
+    longitudinal leakage in individual modes, so removing it mode by mode
+    would perturb the far field at the percent level, while the plain
+    convolution is exact to rounding.
     """
 
-    def __init__(self, spec: GridSpec, project: bool = False):
+    def __init__(self, spec: GridSpec):
         self.spec = spec
         n = spec.n
-        np_ = 2 * n
-        h = spec.h
-        m = np.arange(np_)
-        xi = np.where(m <= np_ // 2, m, m - np_) * h  # min-image offsets
+        m = 2 * n
+        k = np.arange(m)
+        xi = np.where(k <= n, k, k - m) * spec.h  # min-image offsets
         r2 = xi[:, None, None] ** 2 + xi[None, :, None] ** 2 + xi[None, None, :] ** 2
-        r0 = 4.0 * h
-        u = r2 / (r0 * r0)
-        inside = u < 1.0
-        su = np.where(inside, u, 1.0)
-        s1 = np.where(inside, np.polynomial.polynomial.polyval(su, _SIGMA_D1), 0.0)
-        s2 = np.where(inside, np.polynomial.polynomial.polyval(su, _SIGMA_D2), 0.0)
-        uo = np.where(inside, 1.0, u)
-        s1 = s1 + np.where(inside, 0.0, 0.5 / np.sqrt(uo))
-        s2 = s2 + np.where(inside, 0.0, -0.25 / uo ** 1.5)
-        iso = (s1 + u * s2) / (2.0 * np.pi * r0)
-        aniso = -s2 / (2.0 * np.pi * r0 ** 3)
-        del r2, u, su, uo, s1, s2, inside
-
-        # six components, pairs (0,0) (0,1) (0,2) (1,1) (1,2) (2,2)
-        self._pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-        comps = []
-        for a, b in self._pairs:
-            field = aniso * _axis_coord(xi, a) * _axis_coord(xi, b)
+        iso, aniso = _oseen_generator(r2, spec.h)
+        del r2
+        table = np.empty((m, 6, m, n + 1))
+        for c, (a, b) in enumerate(_PAIRS):
+            comp = aniso * _axis_coord(xi, a) * _axis_coord(xi, b)
             if a == b:
-                field = field + iso
-            khat = fft.rfftn(field)
-            comps.append(khat.real)  # even tabulation -> real transform
-        del iso, aniso
+                comp += iso
+            # even tabulation -> real transform; stored ky-major
+            table[:, c] = fft.rfftn(comp).real.transpose(1, 0, 2)
+        self._table = table
 
-        if project:
-            # optional mode-by-mode Helmholtz projection: P K P, P = I - q qT
-            fx = np.fft.fftfreq(np_) * np_
-            fz = np.fft.rfftfreq(np_) * np_
-            qx = fx[:, None, None]
-            qy = fx[None, :, None]
-            qz = fz[None, None, :]
-            qn = np.sqrt(qx * qx + qy * qy + qz * qz)
-            qn[0, 0, 0] = 1.0  # mean mode untouched
-            qx, qy, qz = qx / qn, qy / qn, qz / qn
-            q = (qx, qy, qz)
-            K = _sym_expand(comps)
-            Kq = [sum(K[a][b] * q[b] for b in range(3)) for a in range(3)]
-            qKq = sum(q[a] * Kq[a] for a in range(3))
-            comps = [
-                K[a][b] - q[a] * Kq[b] - Kq[a] * q[b] + q[a] * q[b] * qKq
-                for a, b in self._pairs
-            ]
-        self._khat = comps  # list of six real (np, np, np//2 + 1) arrays
+    def apply(self, force: np.ndarray, direction: np.ndarray | None = None) -> np.ndarray:
+        """Convolve a force density with the kernel; returns (n, n, n, 3).
 
-    def apply(self, force_values: np.ndarray) -> np.ndarray:
-        """Convolve a force density (n,n,n,3) with the projected kernel."""
+        `force` is an (n, n, n, 3) vector density, or, with a `direction`,
+        an (n, n, n) scalar density rho for the force rho (x) direction.  The
+        second form transforms one field instead of three and contracts the
+        table with the direction.
+        """
         n = self.spec.n
-        np_ = 2 * n
-        fpad = np.zeros((np_, np_, np_, 3))
-        fpad[:n, :n, :n, :] = force_values
-        fhat = [fft.rfftn(fpad[..., a]) for a in range(3)]
-        del fpad
-        K = _sym_expand(self._khat)
+        m = 2 * n
+        if direction is None:
+            if force.shape != (n, n, n, 3):
+                raise ValueError(f"force shape {force.shape} != {(n, n, n, 3)}")
+            rows = force.transpose(1, 3, 0, 2)  # [y, component, x, z]
+        else:
+            direction = np.asarray(direction, dtype=float)
+            if force.shape != (n, n, n) or direction.shape != (3,):
+                raise ValueError(f"density shape {force.shape} != {(n, n, n)} or direction not a 3-vector")
+            rows = force.transpose(1, 0, 2)[:, None]
+            along = [b for b in range(3) if direction[b] != 0.0]
+        half = fft.rfft(rows, n=m, axis=3)
+        spectrum = fft.fft(half, n=m, axis=0, overwrite_x=True)  # [ky, component, x, kz]
+        del half
+        kept = np.empty((m, 3, n, n + 1), dtype=complex)  # [ky, a, x, kz]
+        block = max(1, _BLOCK_MODES // (m * (n + 1)))
+        for k0 in range(0, m, block):
+            table = self._table[k0 : k0 + block]
+            f = fft.fft(spectrum[k0 : k0 + block], n=m, axis=2)  # [ky, component, kx, kz]
+            if direction is None:
+                u = np.empty_like(f)
+                term = np.empty_like(f[:, 0])
+                for a, comps in enumerate(_ROW_COMPONENTS):
+                    np.multiply(table[:, comps[0]], f[:, 0], out=u[:, a])
+                    for b in (1, 2):
+                        np.multiply(table[:, comps[b]], f[:, b], out=term)
+                        u[:, a] += term
+            else:
+                kg = np.zeros(f.shape[:1] + (3,) + f.shape[2:])  # table rows contracted with direction
+                for a, comps in enumerate(_ROW_COMPONENTS):
+                    for b in along:
+                        kg[:, a] += direction[b] * table[:, comps[b]]
+                u = kg * f
+            kept[k0 : k0 + block] = fft.ifft(u, axis=2, overwrite_x=True)[:, :, :n]
+        del spectrum
+        u = fft.irfft(fft.ifft(kept, axis=0, overwrite_x=True)[:n], n=m, axis=3)
         out = np.empty((n, n, n, 3))
-        vol = self.spec.cell_volume
-        for a in range(3):
-            acc = K[a][0] * fhat[0] + K[a][1] * fhat[1] + K[a][2] * fhat[2]
-            out[..., a] = fft.irfftn(acc, s=(np_, np_, np_), axes=(0, 1, 2))[:n, :n, :n] * vol
+        np.multiply(u[..., :n].transpose(2, 0, 3, 1), self.spec.cell_volume, out=out)
         return out
 
 
@@ -348,10 +401,17 @@ def _axis_coord(xi: np.ndarray, axis: int) -> np.ndarray:
     return xi.reshape(shape)
 
 
-def _sym_expand(six):
-    """List of six upper-triangle components -> nested 3x3 access."""
-    s00, s01, s02, s11, s12, s22 = six
-    return [[s00, s01, s02], [s01, s11, s12], [s02, s12, s22]]
+def stokes_direct_sum(spec: GridSpec, force_values: np.ndarray) -> np.ndarray:
+    """Reference for `StokesOperator.apply`: the direct sum
+    u(x_i) = h^3 sum_j Phi_h(x_i - x_j) f_j over all cell pairs, with the
+    same regularized kernel.  O(n^6), so only for tiny grids."""
+    cen = spec.centers()
+    x = np.stack(np.meshgrid(cen, cen, cen, indexing="ij"), axis=-1).reshape(-1, 3)
+    f = force_values.reshape(-1, 3)
+    u = np.empty_like(f)
+    for i in range(x.shape[0]):
+        u[i] = np.einsum("jab,jb->a", oseen_regularized(x[i] - x, spec.h), f)
+    return u.reshape(force_values.shape) * spec.cell_volume
 
 
 _OPERATOR_CACHE: OrderedDict = OrderedDict()
@@ -371,13 +431,18 @@ def get_operator(spec: GridSpec) -> StokesOperator:
     return op
 
 
-def stokes_solve(force: VectorGrid) -> FluidState:
-    """Velocity field of a force density in free space, on the force's grid."""
+def stokes_solve(force, direction=None) -> FluidState:
+    """Velocity field of a force density in free space, on the force's grid.
+
+    `force` is a VectorGrid, or, with a `direction`, a ScalarGrid density
+    rho for the force rho (x) direction, which costs one forward transform
+    instead of three.
+    """
     if not np.all(np.isfinite(force.values)):
         raise ValueError("force density contains non-finite values")
     op = get_operator(force.spec)
-    u = VectorGrid(force.spec, op.apply(force.values))
-    return FluidState(u, residual=0.0, iterations=1, grad_sup_norm=grad_sup_norm(u))
+    u = VectorGrid(force.spec, op.apply(force.values, direction))
+    return FluidState(u, residual=0.0, iterations=1)
 
 
 def brinkman_solve(
@@ -408,8 +473,7 @@ def brinkman_solve(
     op = get_operator(rho.spec)
     if rho.values.max(initial=0.0) == 0.0:
         # no drag: the equation is linear Stokes, one application is exact
-        u = VectorGrid(rho.spec, op.apply(j.values))
-        return FluidState(u, residual=0.0, iterations=1, grad_sup_norm=grad_sup_norm(u))
+        return FluidState(VectorGrid(rho.spec, op.apply(j.values)), residual=0.0, iterations=1)
     u = np.zeros_like(j.values) if u0 is None else u0.values.copy()
     rhov = rho.values[..., None]
     residual = np.inf
@@ -427,8 +491,7 @@ def brinkman_solve(
         u = u_next
         if defect <= tol:
             break
-    grid = VectorGrid(rho.spec, u)
-    return FluidState(grid, residual=residual, iterations=it, grad_sup_norm=grad_sup_norm(grid))
+    return FluidState(VectorGrid(rho.spec, u), residual=residual, iterations=it)
 
 
 # ---------------------------------------------------------------------------
@@ -444,31 +507,6 @@ def velocity_gradient(field: VectorGrid) -> np.ndarray:
         for b, d in enumerate(np.gradient(field.values[..., a], h)):
             g[..., a, b] = d
     return g
-
-
-def grad_sup_norm(field: VectorGrid) -> float:
-    """Sup over cells of the Frobenius norm of the velocity gradient.
-
-    Frobenius dominates the operator norm, so Lipschitz-type bounds built
-    from this value stay valid envelopes.
-    """
-    g = velocity_gradient(field)
-    return float(np.sqrt((g * g).sum(axis=(-2, -1)).max()))
-
-
-def dirichlet_energy(field: VectorGrid) -> float:
-    """Box quadrature of |grad u|^2; the far-field tail outside is dropped."""
-    g = velocity_gradient(field)
-    return float((g * g).sum() * field.spec.cell_volume)
-
-
-def divergence_rel(field: VectorGrid) -> float:
-    """Max finite-difference divergence over cells, relative to the sup of
-    the velocity gradient.  Audits the solenoidality of a solve."""
-    g = velocity_gradient(field)
-    div = g[..., 0, 0] + g[..., 1, 1] + g[..., 2, 2]
-    sup = np.sqrt((g * g).sum(axis=(-2, -1)).max())
-    return float(np.abs(div).max() / max(sup, 1e-300))
 
 
 def velocity_from_flux(rho: ScalarGrid, j: VectorGrid, floor_ratio: float = 1e-12) -> VectorGrid:
@@ -504,7 +542,7 @@ def dissipation_check(rho: ScalarGrid, bulk: VectorGrid, fluid: FluidState) -> D
     V = bulk.values
     r = rho.values[..., None]
     lhs = float(np.sum(V * (V - u) * r) * vol)
-    grad = dirichlet_energy(fluid.velocity)
+    grad = fluid.dirichlet_energy
     fric = float(np.sum((V - u) ** 2 * r) * vol)
     res = lhs - grad - fric
     scale = max(abs(lhs), grad, fric, 1e-300)

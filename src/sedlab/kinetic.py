@@ -29,7 +29,6 @@ from .kernels import (
     VectorGrid,
     brinkman_solve,
     deposit,
-    dirichlet_energy,
     interpolate,
 )
 
@@ -108,7 +107,7 @@ class EnergyBudget:
 def energy_budget(cloud, fluid, dm2_dt=np.nan):
     """Instantaneous terms of the energy identity for a cloud and its field."""
     m2 = float(cloud.w @ np.sum(cloud.v**2, axis=1))
-    grad_term = cloud.lam * dirichlet_energy(fluid.velocity)
+    grad_term = cloud.lam * fluid.dirichlet_energy
     u_at = interpolate(fluid.velocity, cloud.x)
     friction_term = cloud.lam * float(cloud.w @ np.sum((u_at - cloud.v) ** 2, axis=1))
     gravity_term = cloud.lam * float(cloud.w @ (cloud.v @ cloud.gravity))
@@ -148,7 +147,7 @@ def finalize_budgets(budgets, final_m2, dt):
 
 def _zero_fluid(grid):
     zero = VectorGrid(grid, np.zeros((grid.n, grid.n, grid.n, 3)))
-    return FluidState(velocity=zero, residual=0.0, iterations=0, grad_sup_norm=0.0)
+    return FluidState(velocity=zero, residual=0.0, iterations=0)
 
 
 def vlasov_step(cloud, grid, dt, coupling=True, theta=1.0, tol=1e-9, max_iter=200, u0=None):

@@ -13,13 +13,15 @@ samples keep their indices for all time.
 
 import csv
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .errors import ConvergenceError
-from .kernels import VectorGrid, deposit, interpolate, stokes_solve
+from .kernels import interpolate
+from .transport import steady_velocity_field
 
 EXACT_CAP = 4096
 
@@ -270,10 +272,10 @@ class CoupledRun:
 def steady_field_velocities(snapshot, grid, gravity):
     """Velocity of the steady transport field of the snapshot's own density,
     sampled at the snapshot's positions."""
-    rho, _ = deposit(snapshot, grid)
-    force = VectorGrid(grid, rho.values[..., None] * np.asarray(gravity, dtype=float))
-    fluid = stokes_solve(force)
-    return interpolate(fluid.velocity, np.asarray(snapshot.x, dtype=float))
+    # positions and weights only: the momentum deposit of a phase cloud is not needed
+    carrier = SimpleNamespace(x=np.asarray(snapshot.x, dtype=float), w=snapshot.w, gravity=gravity)
+    fluid = steady_velocity_field(carrier, grid)
+    return interpolate(fluid.velocity, carrier.x)
 
 
 def modulated_energies(run):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError
-from .kernels import VectorGrid, deposit, interpolate, stokes_solve
+from .kernels import deposit, interpolate, stokes_solve
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,12 @@ class SpatialCloud:
 def steady_velocity_field(cloud, grid):
     """Velocity of the deposited density forced along gravity.
 
-    Accepts anything with .x, .w and .gravity; the solve's Lipschitz
-    sup norm comes back on the FluidState.
+    Accepts anything with .x, .w and .gravity; the force rho g goes
+    through the one-transform density-times-direction solve, and the
+    Lipschitz sup norm is available, built on demand, on the FluidState.
     """
     rho, _ = deposit(cloud, grid)
-    force = VectorGrid(grid, rho.values[..., None] * np.asarray(cloud.gravity, dtype=float))
-    fluid = stokes_solve(force)
+    fluid = stokes_solve(rho, cloud.gravity)
     if not np.all(np.isfinite(fluid.velocity.values)):
         raise ConvergenceError("velocity solve produced non-finite values")
     return fluid
