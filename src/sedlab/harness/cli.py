@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import bounds, kinetic, metrics, micro
+from ..csvfile import write_csv
 from ..errors import SedlabError
 from ..kernels import GridSpec, StokesOperator, oseen_tensor, stokes_direct_sum
 from .config import default_config, load_config
@@ -217,16 +218,14 @@ def _cmd_oracle(args):
     )
     values_a = bounds.envelope_a(env, times)
     values_b = bounds.envelope_b(env, times)
-    rows = [["t", "envelope_a", "envelope_b"]]
-    rows += [[repr(float(t)), repr(float(a)), repr(float(b))] for t, a, b in zip(times, values_a, values_b)]
+    header = ["t", "envelope_a", "envelope_b"]
+    rows = [[float(t), float(a), float(b)] for t, a, b in zip(times, values_a, values_b)]
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+        write_csv(args.out, header, rows)
         print(f"wrote {args.out}")
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerows(rows)
+        csv.writer(sys.stdout).writerows([header] + [[repr(v) for v in row] for row in rows])
     if not env.guarantees_domination:
         print("warning: c < 1, envelopes do not certify domination", file=sys.stderr)
     return 0

@@ -13,6 +13,8 @@ those, then left as strings.  Keys outside any section land in the
 import hashlib
 from dataclasses import dataclass, field
 
+from ..kernels import GridSpec
+
 TIERS = ("micro", "vlasov", "transport")
 
 DEFAULTS = {
@@ -33,9 +35,8 @@ DEFAULTS = {
         "d_min_floor": 0.0,
         "max_resamples": 20,
     },
-    "tolerances": {"budget": 0.02, "brinkman": 1e-9, "closure": 1e-12},
+    "tolerances": {"brinkman": 1e-9, "closure": 1e-12},
     "output": {"snapshots": 50, "s_cadence": "snapshot"},
-    "moments": {"k_set": [0.0, 1.0, 2.0, 3.0, 9.0, 9.5]},
 }
 
 
@@ -95,7 +96,6 @@ class SimConfig:
     initial: dict = field(default_factory=lambda: dict(DEFAULTS["initial"]))
     tolerances: dict = field(default_factory=lambda: dict(DEFAULTS["tolerances"]))
     output: dict = field(default_factory=lambda: dict(DEFAULTS["output"]))
-    k_set: tuple = (0.0, 1.0, 2.0, 3.0, 9.0, 9.5)
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -109,9 +109,7 @@ class SimConfig:
             raise ValueError("lambda must be positive")
         if self.n < 1:
             raise ValueError("n must be positive")
-        cells = int(self.cells)
-        if cells < 8 or (cells & (cells - 1)) != 0:
-            raise ValueError("grid cells must be a power of two >= 8")
+        GridSpec(float(self.box), int(self.cells))  # rejects a bad box or cell count
 
     @property
     def steps(self) -> int:
@@ -132,7 +130,6 @@ class SimConfig:
             "initial": dict(self.initial),
             "tolerances": dict(self.tolerances),
             "output": dict(self.output),
-            "moments": {"k_set": list(self.k_set)},
         }
         for name, mapping in self.extra.items():
             out.setdefault(name, {}).update(mapping)
@@ -159,9 +156,6 @@ def build_config(sections):
         else:
             extra[name] = dict(mapping)
     run = merged["run"]
-    moments = merged["moments"]["k_set"]
-    if not isinstance(moments, list):
-        moments = [moments]
     return SimConfig(
         tier=str(run["tier"]),
         n=int(run["n"]),
@@ -174,7 +168,6 @@ def build_config(sections):
         initial=merged["initial"],
         tolerances=merged["tolerances"],
         output=merged["output"],
-        k_set=tuple(float(k) for k in moments),
         extra=extra,
     )
 

@@ -6,7 +6,6 @@ caught, stamped into the record with their exit code, and the partial
 series plus a final checkpoint are still written.
 """
 
-import csv
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -14,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import kinetic, metrics, micro, transport
+from ..csvfile import write_csv
 from ..errors import SedlabError
 from ..kernels import GridSpec
 from .config import SimConfig
@@ -36,6 +36,7 @@ class RunRecord:
     summary: dict = field(default_factory=dict)
     csv_paths: dict = field(default_factory=dict)
     abort: dict = field(default_factory=dict)  # empty when the run completed
+    error: SedlabError = None  # the exception behind `abort`, traceback included
 
     @property
     def ok(self) -> bool:
@@ -78,14 +79,6 @@ def _cadence(steps, snapshots_target):
     return max(1, steps // max(1, int(snapshots_target)))
 
 
-def _s_value(cloud, grid):
-    """S = (1/2) int |v - g - w[rho]|^2 df with w[rho] the cloud's own
-    steady transport field."""
-    u_at = metrics.steady_field_velocities(cloud, grid, cloud.gravity)
-    dev = cloud.v - cloud.gravity[None, :] - u_at
-    return 0.5 * float(cloud.w @ np.sum(dev**2, axis=1))
-
-
 def _run_micro(record, draw, config, grid):
     ens = draw.ensemble
     dt = config.dt
@@ -114,9 +107,12 @@ def _run_vlasov(record, draw, config, grid):
     every = _cadence(config.steps, config.output.get("snapshots", 50))
     s_every_step = config.output.get("s_cadence", "snapshot") == "step"
 
+    def record_s(c):
+        record.s_series.append((c.time, metrics.s_functional(c, grid, c.gravity, c.w)))
+
     record.snapshots.append((cloud.time, cloud))
     record.times.append(cloud.time)
-    record.s_series.append((cloud.time, _s_value(cloud, grid)))
+    record_s(cloud)
     warm = None
     for step_index in range(config.steps):
         cloud, fluid, budget = kinetic.vlasov_step(cloud, grid, dt, tol=tol, u0=warm)
@@ -125,7 +121,7 @@ def _run_vlasov(record, draw, config, grid):
         record.grad_sup_series.append((budget.t, fluid.grad_sup_norm))
         last = step_index + 1 == config.steps
         if s_every_step or (step_index + 1) % every == 0 or last:
-            record.s_series.append((cloud.time, _s_value(cloud, grid)))
+            record_s(cloud)
         if (step_index + 1) % every == 0 or last:
             record.snapshots.append((cloud.time, cloud))
             record.times.append(cloud.time)
@@ -184,23 +180,11 @@ def _write_outputs(record, out_dir):
 
     if record.stats:
         path = out / "ensemble_stats.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "d_min", "s_1", "s_94", "v_moment9", "force_moment9"])
-            for t, st in record.stats:
-                writer.writerow(
-                    [
-                        repr(float(v))
-                        for v in (
-                            t,
-                            st.d_min,
-                            st.s_beta[1.0],
-                            st.s_beta[2.25],
-                            st.v_moment9,
-                            st.force_moment9,
-                        )
-                    ]
-                )
+        rows = (
+            (t, st.d_min, st.s_beta[1.0], st.s_beta[2.25], st.v_moment9, st.force_moment9)
+            for t, st in record.stats
+        )
+        write_csv(path, ["t", "d_min", "s_1", "s_94", "v_moment9", "force_moment9"], rows)
         record.csv_paths["ensemble_stats"] = str(path)
 
     if record.s_series:
@@ -210,14 +194,9 @@ def _write_outputs(record, out_dir):
         record.csv_paths["s_series"] = str(path)
 
     path = out / "summary.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        writer.writerow(["config_hash", record.config_hash])
-        for key, value in sorted(record.summary.items()):
-            writer.writerow([key, repr(value) if isinstance(value, float) else value])
-        for key, value in sorted(record.abort.items()):
-            writer.writerow([f"abort_{key}", value])
+    rows = [("config_hash", record.config_hash), *sorted(record.summary.items())]
+    rows += [(f"abort_{key}", value) for key, value in sorted(record.abort.items())]
+    write_csv(path, ["key", "value"], rows)
     record.csv_paths["summary"] = str(path)
 
 
@@ -248,6 +227,7 @@ def run(config: SimConfig, out_dir=None, draw=None) -> RunRecord:
         runner = {"micro": _run_micro, "vlasov": _run_vlasov, "transport": _run_transport}
         runner[config.tier](record, draw, config, grid)
     except SedlabError as err:
+        record.error = err
         record.abort = {
             "type": type(err).__name__,
             "message": str(err),

@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 from ..errors import AssumptionError
 from ..kernels import interpolate
 from ..kinetic import PhaseCloud
-from ..micro import ParticleEnsemble
+from ..micro import ParticleEnsemble, h3_ratio, h4_value, pairwise_min_distance
 from ..transport import SpatialCloud, steady_velocity_field
 
 GRAVITY = np.array([0.0, 0.0, -1.0])
@@ -126,29 +126,6 @@ def _project_h3(x, v, lam, max_sweeps=64):
     return v, touched, False
 
 
-def _h3_ratio(x, v, lam, block=1024):
-    """max over pairs of |dV| / ((lam/2) |dX|), scanning in blocks."""
-    n = x.shape[0]
-    if n < 2:
-        return 0.0
-    worst = 0.0
-    for start in range(0, n, block):
-        xa = x[start : start + block]
-        va = v[start : start + block]
-        dx = np.linalg.norm(xa[:, None, :] - x[None, :, :], axis=2)
-        dv = np.linalg.norm(va[:, None, :] - v[None, :, :], axis=2)
-        np.fill_diagonal(dx[:, start : start + xa.shape[0]], np.inf)
-        worst = max(worst, float((dv / dx).max()))
-    return worst / (0.5 * lam)
-
-
-def _min_distance(x):
-    if x.shape[0] < 2:
-        return np.inf
-    d, _ = cKDTree(x).query(x, k=2)
-    return float(d[:, 1].min())
-
-
 def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensemble=True):
     """Draw matched initial data for the particle and kinetic tiers.
 
@@ -206,7 +183,7 @@ def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensem
             v = gravity + u_at + sigma_v * phi
             s0 = 1.5 * sigma_v**2
 
-        d_min = _min_distance(x)
+        d_min = pairwise_min_distance(x)
         if d_min <= max(2.0 * radius, floor):
             failures.append(f"attempt {attempt}: d_min {d_min:.3g} under the floor")
             continue
@@ -220,11 +197,9 @@ def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensem
                 )
                 continue
 
-        h4_value = float(np.mean(np.linalg.norm(v, axis=1) ** 9)) + float(
-            np.linalg.norm(v, axis=1).max()
-        ) / lam
-        if h4_value > c_v:
-            failures.append(f"attempt {attempt}: ninth-moment value {h4_value:.3g} > {c_v}")
+        h4 = h4_value(v, lam)
+        if h4 > c_v:
+            failures.append(f"attempt {attempt}: ninth-moment value {h4:.3g} > {c_v}")
             continue
 
         w = np.full(n, 1.0 / n)
@@ -239,8 +214,8 @@ def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensem
             resamples=attempt,
             clipped_fraction=clipped_fraction,
             d_min=d_min,
-            h3_ratio=_h3_ratio(x, v, lam) if n <= 4096 else np.nan,
-            h4_value=h4_value,
+            h3_ratio=h3_ratio(x, v, lam) if n <= 4096 else np.nan,
+            h4_value=h4,
             s0=s0,
             field_lipschitz=field_lip,
         )

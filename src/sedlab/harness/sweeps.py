@@ -5,7 +5,6 @@ runs come from the swept parameter alone.  Aggregation refuses to mix
 members whose assumption flags differ.
 """
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,23 +12,18 @@ from types import SimpleNamespace
 import numpy as np
 
 from .. import metrics, micro
-from ..errors import AssumptionError, CollisionError, ConvergenceError, DomainExhaustedError, SedlabError
+from ..csvfile import write_csv
+from ..errors import AssumptionError
 from ..kernels import GridSpec
 from ..kinetic import PhaseCloud
 from .runner import RunRecord, run
-from .sampling import SampleDraw, SampleReport, sample_initial
-
-_ERROR_CLASSES = {
-    "AssumptionError": AssumptionError,
-    "CollisionError": CollisionError,
-    "ConvergenceError": ConvergenceError,
-    "DomainExhaustedError": DomainExhaustedError,
-}
-
+from .sampling import SampleDraw, sample_initial
 
 def _raise_member_abort(label, record):
-    cls = _ERROR_CLASSES.get(record.abort.get("type"), SedlabError)
-    raise cls(f"sweep member {label} aborted: {record.abort.get('message')}")
+    """Re-raise the member run's own exception, noting which member it was."""
+    err = record.error
+    err.add_note(f"sweep member {label} aborted")
+    raise err
 
 
 def _uniform_view(x, v=None):
@@ -37,6 +31,13 @@ def _uniform_view(x, v=None):
     if v is None:
         return SimpleNamespace(x=x, w=np.full(n, 1.0 / n))
     return SimpleNamespace(x=x, v=v, w=np.full(n, 1.0 / n))
+
+
+def _w2(a, b, space):
+    """W2 between equal-size clouds: exact up to EXACT_CAP samples, entropic beyond."""
+    if a.x.shape[0] <= metrics.EXACT_CAP:
+        return metrics.wasserstein2_exact(a, b, space=space).distance
+    return metrics.wasserstein2_entropic(a, b, space=space).distance
 
 
 def _phase_distance(small, ref, entropic_opts):
@@ -127,14 +128,11 @@ def sweep_hydrodynamic(base, lambdas, out_dir=None, slope_threshold=-0.7, r2_thr
     )
 
     # assumption flags must agree across members before aggregation
-    flags = []
-    speeds = np.linalg.norm(draw.cloud.v, axis=1)
-    for lam in lambdas:
-        h3 = draw.report.field_lipschitz <= 0.5 * lam
-        h4 = float(np.mean(speeds**9) + speeds.max() / lam) <= float(
-            base.initial.get("c_v", 10.0)
-        )
-        flags.append((h3, h4))
+    c_v = float(base.initial.get("c_v", 10.0))
+    flags = [
+        (draw.report.field_lipschitz <= 0.5 * lam, micro.h4_value(draw.cloud.v, lam) <= c_v)
+        for lam in lambdas
+    ]
     if len(set(flags)) > 1:
         raise AssumptionError(f"members disagree on assumption flags: {flags}")
 
@@ -174,11 +172,6 @@ def sweep_hydrodynamic(base, lambdas, out_dir=None, slope_threshold=-0.7, r2_thr
         )
         if not record.ok:
             _raise_member_abort(f"lam={lam:g}", record)
-        final_cloud = record.final_state
-        if base.n <= metrics.EXACT_CAP:
-            coupling = metrics.wasserstein2_exact(final_cloud, transport_final, space="spatial")
-        else:
-            coupling = metrics.wasserstein2_entropic(final_cloud, transport_final, space="spatial")
         s_t = [t for t, _ in record.s_series]
         s_v = [v for _, v in record.s_series]
         rate, rate_r2, plateau = fit_s_relaxation(s_t, s_v)
@@ -186,7 +179,7 @@ def sweep_hydrodynamic(base, lambdas, out_dir=None, slope_threshold=-0.7, r2_thr
             HydroMember(
                 lam=lam,
                 dt=member_config.dt,
-                w2_final=coupling.distance,
+                w2_final=_w2(record.final_state, transport_final, "spatial"),
                 s_rate=rate,
                 s_rate_r2=rate_r2,
                 s_plateau=plateau,
@@ -217,19 +210,10 @@ def sweep_hydrodynamic(base, lambdas, out_dir=None, slope_threshold=-0.7, r2_thr
         rate_ratio_worst=float(worst_ratio),
     )
     if out_dir is not None:
-        _write_hydro_csv(report, Path(out_dir) / "hydro_sweep.csv")
+        rows = ((m.lam, m.dt, m.w2_final, m.s_rate, m.s_rate_r2, m.s_plateau) for m in members)
+        header = ["lambda", "dt", "w2_final", "s_rate", "s_rate_r2", "s_plateau"]
+        write_csv(Path(out_dir) / "hydro_sweep.csv", header, rows)
     return report
-
-
-def _write_hydro_csv(report, path):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "dt", "w2_final", "s_rate", "s_rate_r2", "s_plateau"])
-        for m in report.members:
-            writer.writerow(
-                [repr(float(v)) for v in (m.lam, m.dt, m.w2_final, m.s_rate, m.s_rate_r2, m.s_plateau)]
-            )
 
 
 @dataclass
@@ -318,15 +302,11 @@ def sweep_meanfield(base, n_values, out_dir=None, spread_threshold=2.0):
             lam=lam_n,
             gravity=ref_draw.cloud.gravity,
         )
-        member_report = SampleReport(
-            family=ref_draw.report.family,
-            resamples=ref_draw.report.resamples,
-            clipped_fraction=ref_draw.report.clipped_fraction,
+        member_report = replace(
+            ref_draw.report,
             d_min=micro.pairwise_min_distance(x0),
             h3_ratio=checks.h3_ratio,
             h4_value=checks.h4_value,
-            s0=ref_draw.report.s0,
-            field_lipschitz=ref_draw.report.field_lipschitz,
         )
         member_draw = SampleDraw(cloud=prefix_cloud, ensemble=ensemble, report=member_report)
         member_config = replace(base, tier="micro", n=n, lam=lam_n)
@@ -383,7 +363,12 @@ def sweep_meanfield(base, n_values, out_dir=None, spread_threshold=2.0):
         ),
     )
     if out_dir is not None:
-        _write_meanfield_csv(report, Path(out_dir) / "meanfield_sweep.csv")
+        rows = (
+            (float(m.n), m.lam, m.w2_initial, m.w2_final, m.growth, m.dmin_constant, m.v_moment9_max)
+            for m in members
+        )
+        header = ["n", "lambda", "w2_initial", "w2_final", "growth", "dmin_constant", "v_moment9_max"]
+        write_csv(Path(out_dir) / "meanfield_sweep.csv", header, rows)
     return report
 
 
@@ -410,30 +395,6 @@ def _prefix_energies(member_record, ref_record, n, grid):
         grid=grid,
     )
     return metrics.modulated_energies(coupled)
-
-
-def _write_meanfield_csv(report, path):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["n", "lambda", "w2_initial", "w2_final", "growth", "dmin_constant", "v_moment9_max"]
-        )
-        for m in report.members:
-            writer.writerow(
-                [
-                    repr(float(v))
-                    for v in (
-                        m.n,
-                        m.lam,
-                        m.w2_initial,
-                        m.w2_final,
-                        m.growth,
-                        m.dmin_constant,
-                        m.v_moment9_max,
-                    )
-                ]
-            )
 
 
 @dataclass
@@ -471,19 +432,10 @@ def compare_tiers(base, tiers=("vlasov", "transport"), out_dir=None):
         records.append(record)
 
     finals = [r.final_state for r in records]
-    views = []
-    for tier, state in zip(tiers, finals):
-        if tier == "micro":
-            views.append(_uniform_view(state.x, state.v))
-        elif tier == "vlasov":
-            views.append(_uniform_view(state.x, state.v))
-        else:
-            views.append(_uniform_view(state.x))
+    # transport states carry no velocities, so their view is spatial only
+    views = [_uniform_view(state.x, getattr(state, "v", None)) for state in finals]
     space = "phase" if all(hasattr(v, "v") for v in views) else "spatial"
-    if base.n <= metrics.EXACT_CAP:
-        w2 = metrics.wasserstein2_exact(views[0], views[1], space=space).distance
-    else:
-        w2 = metrics.wasserstein2_entropic(views[0], views[1], space=space).distance
+    w2 = _w2(views[0], views[1], space)
 
     energies = []
     if set(tiers) == {"micro", "vlasov"}:
@@ -495,13 +447,8 @@ def compare_tiers(base, tiers=("vlasov", "transport"), out_dir=None):
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        summary = out / "compare.csv"
-        with open(summary, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["key", "value"])
-            writer.writerow(["tiers", "+".join(tiers)])
-            writer.writerow(["space", space])
-            writer.writerow(["w2_final", repr(float(w2))])
+        rows = [("tiers", "+".join(tiers)), ("space", space), ("w2_final", float(w2))]
+        write_csv(out / "compare.csv", ["key", "value"], rows)
         if energies:
             metrics.write_metrics_csv(
                 out / "energies.csv", base.config_hash(), metrics.energies_to_rows(energies)

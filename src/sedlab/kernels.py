@@ -25,15 +25,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-import csv
 import struct
 
 import numpy as np
 from scipy import fft
 
-from .errors import DomainExhaustedError
+from .csvfile import write_csv
+from .errors import ConvergenceError, DomainExhaustedError
 
-FOUR_PI = 4.0 * np.pi
 EIGHT_PI = 8.0 * np.pi
 
 
@@ -109,11 +108,6 @@ def oseen_regularized(x: np.ndarray, eps: float) -> np.ndarray:
 # grids
 
 
-def _check_grid_n(n: int) -> None:
-    if n < 8 or (n & (n - 1)) != 0:
-        raise ValueError(f"grid resolution must be a power of two >= 8, got {n}")
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Cubic box [0, L)^3 with n cells per side, centers at (i + 1/2) h."""
@@ -124,7 +118,8 @@ class GridSpec:
     def __post_init__(self):
         if not self.box_length > 0.0:
             raise ValueError("box_length must be positive")
-        _check_grid_n(self.n)
+        if self.n < 8 or (self.n & (self.n - 1)) != 0:
+            raise ValueError(f"grid resolution must be a power of two >= 8, got {self.n}")
 
     @property
     def h(self) -> float:
@@ -212,14 +207,12 @@ class FluidState:
 
 
 def _cic_stencil(spec: GridSpec, positions: np.ndarray, what: str):
-    """Corner indices and weights for the trilinear stencil.
+    """Yield (flat cell index, weight) for each of the eight trilinear corners.
 
     Positions must stay a half cell away from the box faces; anything
     outside raises DomainExhaustedError rather than wrapping silently.
     """
-    pos = np.asarray(positions, dtype=float)
-    squeeze = pos.ndim == 1
-    pos = np.atleast_2d(pos)
+    pos = np.atleast_2d(positions)
     t = pos / spec.h - 0.5
     i0 = np.floor(t).astype(np.int64)
     frac = t - i0
@@ -230,7 +223,15 @@ def _cic_stencil(spec: GridSpec, positions: np.ndarray, what: str):
             f"{what}: {int(bad.any(axis=1).sum())} position(s) outside the usable box "
             f"(first offender index {k} at {pos[k]}); box side {spec.box_length}"
         )
-    return pos, i0, frac, squeeze
+    n = spec.n
+    for corner in range(8):
+        dx, dy, dz = corner & 1, (corner >> 1) & 1, (corner >> 2) & 1
+        wgt = (
+            (frac[:, 0] if dx else 1.0 - frac[:, 0])
+            * (frac[:, 1] if dy else 1.0 - frac[:, 1])
+            * (frac[:, 2] if dz else 1.0 - frac[:, 2])
+        )
+        yield ((i0[:, 0] + dx) * n + (i0[:, 1] + dy)) * n + (i0[:, 2] + dz), wgt
 
 
 def deposit(cloud, spec: GridSpec) -> tuple[ScalarGrid, VectorGrid]:
@@ -241,21 +242,12 @@ def deposit(cloud, spec: GridSpec) -> tuple[ScalarGrid, VectorGrid]:
     total weight exactly and sum(j) * h^3 equals the total momentum.
     Clouds without velocities deposit j = 0.
     """
-    x = np.asarray(cloud.x, dtype=float)
     w = np.asarray(cloud.w, dtype=float)
     v = getattr(cloud, "v", None)
-    _, i0, frac, _ = _cic_stencil(spec, x, "deposit")
     n = spec.n
     rho = np.zeros(n * n * n)
     j = np.zeros((n * n * n, 3)) if v is not None else None
-    for corner in range(8):
-        dx, dy, dz = corner & 1, (corner >> 1) & 1, (corner >> 2) & 1
-        wgt = (
-            (frac[:, 0] if dx else 1.0 - frac[:, 0])
-            * (frac[:, 1] if dy else 1.0 - frac[:, 1])
-            * (frac[:, 2] if dz else 1.0 - frac[:, 2])
-        )
-        flat = ((i0[:, 0] + dx) * n + (i0[:, 1] + dy)) * n + (i0[:, 2] + dz)
+    for flat, wgt in _cic_stencil(spec, np.asarray(cloud.x, dtype=float), "deposit"):
         np.add.at(rho, flat, w * wgt)
         if j is not None:
             np.add.at(j, flat, (w * wgt)[:, None] * v)
@@ -269,20 +261,13 @@ def interpolate(field: VectorGrid, positions: np.ndarray) -> np.ndarray:
     """Evaluate a grid field at off-grid points with the same trilinear
     stencil as `deposit`, making the pair adjoint: for any cloud and field,
     sum_i w_i v_i . u(x_i) == sum_cells j . u * h^3."""
-    _, i0, frac, squeeze = _cic_stencil(field.spec, positions, "interpolate")
+    pos = np.asarray(positions, dtype=float)
     n = field.spec.n
     vals = field.values.reshape(n * n * n, 3)
-    out = np.zeros((i0.shape[0], 3))
-    for corner in range(8):
-        dx, dy, dz = corner & 1, (corner >> 1) & 1, (corner >> 2) & 1
-        wgt = (
-            (frac[:, 0] if dx else 1.0 - frac[:, 0])
-            * (frac[:, 1] if dy else 1.0 - frac[:, 1])
-            * (frac[:, 2] if dz else 1.0 - frac[:, 2])
-        )
-        flat = ((i0[:, 0] + dx) * n + (i0[:, 1] + dy)) * n + (i0[:, 2] + dz)
+    out = np.zeros(np.atleast_2d(pos).shape)
+    for flat, wgt in _cic_stencil(field.spec, pos, "interpolate"):
         out += wgt[:, None] * vals[flat]
-    return out[0] if squeeze else out
+    return out[0] if pos.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +446,9 @@ def brinkman_solve(
     damping halves (down to 1/8), which restores convergence for heavily
     loaded densities at the usual damped-Jacobi cost.  The stop rule is the
     undamped defect ||St(j - rho u) - u|| / ||u|| <= tol, which dominates the
-    reported step residual ||u_{k+1} - u_k|| / ||u_k||.  On non-convergence
-    the last iterate is returned with its residual; the caller decides.
+    reported step residual ||u_{k+1} - u_k|| / ||u_k||.  A defect still
+    above tol after max_iter applications raises ConvergenceError carrying
+    that defect and the iteration count.
     """
     if rho.spec != j.spec:
         raise ValueError("rho and j live on different grids")
@@ -476,9 +462,8 @@ def brinkman_solve(
         return FluidState(VectorGrid(rho.spec, op.apply(j.values)), residual=0.0, iterations=1)
     u = np.zeros_like(j.values) if u0 is None else u0.values.copy()
     rhov = rho.values[..., None]
-    residual = np.inf
     tiny = 1e-300
-    prev_defect = np.inf
+    defect = prev_defect = np.inf
     for it in range(1, max_iter + 1):
         image = op.apply(j.values - rhov * u)
         scale = max(np.linalg.norm(image), np.linalg.norm(u), tiny)
@@ -490,8 +475,12 @@ def brinkman_solve(
         residual = np.linalg.norm(u_next - u) / max(np.linalg.norm(u_next), tiny)
         u = u_next
         if defect <= tol:
-            break
-    return FluidState(VectorGrid(rho.spec, u), residual=residual, iterations=it)
+            return FluidState(VectorGrid(rho.spec, u), residual=residual, iterations=it)
+    raise ConvergenceError(
+        f"Brinkman iteration left defect {defect:.3e} > tol {tol:.3e} after {max_iter} applications",
+        residual=float(defect),
+        iterations=max_iter,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -575,12 +564,7 @@ def load_vector_grid(path) -> VectorGrid:
 
 
 def save_vector_grid_csv(field: VectorGrid, path) -> None:
-    with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(["i", "j", "k", "ux", "uy", "uz"])
-        n = field.spec.n
-        vals = field.values
-        for i in range(n):
-            for jj in range(n):
-                for k in range(n):
-                    wr.writerow([i, jj, k, *(repr(c) for c in vals[i, jj, k])])
+    n = field.spec.n
+    u = field.values
+    rows = ((i, j, k, *u[i, j, k]) for i in range(n) for j in range(n) for k in range(n))
+    write_csv(path, ["i", "j", "k", "ux", "uy", "uz"], rows)

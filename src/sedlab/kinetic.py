@@ -19,11 +19,11 @@ term by term.  The derivative slot is filled by the caller from adjacent
 M2 samples (centered differences need neighbors a single step cannot see).
 """
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .csvfile import write_csv
 from .kernels import (
     FluidState,
     VectorGrid,
@@ -121,10 +121,6 @@ def energy_budget(cloud, fluid, dm2_dt=np.nan):
     )
 
 
-def with_dm2_dt(budget, dm2_dt):
-    return replace(budget, dm2_dt=float(dm2_dt))
-
-
 def finalize_budgets(budgets, final_m2, dt):
     """Fill the dm2_dt slots of a fixed-step budget series.
 
@@ -143,6 +139,20 @@ def finalize_budgets(budgets, final_m2, dt):
             d = (m2[k + 1] - m2[k - 1]) / (2.0 * dt)
         out.append(replace(b, dm2_dt=d))
     return out
+
+
+def relaxation_push(x, v, drift, lam, dt):
+    """Exact flow over dt of x' = v, v' = lam (drift - v) with the drift frozen:
+
+        v+ = drift + e^{-lam dt} (v - drift)
+        x+ = x + dt drift + (1 - e^{-lam dt}) (v - drift) / lam
+
+    Returns (x+, v+); `micro.step`, `vlasov_step` and `replay_flow` all push
+    through here.
+    """
+    deviation = v - drift
+    decay = np.exp(-lam * dt)
+    return x + dt * drift + (1.0 - decay) / lam * deviation, drift + decay * deviation
 
 
 def _zero_fluid(grid):
@@ -166,11 +176,7 @@ def vlasov_step(cloud, grid, dt, coupling=True, theta=1.0, tol=1e-9, max_iter=20
         fluid = _zero_fluid(grid)
         u_at = np.zeros_like(cloud.v)
     budget = energy_budget(cloud, fluid)
-    drift = cloud.gravity[None, :] + u_at
-    deviation = cloud.v - drift
-    decay = np.exp(-cloud.lam * dt)
-    v_new = drift + decay * deviation
-    x_new = cloud.x + dt * drift + (1.0 - decay) / cloud.lam * deviation
+    x_new, v_new = relaxation_push(cloud.x, cloud.v, cloud.gravity[None, :] + u_at, cloud.lam, dt)
     new_cloud = replace(cloud, x=x_new, v=v_new, time=cloud.time + dt)
     return new_cloud, fluid, budget
 
@@ -227,11 +233,7 @@ def replay_flow(history, x0, w0, gravity, lam):
     w = np.array(w0, dtype=float)
     for dt, field in zip(history.dts, history.fields):
         u_at = np.zeros(3) if field is None else interpolate(field, x)
-        drift = gravity + u_at
-        deviation = w - drift
-        decay = np.exp(-lam * dt)
-        x = x + dt * drift + (1.0 - decay) / lam * deviation
-        w = drift + decay * deviation
+        x, w = relaxation_push(x, w, gravity + u_at, lam, dt)
     return x, w
 
 
@@ -297,23 +299,13 @@ def jacobian_check(cloud0, history, probes=4, delta=1e-4, seed=0):
 
 
 def save_cloud_csv(cloud, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "x", "y", "z", "vx", "vy", "vz", "w"])
-        for i in range(cloud.n):
-            writer.writerow(
-                [i]
-                + [repr(float(c)) for c in cloud.x[i]]
-                + [repr(float(c)) for c in cloud.v[i]]
-                + [repr(float(cloud.w[i]))]
-            )
+    table = np.hstack([cloud.x, cloud.v, cloud.w[:, None]])
+    write_csv(path, ["id", "x", "y", "z", "vx", "vy", "vz", "w"], ([i, *r] for i, r in enumerate(table)))
 
 
 def save_budget_csv(budgets, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "m2", "grad_term", "friction_term", "gravity_term", "residual"])
-        for b in budgets:
-            writer.writerow(
-                [repr(float(v)) for v in (b.t, b.m2, b.grad_term, b.friction_term, b.gravity_term, b.residual)]
-            )
+    write_csv(
+        path,
+        ["t", "m2", "grad_term", "friction_term", "gravity_term", "residual"],
+        ((b.t, b.m2, b.grad_term, b.friction_term, b.gravity_term, b.residual) for b in budgets),
+    )

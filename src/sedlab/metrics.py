@@ -11,7 +11,6 @@ comparisons are fixed at t = 0 and pushed forward by the dynamics, so paired
 samples keep their indices for all time.
 """
 
-import csv
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -19,6 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from .csvfile import write_csv
 from .errors import ConvergenceError
 from .kernels import interpolate
 from .transport import steady_velocity_field
@@ -278,6 +278,14 @@ def steady_field_velocities(snapshot, grid, gravity):
     return interpolate(fluid.velocity, carrier.x)
 
 
+def s_functional(snapshot, grid, gravity, weights):
+    """S = (1/2) sum_i weights_i |v_i - g - w[rho](x_i)|^2, with w[rho] the
+    steady transport field of the snapshot's own density."""
+    field_v = steady_field_velocities(snapshot, grid, gravity)
+    excess = np.asarray(snapshot.v, dtype=float) - gravity[None, :] - field_v
+    return 0.5 * float(weights @ (excess * excess).sum(axis=1))
+
+
 def modulated_energies(run):
     """Evaluate S, Z, E, H along a coupled run.
 
@@ -301,9 +309,7 @@ def modulated_energies(run):
 
         S = np.nan
         if run.grid is not None and v is not None and gravity is not None:
-            field_v = steady_field_velocities(snap, run.grid, gravity)
-            excess = v - gravity[None, :] - field_v
-            S = 0.5 * float(weights @ (excess * excess).sum(axis=1))
+            S = s_functional(snap, run.grid, gravity, weights)
 
         Z = E = H = np.nan
         if paired:
@@ -358,11 +364,8 @@ def rate_fit(x, y, model="powerlaw"):
 
 def write_metrics_csv(path, run_id, rows):
     """Write tidy (run_id, t, metric, value) rows; `rows` yields (t, name, value)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run_id", "t", "metric", "value"])
-        for t, name, value in rows:
-            writer.writerow([run_id, repr(float(t)), name, repr(float(value))])
+    rows = ((run_id, float(t), name, float(value)) for t, name, value in rows)
+    write_csv(path, ["run_id", "t", "metric", "value"], rows)
 
 
 def energies_to_rows(series):

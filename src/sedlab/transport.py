@@ -9,11 +9,11 @@ stiff part, so a midpoint rule with a mid-step field refresh gives a
 genuinely second-order update.
 """
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .csvfile import write_csv
 from .errors import ConvergenceError
 from .kernels import deposit, interpolate, stokes_solve
 
@@ -85,10 +85,5 @@ def transport_step(cloud, grid, dt):
 
 
 def save_spatial_csv(cloud, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "x", "y", "z", "w"])
-        for i in range(cloud.n):
-            writer.writerow(
-                [i] + [repr(float(c)) for c in cloud.x[i]] + [repr(float(cloud.w[i]))]
-            )
+    table = np.hstack([cloud.x, cloud.w[:, None]])
+    write_csv(path, ["id", "x", "y", "z", "w"], ([i, *r] for i, r in enumerate(table)))

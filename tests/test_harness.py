@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sedlab.errors import AssumptionError, DomainExhaustedError
+from sedlab.errors import AssumptionError, ConvergenceError, DomainExhaustedError
+from sedlab.harness import sweeps
 from sedlab.harness import cli
 from sedlab.harness.config import build_config, default_config, load_config, parse_config_text
 from sedlab.harness.runner import fit_dmin_constant, run
@@ -30,8 +31,8 @@ class TestConfig:
         tier = micro
         n = 42
 
-        [moments]
-        k_set = 0, 2, 9.5
+        [initial]
+        center = 7.5, 8, 8.5
 
         [grid]
         cells = 16
@@ -39,7 +40,7 @@ class TestConfig:
         cfg = build_config(parse_config_text(text))
         assert cfg.tier == "micro"
         assert cfg.n == 42
-        assert cfg.k_set == (0.0, 2.0, 9.5)
+        assert cfg.initial["center"] == [7.5, 8, 8.5]
         assert cfg.cells == 16
 
     def test_hash_ignores_ordering(self):
@@ -107,12 +108,27 @@ class TestSampling:
         dev = draw.cloud.v - np.array([0.0, 0.0, -1.0])
         assert np.linalg.norm(dev, axis=1).max() <= 0.1 + 1e-12
 
+    def test_report_and_assumption_check_agree(self):
+        from sedlab.micro import check_assumptions, h3_ratio
+
+        draw = sample_initial({"family": "gaussian", "sigma_x": 1.0, "sigma_v": 0.2}, 600, 4, 12.0)
+        checks = check_assumptions(draw.ensemble)
+        assert checks.h3_ratio == draw.report.h3_ratio > 0.0
+        assert checks.h4_value == draw.report.h4_value
+        # the row blocks only split the scan
+        x, v = draw.cloud.x, draw.cloud.v
+        assert h3_ratio(x, v, 12.0, block=7) == checks.h3_ratio
+        dx = np.linalg.norm(x[:, None] - x[None], axis=2)
+        dv = np.linalg.norm(v[:, None] - v[None], axis=2)
+        np.fill_diagonal(dx, np.inf)
+        assert checks.h3_ratio == pytest.approx((dv / dx).max() / 6.0, rel=1e-14)
+
     def test_well_prepared_needs_grid(self):
         with pytest.raises(ValueError, match="grid"):
             sample_initial({"family": "well_prepared", "sigma_v": 0.1}, 100, 1, 10.0)
 
     def test_well_prepared_s0_is_exact(self):
-        from sedlab.harness.runner import _s_value
+        from sedlab.metrics import s_functional
 
         grid = GridSpec(16.0, 16)
         sigma_v = 0.12
@@ -127,7 +143,7 @@ class TestSampling:
         assert draw.ensemble is None
         expected = 1.5 * sigma_v**2
         assert draw.report.s0 == expected
-        assert abs(_s_value(draw.cloud, grid) - expected) < 1e-12
+        assert abs(s_functional(draw.cloud, grid, draw.cloud.gravity, draw.cloud.w) - expected) < 1e-12
         assert draw.report.field_lipschitz <= 6.0
 
     def test_well_prepared_rejects_steep_field(self):
@@ -218,6 +234,21 @@ class TestRunner:
         with open(tmp_path / "summary.csv", newline="") as fh:
             rows = {row[0]: row[1] for row in csv.reader(fh)}
         assert rows["abort_type"] == "DomainExhaustedError"
+
+    def test_brinkman_miss_aborts_with_exit_3(self):
+        # at 8 cells the iteration lands on an exact floating-point fixed
+        # point (defect 0.0); at 16 its defect stalls near 1e-17
+        cfg = default_config(
+            {
+                "run": {"tier": "vlasov", "n": 200, "lambda": 10.0, "t_final": 0.0125, "dt": 0.00625},
+                "grid": {"cells": 16},
+                "tolerances": {"brinkman": 1e-300},
+            }
+        )
+        rec = run(cfg)
+        assert rec.abort["exit_code"] == 3
+        assert rec.abort["type"] == "ConvergenceError"
+        assert isinstance(rec.error, ConvergenceError)
 
     def test_output_files_well_formed(self, tmp_path):
         cfg = default_config(
@@ -356,6 +387,28 @@ class TestSweeps:
         assert report.w2_final < 0.05
         assert report.energies
         assert report.energies[0].t == 0.0
+
+    def test_member_abort_reraises_the_run_error(self, monkeypatch):
+        records = []
+
+        def recording_run(*args, **kwargs):
+            records.append(sweeps_run(*args, **kwargs))
+            return records[-1]
+
+        sweeps_run = sweeps.run
+        monkeypatch.setattr(sweeps, "run", recording_run)
+        base = default_config(
+            {
+                "run": {"tier": "transport", "n": 150, "lambda": 5.0, "t_final": 5.0, "dt": 0.05, "seed": 11},
+                "grid": {"cells": 16},
+                "initial": {"family": "gaussian", "sigma_x": 2.0, "sigma_v": 0.0},
+            }
+        )
+        with pytest.raises(DomainExhaustedError) as err:
+            compare_tiers(base, ("transport", "vlasov"))
+        assert len(records) == 1 and err.value is records[0].error
+        assert err.value.exit_code == records[0].abort["exit_code"] == 4
+        assert "sweep member transport aborted" in err.value.__notes__
 
     def test_fit_s_relaxation_recovers_rate(self):
         times = np.linspace(0.0, 1.0, 200)

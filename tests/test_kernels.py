@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sedlab import kernels as K
-from sedlab.errors import DomainExhaustedError
+from sedlab.errors import ConvergenceError, DomainExhaustedError
 
 RNG = np.random.default_rng(20260816)
 
@@ -127,12 +127,17 @@ class TestGrids:
 
     def test_grid_csv(self, tmp_path):
         spec = K.GridSpec(4.0, 8)
-        g = K.VectorGrid(spec, np.zeros((8, 8, 8, 3)))
+        vals = np.zeros((8, 8, 8, 3))
+        vals[1, 2, 3] = (0.1, -2.5, 1e-300)
+        g = K.VectorGrid(spec, vals)
         p = tmp_path / "grid.csv"
         K.save_vector_grid_csv(g, p)
         lines = p.read_text().splitlines()
         assert lines[0] == "i,j,k,ux,uy,uz"
         assert len(lines) == 1 + 8**3
+        cells = lines[1 + (1 * 8 + 2) * 8 + 3].split(",")
+        assert cells[:3] == ["1", "2", "3"]
+        assert [float(c) for c in cells[3:]] == [0.1, -2.5, 1e-300]
 
 
 class _Cloud:
@@ -425,6 +430,15 @@ class TestBrinkmanSolve:
             vnorm = float(np.sum(V * V * rho.values[..., None]) * self.spec.cell_volume)
             ratios.append(rep.lhs / vnorm)
         assert min(ratios) > 0.0
+
+    def test_missed_tolerance_raises(self):
+        rho = gaussian_density(self.spec, 0.9)
+        j = K.VectorGrid(self.spec, rho.values[..., None] * np.array([0.0, 0.0, -1.0]))
+        with pytest.raises(ConvergenceError) as err:
+            K.brinkman_solve(rho, j, tol=1e-11, max_iter=1)
+        assert err.value.iterations == 1
+        assert err.value.residual > 1e-11
+        assert err.value.exit_code == 3
 
     def test_negative_rho_rejected(self):
         rho = K.ScalarGrid(self.spec, -np.ones((32, 32, 32)))

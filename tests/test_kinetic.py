@@ -102,6 +102,25 @@ class TestStep:
             assert np.allclose(out.x, x_exact, rtol=0.0, atol=1e-12)
             assert out.time == pytest.approx(t, abs=1e-15)
 
+    def test_tiers_share_one_relaxation_push(self):
+        # micro.step without interactions, vlasov_step without coupling and
+        # replay_flow through an empty field all take the same exact push
+        from sedlab.micro import ParticleEnsemble, step
+
+        grid = GridSpec(16.0, 8)
+        cloud = gaussian_cloud(12, 9.0, seed=4)
+        dt = 0.03
+        ens = ParticleEnsemble(x=cloud.x, v=cloud.v, lam=cloud.lam, gravity=GRAVITY)
+        particles = step(ens, dt, interactions=False)
+        kinetic, _, _ = vlasov_step(cloud, grid, dt, coupling=False)
+        history = FieldHistory([], [], [])
+        history.append(dt, None, 0.0)
+        for i in range(cloud.n):
+            x, v = replay_flow(history, cloud.x[i], cloud.v[i], GRAVITY, cloud.lam)
+            assert np.array_equal(x, kinetic.x[i]) and np.array_equal(v, kinetic.v[i])
+        assert np.array_equal(particles.x, kinetic.x)
+        assert np.array_equal(particles.v, kinetic.v)
+
     def test_weights_and_mass_preserved(self):
         grid = GridSpec(16.0, 16)
         cloud = gaussian_cloud(200, 10.0, seed=3)

@@ -39,6 +39,23 @@ def random_ensemble(rng, n, lam=5.0, spread=2.0, vscale=1.0):
     return ParticleEnsemble(x=x, v=v, lam=lam, gravity=GRAVITY)
 
 
+class TestMinDistance:
+    @pytest.mark.parametrize("n", [2, 3, 17, 400])
+    def test_matches_brute_force(self, n):
+        x = np.random.default_rng(n).uniform(0.0, 3.0, size=(n, 3))
+        d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+        d[np.diag_indices(n)] = np.inf
+        assert pairwise_min_distance(x) == d.min()
+
+    def test_fewer_than_two_points(self):
+        assert pairwise_min_distance(np.empty((0, 3))) == np.inf
+        assert pairwise_min_distance(np.ones((1, 3))) == np.inf
+
+    def test_duplicate_points(self):
+        x = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+        assert pairwise_min_distance(x) == 0.0
+
+
 class TestParticleEnsemble:
     def test_radius_coupling_default(self):
         ens = random_ensemble(np.random.default_rng(0), 10)
