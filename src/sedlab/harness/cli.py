@@ -142,11 +142,18 @@ def _cmd_check_identities(args):
     w_dense = np.linalg.solve(np.eye(3 * n) + mat, mat @ v.reshape(-1)).reshape(n, 3)
     checks.append(("closure vs dense solve", float(np.abs(w_iter - w_dense).max()), 1e-10))
 
+    pair_rng = np.random.default_rng(2)
+    xk = 1e3 + 1.5 * pair_rng.standard_normal((512, 3))  # far from the origin
+    q = pair_rng.standard_normal((512, 3))
+    dense = (micro._interaction_matrix(xk) @ q.reshape(-1)).reshape(512, 3)
+    err = float(np.abs(micro._PairKernel(xk).apply(q) - dense).max() / np.abs(dense).max())
+    checks.append(("pair kernel vs dense matrix", err, 1e-11))
+
     lam, dt = 100.0, 0.1  # lam dt = 10, the stiff end
     ens2 = micro.ParticleEnsemble(
         x=x[:4], v=v[:4], lam=lam, gravity=np.array([0.0, 0.0, -1.0])
     )
-    stepped = micro.step(ens2, dt, interactions=False)
+    stepped = micro.step(ens2, dt, w=np.zeros_like(ens2.v))
     drift = ens2.gravity[None, :]
     dev = ens2.v - drift
     v_exact = drift + np.exp(-lam * dt) * dev

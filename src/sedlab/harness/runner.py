@@ -91,12 +91,15 @@ def _run_micro(record, draw, config, grid):
         record.stats.append((e.time, st))
         record.snapshots.append((e.time, e))
         record.times.append(e.time)
+        return w
 
-    observe(ens)
+    # one closure solve per state: a snapshot's w drives the step from it
+    w = observe(ens)
     for step_index in range(config.steps):
-        ens = micro.step(ens, dt, tol=tol)
+        ens = micro.step(ens, dt, w=w, tol=tol)
+        w = None
         if (step_index + 1) % every == 0 or step_index + 1 == config.steps:
-            observe(ens)
+            w = observe(ens)
     return ens
 
 

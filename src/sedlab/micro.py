@@ -11,8 +11,11 @@ others lag behind their own ambient flow.  The 1/N prefactor is the drag
 coefficient 6 pi R under the radius coupling R = 1/(6 pi N), so the forces
 on the fluid are F_i = 6 pi R (V_i - w_i) and N F_i = V_i - w_i.
 
-Time stepping freezes w over a step and integrates the remaining linear
-relaxation exactly, which keeps the integrator uniformly stable in lam.
+The closure is solved by fixed-point sweeps, each two GEMMs against the
+r^-1 and r^-3 pair matrices (`_PairKernel`).  Time stepping freezes w over
+a step and integrates the remaining linear relaxation exactly, which keeps
+the integrator uniformly stable in lam; `step` takes the w already solved
+for its state, so a run solves the closure once per state.
 Particle contact (distance <= 2R) aborts the run: the model has no
 lubrication regime and a contact means the configuration left the regime
 the closure is valid in.
@@ -27,7 +30,7 @@ from scipy.spatial.distance import cdist
 
 from .csvfile import write_csv
 from .errors import CollisionError, ConvergenceError
-from .kernels import oseen_tensor
+from .kernels import EIGHT_PI, oseen_tensor
 from .kinetic import relaxation_push
 
 DENSE_FALLBACK_CAP = 512
@@ -124,38 +127,74 @@ def _interaction_matrix(x):
 class _PairKernel:
     """Pairwise mobility action without materializing the (3N, 3N) matrix.
 
-    Stores the difference vectors and inverse distances once per
-    configuration; apply(q)_i = sum_j Phi(x_i - x_j) q_j.  The i = j term
-    vanishes because the inverse distance is zeroed on the diagonal.
+    apply(q)_i = sum_j Phi(x_i - x_j) q_j.  With d_ij = x_i - x_j the
+    anisotropic part of Phi splits through
+
+        (d_ij . q_j) d_ij = (x_i . q_j) x_i - (x_i . q_j) x_j
+                            - (x_j . q_j) x_i + (x_j . q_j) x_j,
+
+    so every sum over j is a product of the r^-3 matrix with a column built
+    from q and x alone: q (3), q_a x_c (9), s = x . q (1) and s x (3).  A
+    sweep is then one (N, N) @ (N, 3) product against r^-1 and one
+    (N, N) @ (N, 16) product against r^-3; only those two N x N matrices
+    are kept.  The four terms cancel down to the pair's own term, losing
+    about eps |x_i|^2 / r_ij^2 of it, so the positions are centred first,
+    r^2 comes straight from the coordinate differences, and each point's
+    NEAR nearest neighbours, where that loss concentrates, are taken out
+    of the r^-3 matrix and summed directly.  Takes N >= 2 distinct
+    points, as a `ParticleEnsemble`'s are.
     """
 
+    NEAR = 8
+
     def __init__(self, x):
-        diffs = x[:, None, :] - x[None, :, :]
-        r2 = np.einsum("ijc,ijc->ij", diffs, diffs)
-        with np.errstate(divide="ignore"):
-            r_inv = np.where(r2 > 0.0, r2**-0.5, 0.0)
-        self.diffs = diffs
-        self.r_inv = r_inv
-        self.scaled = diffs * (r_inv**3)[..., None]
+        x = self.x = x - x.mean(axis=0)
+        n = x.shape[0]
+        r2 = cdist(x, x, "sqeuclidean")
+        np.fill_diagonal(r2, np.inf)  # the i = j term drops out
+        self.r_inv = np.sqrt(r2)
+        np.reciprocal(self.r_inv, out=self.r_inv)
+        self.r_inv3 = np.multiply(self.r_inv, self.r_inv, out=r2)
+        self.r_inv3 *= self.r_inv
+        # neighbours of rank 2..k+1, rank 1 being the point itself
+        self.near = cKDTree(x).query(x, k=range(2, min(self.NEAR, n - 1) + 2))[1]
+        self.near_d = x[:, None, :] - x[self.near]
+        self.near_r3 = np.take_along_axis(self.r_inv3, self.near, axis=1)
+        np.put_along_axis(self.r_inv3, self.near, 0.0, axis=1)
 
     def apply(self, q):
-        iso = self.r_inv @ q
-        along = np.einsum("ijc,jc->ij", self.scaled, q)
-        aniso = np.einsum("ijc,ij->ic", self.diffs, along)
-        return (iso + aniso) / (8.0 * np.pi)
+        x = self.x
+        n = x.shape[0]
+        s = np.einsum("ic,ic->i", x, q)
+        cols = np.empty((n, 16))
+        cols[:, :3] = q
+        cols[:, 3:12] = (q[:, :, None] * x[:, None, :]).reshape(n, 9)
+        cols[:, 12] = s
+        cols[:, 13:] = s[:, None] * x
+        m = self.r_inv3 @ cols
+        kq, kqx, ks, ksx = m[:, :3], m[:, 3:12].reshape(n, 3, 3), m[:, 12], m[:, 13:]
+        aniso = x * (np.einsum("ia,ia->i", x, kq) - ks)[:, None]
+        aniso -= np.einsum("ia,iac->ic", x, kqx)
+        aniso += ksx
+        along = self.near_r3 * np.einsum("ikc,ikc->ik", self.near_d, q[self.near])
+        aniso += np.einsum("ikc,ik->ic", self.near_d, along)
+        return (self.r_inv @ q + aniso) / EIGHT_PI
 
 
 def implicit_velocities(ens, tol=1e-12, max_iter=200, theta=1.0):
     """Solve the closure for the ambient velocities w.
 
     Fixed-point iteration on w <- (1/N) sum_j Phi(x_i - x_j)(V_j - w_j),
-    matrix-free: the pair geometry is built once and each sweep costs a
-    few (N, N) contractions.  The off-diagonal coupling is O(S_1 / N),
-    so the map is strongly contractive for configurations the
+    matrix-free: `_PairKernel` builds the r^-1 and r^-3 matrices once and
+    each sweep is two GEMMs against them.  The off-diagonal coupling is
+    O(S_1 / N), so the map is strongly contractive for configurations the
     assumptions admit and theta = 1 converges in a handful of sweeps;
     whenever the residual grows the damping halves (down to 1/8).
     Falls back to a dense direct solve of (I + M/N) w = (M/N) V for
-    modest N before giving up.
+    N <= DENSE_FALLBACK_CAP before giving up; above it, a miss raises
+    ConvergenceError with the last residual and iterations = max_iter.
+    The runner solves once per particle state and hands the result to
+    `step`.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -196,20 +235,22 @@ def forces(ens, w):
     return 6.0 * np.pi * ens.radius * (ens.v - w)
 
 
-def step(ens, dt, interactions=True, tol=1e-12, max_iter=200):
+def step(ens, dt, w=None, tol=1e-12, max_iter=200):
     """Advance one step of X' = V, V' = lam (g + w - V) with w frozen.
 
-    The linear relaxation toward g + w is integrated exactly (see
-    `kinetic.relaxation_push`), so the only approximation is holding w
-    constant over the step.  A step that produces contact raises, carrying
-    the offending state.
+    w is the closure solution for ens; when None it is solved here with
+    tol and max_iter, otherwise it is used unchanged (zeros switch the
+    interactions off).  The linear relaxation toward g + w is integrated
+    exactly (see `kinetic.relaxation_push`), so the only approximation is
+    holding w constant over the step.  A step that produces contact
+    raises, carrying the offending state.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if interactions:
+    if w is None:
         w = implicit_velocities(ens, tol=tol, max_iter=max_iter)
-    else:
-        w = np.zeros_like(ens.v)
+    elif np.shape(w) != ens.v.shape:
+        raise ValueError("w must match the ensemble's velocity array")
     x_new, v_new = relaxation_push(ens.x, ens.v, ens.gravity[None, :] + w, ens.lam, dt)
     return replace(ens, x=x_new, v=v_new, time=ens.time + dt)
 
@@ -219,17 +260,27 @@ def default_dt(lam):
     return min(0.01, 1.0 / (4.0 * lam))
 
 
-def stats(ens, force_values=None, betas=(1.0, 2.25)):
-    """Configuration statistics: d_min, normalized interaction sums, moments."""
+def stats(ens, force_values=None, betas=(1.0, 2.25), block=1024):
+    """Configuration statistics: d_min, normalized interaction sums, moments.
+
+    Two row-blocked `cdist` scans, so memory stays O(block N): the first
+    finds d_min, the second sums each row with its i = j entry at d_min.
+    """
     x = ens.x
     n = ens.n
     if n >= 2:
-        d = cdist(x, x)
-        d_min = float(d[~np.eye(n, dtype=bool)].min())
-        np.fill_diagonal(d, d_min)  # i = j counts at d_min
-        s_beta = {
-            float(beta): float(np.max(np.sum(d ** (-beta), axis=1))) / n for beta in betas
-        }
+        d_min = np.inf
+        for start in range(0, n, block):
+            d = cdist(x[start : start + block], x)
+            np.fill_diagonal(d[:, start:], np.inf)
+            d_min = min(d_min, float(d.min()))
+        row_max = {float(beta): 0.0 for beta in betas}
+        for start in range(0, n, block):
+            d = cdist(x[start : start + block], x)
+            np.fill_diagonal(d[:, start:], d_min)  # i = j counts at d_min
+            for beta in row_max:
+                row_max[beta] = max(row_max[beta], float(np.max(np.sum(d ** (-beta), axis=1))))
+        s_beta = {beta: value / n for beta, value in row_max.items()}
     else:
         d_min = np.inf
         s_beta = {float(beta): 0.0 for beta in betas}

@@ -188,6 +188,54 @@ class TestRunner:
         assert rec1.summary["d_min_constant"] >= 1.0
         assert rec1.summary["assumption_h1"] is True
 
+    def test_micro_run_solves_closure_once_per_state(self, monkeypatch):
+        from sedlab import micro
+
+        cfg = default_config(
+            {
+                "run": {"tier": "micro", "n": 48, "lambda": 8.0, "t_final": 0.05, "dt": 0.0125, "seed": 5},
+                "grid": {"cells": 16},
+                "initial": {"family": "gaussian", "sigma_x": 1.2, "sigma_v": 0.1},
+            }
+        )
+        solve = micro.implicit_velocities
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].time)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(micro, "implicit_velocities", counted)
+        rec = run(cfg)
+        assert rec.ok and len(rec.snapshots) == cfg.steps + 1  # a snapshot every step
+        assert len(calls) == cfg.steps + 1
+        state = rec.snapshots[0][1]
+        for _ in range(cfg.steps):
+            state = micro.step(state, cfg.dt)
+        assert np.array_equal(state.x, rec.final_state.x)
+        assert np.array_equal(state.v, rec.final_state.v)
+
+    def test_initial_center_moves_the_cloud(self):
+        def transport_run(**initial):
+            return run(
+                default_config(
+                    {
+                        "run": {"tier": "transport", "n": 200, "lambda": 5.0, "t_final": 0.05, "dt": 0.01, "seed": 9},
+                        "grid": {"cells": 16},
+                        "initial": {"family": "gaussian", "sigma_x": 1.0, "sigma_v": 0.0, **initial},
+                    }
+                )
+            )
+
+        default = transport_run()
+        shifted = transport_run(center=[6, 8, 8])
+        assert default.ok and shifted.ok
+        assert np.abs(default.snapshots[0][1].x.mean(axis=0) - 8.0).max() < 0.3
+        assert np.abs(shifted.snapshots[0][1].x.mean(axis=0) - [6.0, 8.0, 8.0]).max() < 0.3
+        assert not np.array_equal(shifted.final_state.x, default.final_state.x)
+        with pytest.raises(ValueError, match="outside the box"):
+            transport_run(center=[8, 8, 16.5])
+
     def test_vlasov_budgets_finalized(self):
         cfg = default_config(
             {
@@ -423,7 +471,7 @@ class TestCli:
     def test_check_identities_passes(self, capsys):
         assert cli.main(["check-identities"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 8 and "FAIL" not in out
+        assert out.count("PASS") == 9 and "FAIL" not in out
 
     def test_simulate_assumption_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -463,4 +511,4 @@ class TestCli:
             text=True,
         )
         assert result.returncode == 0
-        assert result.stdout.count("PASS") == 8
+        assert result.stdout.count("PASS") == 9

@@ -103,7 +103,7 @@ class TestStep:
             assert out.time == pytest.approx(t, abs=1e-15)
 
     def test_tiers_share_one_relaxation_push(self):
-        # micro.step without interactions, vlasov_step without coupling and
+        # micro.step with w = 0, vlasov_step without coupling and
         # replay_flow through an empty field all take the same exact push
         from sedlab.micro import ParticleEnsemble, step
 
@@ -111,7 +111,7 @@ class TestStep:
         cloud = gaussian_cloud(12, 9.0, seed=4)
         dt = 0.03
         ens = ParticleEnsemble(x=cloud.x, v=cloud.v, lam=cloud.lam, gravity=GRAVITY)
-        particles = step(ens, dt, interactions=False)
+        particles = step(ens, dt, w=np.zeros_like(ens.v))
         kinetic, _, _ = vlasov_step(cloud, grid, dt, coupling=False)
         history = FieldHistory([], [], [])
         history.append(dt, None, 0.0)

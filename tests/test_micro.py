@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
-from sedlab.errors import CollisionError
+from sedlab.errors import CollisionError, ConvergenceError
 from sedlab.kernels import oseen_tensor
 from sedlab.micro import (
+    DENSE_FALLBACK_CAP,
     AssumptionReport,
     ParticleEnsemble,
     check_assumptions,
@@ -16,6 +18,8 @@ from sedlab.micro import (
     save_ensemble_csv,
     stats,
     step,
+    _interaction_matrix,
+    _PairKernel,
 )
 
 GRAVITY = np.array([0.0, 0.0, -1.0])
@@ -86,6 +90,25 @@ class TestParticleEnsemble:
         assert err.value.ensemble.n == 2
 
 
+class TestPairKernel:
+    @pytest.mark.parametrize("offset", [8.0, 1e3])
+    @pytest.mark.parametrize("n", [2, 3, 64, 500, 2000])
+    def test_matches_dense_matrix(self, n, offset):
+        rng = np.random.default_rng(n)
+        x = offset + 1.5 * rng.standard_normal((n, 3))
+        q = rng.standard_normal((n, 3))
+        dense = (_interaction_matrix(x) @ q.reshape(-1)).reshape(n, 3)
+        assert np.abs(_PairKernel(x).apply(q) - dense).max() <= 1e-11 * np.abs(dense).max()
+
+    def test_near_contact_pair(self):
+        radius = 1.0 / (6.0 * np.pi * 2)
+        x = np.array([[1e3, 1e3, 1e3], 1e3 + 2.01 * radius * np.array([1.0, 2.0, 2.0]) / 3.0])
+        ParticleEnsemble(x=x, v=np.zeros((2, 3)), lam=1.0, gravity=GRAVITY)  # no contact
+        q = np.array([[0.3, -1.0, 0.2], [1.0, 0.5, -0.7]])
+        dense = (_interaction_matrix(x) @ q.reshape(-1)).reshape(2, 3)
+        assert np.abs(_PairKernel(x).apply(q) - dense).max() <= 1e-11 * np.abs(dense).max()
+
+
 class TestImplicitVelocities:
     def test_single_particle(self):
         ens = ParticleEnsemble(
@@ -121,6 +144,19 @@ class TestImplicitVelocities:
     def test_deterministic(self):
         ens = random_ensemble(np.random.default_rng(6), 16)
         assert np.array_equal(implicit_velocities(ens), implicit_velocities(ens))
+
+    def test_dense_fallback_after_missed_iterations(self):
+        ens = random_ensemble(np.random.default_rng(17), 40)
+        assert ens.n <= DENSE_FALLBACK_CAP
+        w = implicit_velocities(ens, max_iter=1)
+        assert np.max(np.abs(w - dense_closure(ens))) < 1e-10
+
+    def test_miss_above_fallback_cap_raises(self):
+        ens = random_ensemble(np.random.default_rng(18), DENSE_FALLBACK_CAP + 1)
+        with pytest.raises(ConvergenceError) as err:
+            implicit_velocities(ens, max_iter=1)
+        assert err.value.iterations == 1
+        assert np.isfinite(err.value.residual) and err.value.residual > 0.0
 
 
 class TestForces:
@@ -195,7 +231,7 @@ class TestStep:
         v0 = ens.v.copy()
         state = ens
         for _ in range(5):
-            state = step(state, 0.02, interactions=False)
+            state = step(state, 0.02, w=np.zeros_like(state.v))
         exact = GRAVITY[None, :] + (v0 - GRAVITY[None, :]) * np.exp(-7.0 * 0.1)
         assert np.max(np.abs(state.v - exact)) < 1e-12
 
@@ -273,6 +309,18 @@ class TestStats:
         assert out.force_moment9 == pytest.approx(
             np.mean((n * np.linalg.norm(f, axis=1)) ** 9), rel=1e-12
         )
+
+    def test_row_blocks_match_full_matrix(self):
+        ens = random_ensemble(np.random.default_rng(19), 300)
+        n = ens.n
+        d = cdist(ens.x, ens.x)
+        d_min = float(d[~np.eye(n, dtype=bool)].min())
+        np.fill_diagonal(d, d_min)
+        s_beta = {beta: float(np.max(np.sum(d ** (-beta), axis=1))) / n for beta in (1.0, 2.25)}
+        for block in (1, 7, 64, 299, 300, 1024):
+            out = stats(ens, block=block)
+            assert out.d_min == d_min
+            assert out.s_beta == s_beta
 
     def test_missing_forces_reported_nan(self):
         ens = random_ensemble(np.random.default_rng(12), 4)
