@@ -130,10 +130,9 @@ def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensem
     """Draw matched initial data for the particle and kinetic tiers.
 
     f0_spec is a mapping with at least "family"; see FAMILIES.  Common
-    keys: sigma_x, sigma_v, center (defaults to the grid center, or to
-    (8, 8, 8) without a grid; a center outside the grid's box is refused),
-    c_v, d_min_floor, max_resamples.  The well-prepared family needs grid
-    to solve for its transport field.
+    keys: sigma_x, sigma_v, c_v, d_min_floor, max_resamples.  The cloud is
+    centred in the grid's box, or at (8, 8, 8) without a grid.  The
+    well-prepared family needs grid to solve for its transport field.
     """
     f0_spec = dict(f0_spec)
     family = f0_spec.get("family", "gaussian")
@@ -146,12 +145,7 @@ def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensem
     floor = float(f0_spec.get("d_min_floor", 0.0))
     max_resamples = int(f0_spec.get("max_resamples", 20))
     radius = 1.0 / (6.0 * np.pi * n)
-    default_center = (8.0, 8.0, 8.0) if grid is None else np.full(3, grid.box_length / 2.0)
-    center = np.asarray(f0_spec.get("center", default_center), dtype=float)
-    if center.shape != (3,):
-        raise ValueError(f"center must have three coordinates, got {f0_spec['center']!r}")
-    if grid is not None and not np.all((center >= 0.0) & (center <= grid.box_length)):
-        raise ValueError(f"center {center.tolist()} lies outside the box [0, {grid.box_length}]^3")
+    center = np.full(3, 8.0 if grid is None else grid.box_length / 2.0)
 
     rng = np.random.default_rng(seed)
     failures = []

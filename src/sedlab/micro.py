@@ -260,21 +260,18 @@ def default_dt(lam):
     return min(0.01, 1.0 / (4.0 * lam))
 
 
-def stats(ens, force_values=None, betas=(1.0, 2.25), block=1024):
+def stats(ens, force_values=None, betas=(1.0, 2.25)):
     """Configuration statistics: d_min, normalized interaction sums, moments.
 
-    Two row-blocked `cdist` scans, so memory stays O(block N): the first
-    finds d_min, the second sums each row with its i = j entry at d_min.
+    The row sums scan the pairs in blocks of 1024 rows of `cdist`, so memory
+    stays O(N); each row counts its i = j entry at d_min.
     """
     x = ens.x
     n = ens.n
     if n >= 2:
-        d_min = np.inf
-        for start in range(0, n, block):
-            d = cdist(x[start : start + block], x)
-            np.fill_diagonal(d[:, start:], np.inf)
-            d_min = min(d_min, float(d.min()))
+        d_min = pairwise_min_distance(x)
         row_max = {float(beta): 0.0 for beta in betas}
+        block = 1024
         for start in range(0, n, block):
             d = cdist(x[start : start + block], x)
             np.fill_diagonal(d[:, start:], d_min)  # i = j counts at d_min

@@ -31,8 +31,8 @@ class TestConfig:
         tier = micro
         n = 42
 
-        [initial]
-        center = 7.5, 8, 8.5
+        [notes]
+        tags = 7.5, 8, 8.5
 
         [grid]
         cells = 16
@@ -40,7 +40,7 @@ class TestConfig:
         cfg = build_config(parse_config_text(text))
         assert cfg.tier == "micro"
         assert cfg.n == 42
-        assert cfg.initial["center"] == [7.5, 8, 8.5]
+        assert cfg.extra["notes"]["tags"] == [7.5, 8, 8.5]
         assert cfg.cells == 16
 
     def test_hash_ignores_ordering(self):
@@ -214,27 +214,6 @@ class TestRunner:
             state = micro.step(state, cfg.dt)
         assert np.array_equal(state.x, rec.final_state.x)
         assert np.array_equal(state.v, rec.final_state.v)
-
-    def test_initial_center_moves_the_cloud(self):
-        def transport_run(**initial):
-            return run(
-                default_config(
-                    {
-                        "run": {"tier": "transport", "n": 200, "lambda": 5.0, "t_final": 0.05, "dt": 0.01, "seed": 9},
-                        "grid": {"cells": 16},
-                        "initial": {"family": "gaussian", "sigma_x": 1.0, "sigma_v": 0.0, **initial},
-                    }
-                )
-            )
-
-        default = transport_run()
-        shifted = transport_run(center=[6, 8, 8])
-        assert default.ok and shifted.ok
-        assert np.abs(default.snapshots[0][1].x.mean(axis=0) - 8.0).max() < 0.3
-        assert np.abs(shifted.snapshots[0][1].x.mean(axis=0) - [6.0, 8.0, 8.0]).max() < 0.3
-        assert not np.array_equal(shifted.final_state.x, default.final_state.x)
-        with pytest.raises(ValueError, match="outside the box"):
-            transport_run(center=[8, 8, 16.5])
 
     def test_vlasov_budgets_finalized(self):
         cfg = default_config(

@@ -310,17 +310,16 @@ class TestStats:
             np.mean((n * np.linalg.norm(f, axis=1)) ** 9), rel=1e-12
         )
 
-    def test_row_blocks_match_full_matrix(self):
-        ens = random_ensemble(np.random.default_rng(19), 300)
-        n = ens.n
+    @pytest.mark.parametrize("n", [300, 2100])  # one row block; two full blocks and a partial one
+    def test_row_blocks_match_full_matrix(self, n):
+        ens = random_ensemble(np.random.default_rng(19), n)
         d = cdist(ens.x, ens.x)
         d_min = float(d[~np.eye(n, dtype=bool)].min())
         np.fill_diagonal(d, d_min)
         s_beta = {beta: float(np.max(np.sum(d ** (-beta), axis=1))) / n for beta in (1.0, 2.25)}
-        for block in (1, 7, 64, 299, 300, 1024):
-            out = stats(ens, block=block)
-            assert out.d_min == d_min
-            assert out.s_beta == s_beta
+        out = stats(ens)
+        assert out.d_min == d_min
+        assert out.s_beta == s_beta
 
     def test_missing_forces_reported_nan(self):
         ens = random_ensemble(np.random.default_rng(12), 4)
