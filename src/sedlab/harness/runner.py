@@ -223,7 +223,8 @@ def run(config: SimConfig, out_dir=None, draw=None) -> RunRecord:
                 want_ensemble=config.tier == "micro",
             )
         record.sample_report = draw.report
-        if draw.ensemble is not None:
+        record.assumptions = draw.assumptions
+        if draw.ensemble is not None and record.assumptions is None:
             record.assumptions = micro.check_assumptions(
                 draw.ensemble, c_v=float(config.initial.get("c_v", 10.0))
             )

@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 from ..errors import AssumptionError
 from ..kernels import interpolate
 from ..kinetic import PhaseCloud
-from ..micro import ParticleEnsemble, h3_ratio, h4_value, pairwise_min_distance
+from ..micro import AssumptionReport, ParticleEnsemble, h3_ratio, h4_value, pairwise_min_distance
 from ..transport import SpatialCloud, steady_velocity_field
 
 GRAVITY = np.array([0.0, 0.0, -1.0])
@@ -47,6 +47,7 @@ class SampleDraw:
     cloud: PhaseCloud
     ensemble: ParticleEnsemble | None
     report: SampleReport
+    assumptions: AssumptionReport | None = None  # the ensemble's, when already checked
 
     def spatial_cloud(self) -> SpatialCloud:
         """The position marginal, for the transport tier."""

@@ -44,17 +44,12 @@ def _phase_distance(small, ref, entropic_opts):
     """W2 between phase clouds of different sizes.
 
     When the larger count is a multiple of the smaller and fits the exact
-    solver, each small atom splits into equal copies (which leaves the
-    measure unchanged) and the distance is exact; otherwise the entropic
-    estimate steps in.
+    solver, the distance is exact (`metrics.wasserstein2_exact` splits each
+    small atom into equal copies); otherwise the entropic estimate steps in.
     """
     n, m = small.x.shape[0], ref.x.shape[0]
     if m % n == 0 and m <= metrics.EXACT_CAP:
-        reps = m // n
-        expanded = _uniform_view(
-            np.repeat(small.x, reps, axis=0), np.repeat(small.v, reps, axis=0)
-        )
-        return metrics.wasserstein2_exact(expanded, ref, space="phase").distance
+        return metrics.wasserstein2_exact(small, ref, space="phase").distance
     return metrics.wasserstein2_entropic(small, ref, space="phase", **entropic_opts).distance
 
 
@@ -308,7 +303,9 @@ def sweep_meanfield(base, n_values, out_dir=None, spread_threshold=2.0):
             h3_ratio=checks.h3_ratio,
             h4_value=checks.h4_value,
         )
-        member_draw = SampleDraw(cloud=prefix_cloud, ensemble=ensemble, report=member_report)
+        member_draw = SampleDraw(
+            cloud=prefix_cloud, ensemble=ensemble, report=member_report, assumptions=checks
+        )
         member_config = replace(base, tier="micro", n=n, lam=lam_n)
         record = run(
             member_config,
@@ -318,8 +315,8 @@ def sweep_meanfield(base, n_values, out_dir=None, spread_threshold=2.0):
         if not record.ok:
             _raise_member_abort(f"n={n}", record)
 
-        # phase-space distances against the reference cloud: sizes differ,
-        # so the entropic solver does both endpoints
+        # phase-space distances against the larger reference cloud: exact
+        # when n divides n_ref within EXACT_CAP, entropic otherwise
         initial_view = _uniform_view(x0, v0)
         final_ens = record.final_state
         final_view = _uniform_view(final_ens.x, final_ens.v)

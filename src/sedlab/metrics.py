@@ -1,14 +1,16 @@
 """Wasserstein-2 distances, transport couplings and modulated energies.
 
 Two solvers cover the two regimes that matter here: an exact assignment
-solver for equal-size uniformly weighted clouds (the empirical measures all
-tiers produce), and a debiased entropic solver for instances too large for
-the exact path.  On top of the distances, `modulated_energies` evaluates the
-quadratic functionals S, Z, E, H that track how far a kinetic run sits from
-its own steady transport field (S) and how far two coupled runs have drifted
-apart in position (Z, H) and velocity (E).  All couplings in cross-tier
-comparisons are fixed at t = 0 and pushed forward by the dynamics, so paired
-samples keep their indices for all time.
+solver for uniformly weighted clouds (the empirical measures all tiers
+produce) whose sizes divide, n | m, as for equal-size tiers or a member
+against a larger reference, and a debiased entropic solver for instances
+too large for the exact path.  On top of the distances,
+`modulated_energies` evaluates the quadratic functionals S, Z, E, H that
+track how far a kinetic run sits from its own steady transport field (S)
+and how far two coupled runs have drifted apart in position (Z, H) and
+velocity (E).  All couplings in cross-tier comparisons are fixed at t = 0
+and pushed forward by the dynamics, so paired samples keep their indices
+for all time.
 """
 
 from dataclasses import dataclass
@@ -24,6 +26,11 @@ from .kernels import interpolate
 from .transport import steady_velocity_field
 
 EXACT_CAP = 4096
+# warm start of the duplicated-atom assignment: eps stages, iterations per
+# stage, and the last eps as a fraction of the median cost
+WARM_STAGES = 4
+WARM_ITERS = 20
+WARM_FLOOR = 0.01
 
 
 @dataclass(frozen=True)
@@ -81,29 +88,97 @@ def _require_uniform(w, n):
 
 
 def wasserstein2_exact(a, b, space="spatial", cap=EXACT_CAP):
-    """Optimal assignment between two equal-size uniformly weighted clouds.
+    """Optimal assignment between uniformly weighted clouds of n and m = k n samples.
 
     Squared Euclidean ground cost; in phase mode the cost of a pair is
-    |x1 - x2|^2 + |v1 - v2|^2.  The squared distance is the mean matched
-    cost and the returned coupling carries the optimal permutation.
+    |x1 - x2|^2 + |v1 - v2|^2.  For k > 1 each atom of the first cloud
+    splits into k equal copies, which leaves its measure unchanged, so the
+    assignment is still an optimal coupling.  The squared distance is the
+    mean matched cost.  The returned coupling carries the optimal
+    permutation (k = 1) or an (n, k) array whose row i lists the samples of
+    the second cloud matched to atom i.
     """
     pa, wa = _as_samples(a, space)
     pb, wb = _as_samples(b, space)
-    if pa.shape != pb.shape:
+    n, m = pa.shape[0], pb.shape[0]
+    if pa.shape[1] != pb.shape[1] or n == 0 or m % n:
         raise ValueError(
-            f"exact mode requires equal sample counts and dimensions, got {pa.shape} vs {pb.shape}"
+            "exact mode requires equal dimensions and a second sample count that is a "
+            f"multiple of the first, got {pa.shape} vs {pb.shape}"
         )
-    n = pa.shape[0]
-    if n > cap:
-        raise ValueError(f"{n} samples exceeds the exact-mode cap {cap}; use wasserstein2_entropic")
+    if m > cap:
+        raise ValueError(f"{m} samples exceeds the exact-mode cap {cap}; use wasserstein2_entropic")
     _require_uniform(wa, n)
-    _require_uniform(wb, n)
+    _require_uniform(wb, m)
+    if m > n:
+        return _duplicated_assignment(pa, pb)
     cost_matrix = cdist(pa, pb, "sqeuclidean")
     rows, cols = linear_sum_assignment(cost_matrix)
     pairing = np.empty(n, dtype=np.int64)
     pairing[rows] = cols
     cost = float(cost_matrix[rows, cols].mean())
     return TransportCoupling(pairing=pairing, cost=cost, mode="exact")
+
+
+def _duplicated_assignment(pa, pb):
+    """Exact assignment of k copies of each of n atoms to m = k n samples.
+
+    Everything lives in one m x m buffer: the compact n x m cost in its
+    first n rows, the warm start's scratch in the next n.  The assignment
+    then runs on the reduced cost C - f - g, tiled so that row j n + i holds
+    copy j of atom i.  Any (f, g) shifts every permutation's total by the
+    same k sum(f) + sum(g), so the optimum stays exact whatever the warm
+    start's quality; good potentials only shorten the augmenting paths
+    (Jonker & Volgenant, Computing 1987).
+    """
+    n, m = pa.shape[0], pb.shape[0]
+    k = m // n
+    buf = np.empty((m, m))
+    cost = cdist(pa, pb, "sqeuclidean", out=buf[:n])
+    f, g = _warm_potentials(cost, buf[n : 2 * n])
+    if not (np.isfinite(f).all() and np.isfinite(g).all()):
+        f, g = np.zeros(n), np.zeros(m)
+    cost -= f[:, None]
+    cost -= g[None, :]
+    buf[n:].reshape(k - 1, n, m)[...] = cost
+    _, cols = linear_sum_assignment(buf)
+    del buf, cost
+    diff = pa[np.arange(m) % n] - pb[cols]
+    matched = float((diff * diff).sum(axis=1).mean())
+    return TransportCoupling(pairing=cols.reshape(k, n).T.copy(), cost=matched, mode="exact")
+
+
+def _warm_potentials(cost, work):
+    """Near-optimal dual potentials (f, g) between uniform measures on the
+    rows and columns of `cost`, for warm-starting the exact assignment.
+
+    Stabilised scaling (Schmitzer, SISC 2019) along WARM_STAGES geometric
+    eps stages from the median cost down to WARM_FLOOR of it: each stage
+    absorbs the current potentials into one kernel exp((f + g - C) / eps),
+    held in `work` (same shape as `cost`), then runs WARM_ITERS scaling
+    iterations on it as matrix-vector products.
+    """
+    n, m = cost.shape
+    f, g = np.zeros(n), np.zeros(m)
+    flat = work.reshape(-1)
+    np.copyto(work, cost)
+    flat.partition(flat.size // 2)
+    scale = float(flat[flat.size // 2])
+    if not scale > 0.0:
+        return f, g
+    for eps in np.geomspace(scale, WARM_FLOOR * scale, WARM_STAGES):
+        np.subtract(cost, f[:, None], out=work)
+        work -= g[None, :]
+        work *= -1.0 / eps
+        np.exp(work, out=work)
+        v = np.ones(m)
+        for _ in range(WARM_ITERS):
+            # rows carry mass 1/n and columns 1/m
+            u = m / (work @ v)
+            v = n / (u @ work)
+        f += eps * np.log(u)
+        g += eps * np.log(v)
+    return f, g
 
 
 def _normalized_weights(w, n):

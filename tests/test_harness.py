@@ -359,6 +359,24 @@ class TestSweeps:
             assert member.energies, "paired energy series missing"
         assert (tmp_path / "meanfield_sweep.csv").exists()
 
+    def test_meanfield_checks_each_member_once(self, monkeypatch):
+        from sedlab import micro
+
+        check = micro.check_assumptions
+        checked = []
+
+        def counted(ens, *args, **kwargs):
+            checked.append(ens)
+            return check(ens, *args, **kwargs)
+
+        monkeypatch.setattr(micro, "check_assumptions", counted)
+        report = sweep_meanfield(meanfield_base_config(), [32, 64, 128])
+        # one check per member ensemble: the runner reuses the sweep's report
+        assert [ens.n for ens in checked] == [32, 64, 128]
+        for member, ens in zip(report.members, checked):
+            assert member.record.snapshots[0][1] is ens
+            assert member.record.summary["assumption_h4"] is True
+
     def test_meanfield_members_are_prefixes(self):
         base = meanfield_base_config()
         grid = GridSpec(float(base.box), int(base.cells))

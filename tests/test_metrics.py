@@ -1,9 +1,14 @@
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
+
+from sedlab import metrics
 from sedlab.kernels import GridSpec, VectorGrid, deposit, interpolate, stokes_solve
 from sedlab.metrics import (
     CoupledRun,
@@ -101,6 +106,113 @@ class TestExact:
             wasserstein2_exact(lopsided, a)
         with pytest.raises(ValueError):
             wasserstein2_exact(a, a, space="spectral")
+
+
+def expanded_reference(pa, pb):
+    """Exact W2^2 by splitting each first-cloud atom into m / n explicit
+    copies and solving the plain square assignment."""
+    expanded = np.repeat(pa, pb.shape[0] // pa.shape[0], axis=0)
+    cost = cdist(expanded, pb, "sqeuclidean")
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].mean())
+
+
+def duplicated_clouds():
+    """(label, first cloud, second cloud) with m = k n, spatial and phase."""
+    rng = np.random.default_rng(21)
+    for k in (2, 3, 8, 16):
+        n = 24
+        yield f"spatial k={k}", rng.normal(size=(n, 3)), rng.normal(size=(k * n, 3)) + 0.2
+        yield f"phase k={k}", rng.normal(size=(n, 6)), rng.normal(size=(k * n, 6))
+        # coincident atoms: repeated points in both clouds make exact ties
+        pa = rng.normal(size=(6, 3))[rng.integers(0, 6, n)]
+        pb = np.vstack([pa[rng.integers(0, n, k * n // 2)], rng.normal(size=(k * n - k * n // 2, 3))])
+        yield f"ties k={k}", pa, pb
+        # every pair at one point: the median cost is zero
+        yield f"one point k={k}", np.ones((n, 3)), np.ones((k * n, 3))
+
+
+class TestDuplicatedAtoms:
+    def test_matches_brute_force_over_the_expansion(self):
+        rng = np.random.default_rng(17)
+        for m in (4, 6):
+            for _ in range(10):
+                a = rng.normal(size=(2, 3))
+                b = rng.normal(size=(m, 3))
+                expanded = np.repeat(a, m // 2, axis=0)
+                assert wasserstein2_exact(a, b).cost == pytest.approx(
+                    brute_force_cost(expanded, b), abs=1e-12
+                )
+
+    @pytest.mark.parametrize("label, pa, pb", list(duplicated_clouds()))
+    def test_matches_explicit_expansion(self, label, pa, pb):
+        reference = expanded_reference(pa, pb)
+        out = wasserstein2_exact(pa, pb)
+        assert out.mode == "exact"
+        assert abs(out.cost - reference) <= 1e-12 * max(reference, 1e-300)
+
+    def test_phase_clouds_through_views(self):
+        rng = np.random.default_rng(3)
+        a = SimpleNamespace(x=rng.normal(size=(10, 3)), v=rng.normal(size=(10, 3)), w=np.full(10, 0.1))
+        b = SimpleNamespace(x=rng.normal(size=(40, 3)), v=rng.normal(size=(40, 3)), w=np.full(40, 1 / 40))
+        out = wasserstein2_exact(a, b, space="phase")
+        reference = expanded_reference(np.hstack([a.x, a.v]), np.hstack([b.x, b.v]))
+        assert out.cost == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("label, pa, pb", list(duplicated_clouds()))
+    def test_pairing_is_a_coupling(self, label, pa, pb):
+        n, m = pa.shape[0], pb.shape[0]
+        out = wasserstein2_exact(pa, pb)
+        # every atom receives k columns, every column is used once
+        assert out.pairing.shape == (n, m // n)
+        assert np.array_equal(np.sort(out.pairing.ravel()), np.arange(m))
+        matched = np.sum((pa[:, None, :] - pb[out.pairing]) ** 2, axis=2)
+        assert out.cost == pytest.approx(matched.mean(), rel=1e-14, abs=1e-300)
+
+    def test_equal_sizes_are_the_plain_assignment(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 5, 64, 300):
+            a = rng.normal(size=(n, 6))
+            b = rng.normal(size=(n, 6))
+            cost = cdist(a, b, "sqeuclidean")
+            rows, cols = linear_sum_assignment(cost)
+            out = wasserstein2_exact(a, b)
+            assert out.cost == float(cost[rows, cols].mean())
+            assert np.array_equal(out.pairing[rows], cols)
+
+    def test_sizes_must_divide(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(8, 3))
+        for m in (12, 20, 4):
+            with pytest.raises(ValueError):
+                wasserstein2_exact(a, rng.normal(size=(m, 3)))
+        with pytest.raises(ValueError):
+            wasserstein2_exact(a, rng.normal(size=(32, 3)), cap=16)
+        with pytest.raises(ValueError):
+            wasserstein2_exact(a, rng.normal(size=(16, 2)))
+
+    def test_non_finite_warm_start_stays_exact(self, monkeypatch):
+        def broken(cost, work):
+            n, m = cost.shape
+            return np.full(n, np.nan), np.full(m, np.inf)
+
+        monkeypatch.setattr(metrics, "_warm_potentials", broken)
+        for label, pa, pb in duplicated_clouds():
+            reference = expanded_reference(pa, pb)
+            assert abs(wasserstein2_exact(pa, pb).cost - reference) <= 1e-12 * max(reference, 1e-300)
+
+    def test_one_square_buffer(self):
+        rng = np.random.default_rng(6)
+        n, m = 250, 2000
+        a = rng.normal(size=(n, 6))
+        b = rng.normal(size=(m, 6))
+        tracemalloc.start()
+        try:
+            wasserstein2_exact(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * m * m
 
 
 class TestEntropic:
