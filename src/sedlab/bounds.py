@@ -1,6 +1,4 @@
-"""Closed-form Gronwall envelopes and bound checkers for simulation series.
-
-Two families of estimates live here.
+"""Closed-form Gronwall envelopes for two-component differential inequalities.
 
 ``GronwallEnvelope`` covers nonnegative absolutely continuous pairs (a, b)
 obeying the differential inequalities
@@ -22,18 +20,6 @@ the guarantee is lost once lambda (1 - c) > C: the comparison system
 
 then has a growing mode faster than e^{Ct}.  Check
 ``GronwallEnvelope.guarantees_domination`` before trusting the bound.
-
-:func:`layer_bounds` covers the strongly damped regime
-lambda >= 4 max(1, sup alpha) for pairs obeying
-
-    |a'| <= b,
-    b' <= lambda (alpha(t) a - b) + beta e^{-lambda t},
-
-and returns pointwise evaluators rather than full trajectories, since the
-useful conclusions there relate a and b to each other.
-
-:func:`check_series_against` audits a recorded time series against one
-envelope component and reports every sample exceeding it.
 """
 
 from dataclasses import dataclass
@@ -117,92 +103,3 @@ def comparison_system(env: GronwallEnvelope):
         return (b, env.lam * (-env.c * b + env.C * a + env.d))
 
     return rhs
-
-
-@dataclass(frozen=True)
-class LayerBounds:
-    """Pointwise evaluators for the strongly damped pair estimates.
-
-    Valid for |a'| <= b, b' <= lam (alpha a - b) + beta e^{-lam t} with
-    lam >= 4 max(1, sup alpha).  Build through :func:`layer_bounds` so the
-    admissibility threshold is enforced.
-    """
-
-    alpha_sup: float
-    lam: float
-    beta: float
-    a_vanishes_at_end: bool
-
-    def a_from_b(self, t, b_t):
-        """Bound a(t) <= 2 b(t)/lam + 4 beta e^{-lam t}/lam^2.
-
-        Needs the terminal condition a(T) = 0; the flag records whether the
-        caller asserted it.
-        """
-        if not self.a_vanishes_at_end:
-            raise AssumptionError("a_from_b requires the terminal condition a(T) = 0")
-        t = np.asarray(t, dtype=float)
-        tail = 4.0 * self.beta * np.exp(-self.lam * t) / self.lam**2
-        out = 2.0 * np.asarray(b_t, dtype=float) / self.lam + tail
-        return float(out) if out.ndim == 0 else out
-
-    def b_envelope(self, t, b_s, s=0.0):
-        """Decay envelope for b on [s, t] seeded with the sampled value b(s)."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < s):
-            raise ValueError("t must not precede s")
-        # alpha(tau) <= alpha_sup makes the constant-rate form conservative
-        rate = -self.lam + 2.0 * self.alpha_sup
-        out = np.exp(rate * (t - s)) * (b_s + 2.0 * self.beta * np.exp(-self.lam * s) / self.lam)
-        return float(out) if out.ndim == 0 else out
-
-    def b_from_a(self, a_t):
-        """Bound b(t) <= 2 sup(alpha) a(t); needs beta = 0 and b(0) = 0."""
-        if self.beta != 0.0:
-            raise AssumptionError("b_from_a requires beta = 0")
-        out = 2.0 * self.alpha_sup * np.asarray(a_t, dtype=float)
-        return float(out) if out.ndim == 0 else out
-
-
-def layer_bounds(alpha_sup, lam, beta=0.0, a_vanishes_at_end=False):
-    """Build the strongly damped bound evaluators, enforcing admissibility.
-
-    Rejects lam < 4 max(1, alpha_sup): the estimates are hypotheses-bound and
-    silently evaluating them outside their regime would report vacuous numbers.
-    """
-    if alpha_sup < 0.0 or beta < 0.0:
-        raise AssumptionError("alpha_sup and beta must be nonnegative")
-    threshold = 4.0 * max(1.0, alpha_sup)
-    if lam < threshold:
-        raise AssumptionError(
-            f"lam = {lam} is below the admissible threshold 4 max(1, sup alpha) = {threshold}"
-        )
-    return LayerBounds(float(alpha_sup), float(lam), float(beta), bool(a_vanishes_at_end))
-
-
-def check_series_against(env, times, values, component="a", tol=1e-9):
-    """Audit a recorded series against one envelope component.
-
-    Returns the list of (t, value, envelope) triples where
-    value > envelope * (1 + tol); an empty list is a pass.  Use the default
-    tol for analytically generated data and a few percent for simulation
-    output, which carries time discretization error of its own.
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.ndim != 1 or times.shape != values.shape:
-        raise ValueError("times and values must be matching 1-d arrays")
-    if np.any(np.diff(times) < 0.0):
-        raise ValueError("times must be sorted")
-    if component == "a":
-        bound = envelope_a(env, times)
-    elif component == "b":
-        bound = envelope_b(env, times)
-    else:
-        raise ValueError(f"component must be 'a' or 'b', got {component!r}")
-    bound = np.atleast_1d(np.asarray(bound, dtype=float))
-    mask = values > bound * (1.0 + tol)
-    return [
-        (float(t), float(v), float(e))
-        for t, v, e in zip(times[mask], values[mask], bound[mask])
-    ]

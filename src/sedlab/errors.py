@@ -6,7 +6,6 @@ Exit codes used by the CLI: 0 success, 2 assumption violation,
 
 from __future__ import annotations
 
-EXIT_OK = 0
 EXIT_ASSUMPTION = 2
 EXIT_CONVERGENCE = 3
 EXIT_DOMAIN = 4

@@ -7,7 +7,8 @@ Grammar, one entry per line:
 
 Values are parsed as int, then float, then comma-separated lists of
 those, then left as strings.  Keys outside any section land in the
-"run" section.  CLI flags override file values.
+"run" section.  CLI flags override file values.  A key that no run reads
+(see KNOWN_KEYS) is an error rather than a silent no-op.
 """
 
 import hashlib
@@ -32,11 +33,19 @@ DEFAULTS = {
         "sigma_x": 1.5,
         "sigma_v": 0.2,
         "c_v": 10.0,
-        "d_min_floor": 0.0,
         "max_resamples": 20,
     },
     "tolerances": {"brinkman": 1e-9, "closure": 1e-12},
     "output": {"snapshots": 50, "s_cadence": "snapshot"},
+}
+
+# Every key a run reads, by section: those of DEFAULTS plus those whose
+# default lives with their reader.  A section not listed here is free-form.
+KNOWN_KEYS = {
+    **{name: frozenset(keys) for name, keys in DEFAULTS.items()},
+    "initial": frozenset(DEFAULTS["initial"]) | {"x_radius", "v_radius"},
+    "hydro": frozenset({"steps_per_relaxation", "transport_dt"}),
+    "meanfield": frozenset({"n_ref"}),
 }
 
 
@@ -147,10 +156,16 @@ class SimConfig:
 
 
 def build_config(sections):
-    """SimConfig from parsed sections merged over DEFAULTS."""
+    """SimConfig from parsed sections merged over DEFAULTS.
+
+    Raises ValueError on a key that KNOWN_KEYS does not list for its section.
+    """
     merged = {name: dict(values) for name, values in DEFAULTS.items()}
     extra = {}
     for name, mapping in sections.items():
+        unknown = sorted(set(mapping) - KNOWN_KEYS.get(name, set(mapping)))
+        if unknown:
+            raise ValueError(f"unknown key(s) in [{name}]: {', '.join(unknown)}")
         if name in merged:
             merged[name].update(mapping)
         else:

@@ -30,7 +30,6 @@ class RunRecord:
     budgets: list = field(default_factory=list)  # vlasov: filled EnergyBudget series
     stats: list = field(default_factory=list)  # micro: (t, EnsembleStats)
     s_series: list = field(default_factory=list)  # (t, S) for kinetic runs
-    grad_sup_series: list = field(default_factory=list)
     sample_report: object = None
     assumptions: object = None
     summary: dict = field(default_factory=dict)
@@ -47,10 +46,10 @@ class RunRecord:
         return self.snapshots[-1][1]
 
 
-def fit_dmin_constant(times, d_series, c_max=1e6):
+def fit_dmin_constant(times, d_series):
     """Smallest C >= 1 with d(t) >= d(0) e^{-C t}/C along the series.
 
-    Returns inf when even c_max fails, which flags a collapse faster
+    Returns inf when even C = 1e6 fails, which flags a collapse faster
     than the admissible family."""
     times = np.asarray(times, dtype=float)
     d = np.asarray(d_series, dtype=float)
@@ -61,9 +60,9 @@ def fit_dmin_constant(times, d_series, c_max=1e6):
     def feasible(c):
         return bool(np.all(d * (1.0 + 1e-12) >= d0 * np.exp(-c * times) / c))
 
-    if not feasible(c_max):
+    lo, hi = 1.0, 1e6
+    if not feasible(hi):
         return np.inf
-    lo, hi = 1.0, c_max
     if feasible(lo):
         return lo
     for _ in range(80):
@@ -121,7 +120,6 @@ def _run_vlasov(record, draw, config, grid):
         cloud, fluid, budget = kinetic.vlasov_step(cloud, grid, dt, tol=tol, u0=warm)
         warm = fluid.velocity
         record.budgets.append(budget)
-        record.grad_sup_series.append((budget.t, fluid.grad_sup_norm))
         last = step_index + 1 == config.steps
         if s_every_step or (step_index + 1) % every == 0 or last:
             record_s(cloud)
@@ -139,8 +137,7 @@ def _run_transport(record, draw, config, grid):
     record.snapshots.append((cloud.time, cloud))
     record.times.append(cloud.time)
     for step_index in range(config.steps):
-        cloud, fluid = transport.transport_step(cloud, grid, config.dt)
-        record.grad_sup_series.append((cloud.time - config.dt, fluid.grad_sup_norm))
+        cloud, _ = transport.transport_step(cloud, grid, config.dt)
         if (step_index + 1) % every == 0 or step_index + 1 == config.steps:
             record.snapshots.append((cloud.time, cloud))
             record.times.append(cloud.time)

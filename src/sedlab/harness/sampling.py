@@ -8,7 +8,7 @@ post-processed until the relative Lipschitz condition
 
 holds: the well-prepared family builds it in through a smooth jitter
 field, the i.i.d. families project offending pairs and redraw when that
-touches too much mass.  The minimal distance floor and the ninth-moment
+touches too much mass.  The contact floor d_min > 2R and the ninth-moment
 cap are enforced by redrawing.
 """
 
@@ -131,9 +131,10 @@ def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensem
     """Draw matched initial data for the particle and kinetic tiers.
 
     f0_spec is a mapping with at least "family"; see FAMILIES.  Common
-    keys: sigma_x, sigma_v, c_v, d_min_floor, max_resamples.  The cloud is
-    centred in the grid's box, or at (8, 8, 8) without a grid.  The
-    well-prepared family needs grid to solve for its transport field.
+    keys: sigma_x, sigma_v, c_v, max_resamples; uniform_ball also reads
+    x_radius and v_radius.  The cloud is centred in the grid's box, or at
+    (8, 8, 8) without a grid.  The well-prepared family needs grid to solve
+    for its transport field, and its jitter has wavenumber 1 / sigma_x.
     """
     f0_spec = dict(f0_spec)
     family = f0_spec.get("family", "gaussian")
@@ -143,7 +144,6 @@ def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensem
     sigma_x = float(f0_spec.get("sigma_x", 1.5))
     sigma_v = float(f0_spec.get("sigma_v", 0.2))
     c_v = float(f0_spec.get("c_v", 10.0))
-    floor = float(f0_spec.get("d_min_floor", 0.0))
     max_resamples = int(f0_spec.get("max_resamples", 20))
     radius = 1.0 / (6.0 * np.pi * n)
     center = np.full(3, 8.0 if grid is None else grid.box_length / 2.0)
@@ -168,21 +168,20 @@ def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensem
             fluid = steady_velocity_field(carrier, grid)
             u_at = interpolate(fluid.velocity, x)
             if sigma_v > 0.0:
-                kappa = float(f0_spec.get("jitter_wavenumber", 1.0 / sigma_x))
-                phi, jitter_lip = _smooth_jitter(rng, x, center, kappa)
+                phi, jitter_lip = _smooth_jitter(rng, x, center, 1.0 / sigma_x)
             else:
                 phi, jitter_lip = np.zeros((n, 3)), 0.0
             field_lip = fluid.grad_sup_norm + sigma_v * jitter_lip
             if field_lip > 0.5 * lam:
                 raise AssumptionError(
                     f"well-prepared field Lipschitz bound {field_lip:.3g} exceeds lam/2;"
-                    " lower sigma_v or the jitter wavenumber"
+                    " lower sigma_v or raise sigma_x"
                 )
             v = gravity + u_at + sigma_v * phi
             s0 = 1.5 * sigma_v**2
 
         d_min = pairwise_min_distance(x)
-        if d_min <= max(2.0 * radius, floor):
+        if d_min <= 2.0 * radius:
             failures.append(f"attempt {attempt}: d_min {d_min:.3g} under the floor")
             continue
 

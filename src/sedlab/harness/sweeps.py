@@ -19,6 +19,13 @@ from ..kinetic import PhaseCloud
 from .runner import RunRecord, run
 from .sampling import SampleDraw, sample_initial
 
+# gates: the hydro W2 slope must reach SLOPE_GATE with fit quality R2_GATE,
+# and the mean-field growth factors may differ by at most SPREAD_GATE
+SLOPE_GATE = -0.7
+R2_GATE = 0.9
+SPREAD_GATE = 2.0
+
+
 def _raise_member_abort(label, record):
     """Re-raise the member run's own exception, noting which member it was."""
     err = record.error
@@ -34,42 +41,34 @@ def _uniform_view(x, v=None):
 
 
 def _w2(a, b, space):
-    """W2 between equal-size clouds: exact up to EXACT_CAP samples, entropic beyond."""
-    if a.x.shape[0] <= metrics.EXACT_CAP:
+    """W2 between a cloud of n samples and one of m >= n.
+
+    Exact when n divides m and m fits EXACT_CAP (`metrics.wasserstein2_exact`
+    splits each atom of `a` into m / n equal copies); entropic otherwise.
+    """
+    n, m = a.x.shape[0], b.x.shape[0]
+    if m % n == 0 and m <= metrics.EXACT_CAP:
         return metrics.wasserstein2_exact(a, b, space=space).distance
     return metrics.wasserstein2_entropic(a, b, space=space).distance
 
 
-def _phase_distance(small, ref, entropic_opts):
-    """W2 between phase clouds of different sizes.
-
-    When the larger count is a multiple of the smaller and fits the exact
-    solver, the distance is exact (`metrics.wasserstein2_exact` splits each
-    small atom into equal copies); otherwise the entropic estimate steps in.
-    """
-    n, m = small.x.shape[0], ref.x.shape[0]
-    if m % n == 0 and m <= metrics.EXACT_CAP:
-        return metrics.wasserstein2_exact(small, ref, space="phase").distance
-    return metrics.wasserstein2_entropic(small, ref, space="phase", **entropic_opts).distance
-
-
-def fit_s_relaxation(times, s_values, plateau_fraction=0.25, threshold=0.05):
+def fit_s_relaxation(times, s_values):
     """(decay rate, r2, plateau) of an S series over its initial layer.
 
-    The plateau is the tail mean; the fit runs on the contiguous early
-    window where the excess over the plateau still tops `threshold` of
-    its initial value.
+    The plateau is the mean of the last quarter of the series; the fit runs
+    on the contiguous early window where the excess over the plateau still
+    tops 5% of its initial value.
     """
     t = np.asarray(times, dtype=float)
     s = np.asarray(s_values, dtype=float)
     if t.size < 6:
         raise ValueError("need at least 6 samples to fit the relaxation layer")
-    tail = s[int(round((1.0 - plateau_fraction) * s.size)) :]
+    tail = s[int(round(0.75 * s.size)) :]
     plateau = float(tail.mean())
     excess = s - plateau
     if excess[0] <= 0.0:
         return np.nan, np.nan, plateau
-    above = excess > threshold * excess[0]
+    above = excess > 0.05 * excess[0]
     end = int(np.argmin(above)) if not above.all() else above.size
     end = max(end, 4)
     rate, r2 = metrics.rate_fit(t[:end], excess[:end], model="exponential")
@@ -103,7 +102,7 @@ class HydroReport:
         return self.slope_ok and self.rate_ratio_ok and self.plateau_ok
 
 
-def sweep_hydrodynamic(base, lambdas, out_dir=None, slope_threshold=-0.7, r2_threshold=0.9):
+def sweep_hydrodynamic(base, lambdas, out_dir=None):
     """Kinetic-vs-transport gap across a ladder of relaxation strengths.
 
     One well-prepared draw (taken at the smallest lam, whose Lipschitz
@@ -199,7 +198,7 @@ def sweep_hydrodynamic(base, lambdas, out_dir=None, slope_threshold=-0.7, r2_thr
         transport_record=transport_record,
         slope=float(slope),
         slope_r2=float(slope_r2),
-        slope_ok=bool(slope <= slope_threshold and slope_r2 >= r2_threshold),
+        slope_ok=bool(slope <= SLOPE_GATE and slope_r2 >= R2_GATE),
         rate_ratio_ok=bool(worst_ratio <= 0.30),
         plateau_ok=plateau_ok,
         rate_ratio_worst=float(worst_ratio),
@@ -240,7 +239,7 @@ class MeanfieldReport:
         return self.spread_ok and self.h4_ok and self.dmin_ok
 
 
-def sweep_meanfield(base, n_values, out_dir=None, spread_threshold=2.0):
+def sweep_meanfield(base, n_values, out_dir=None):
     """Discrete-vs-kinetic stability at fixed lam across particle counts.
 
     Each member's particles are the first N samples of one reference
@@ -256,14 +255,6 @@ def sweep_meanfield(base, n_values, out_dir=None, spread_threshold=2.0):
     n_ref = int(mf_opts.get("n_ref", 2 * max(n_values)))
     if n_ref <= max(n_values):
         raise ValueError("reference sample count must exceed every member")
-    lam_mode = str(mf_opts.get("lambda_coupling", "fixed"))
-    if lam_mode not in ("fixed", "cuberoot"):
-        raise ValueError("lambda_coupling must be 'fixed' or 'cuberoot'")
-    entropic_opts = {
-        "eps_final_factor": float(mf_opts.get("eps_final_factor", 0.01)),
-        "eps_stages": int(mf_opts.get("eps_stages", 5)),
-        "tol": float(mf_opts.get("sinkhorn_tol", 1e-6)),
-    }
     c_v = float(base.initial.get("c_v", 10.0))
     grid = GridSpec(float(base.box), int(base.cells))
 
@@ -282,11 +273,10 @@ def sweep_meanfield(base, n_values, out_dir=None, spread_threshold=2.0):
     members = []
     flag_sets = []
     for n in n_values:
-        lam_n = base.lam if lam_mode == "fixed" else base.lam * (n / n_ref) ** (1.0 / 3.0)
         x0 = ref_draw.cloud.x[:n].copy()
         v0 = ref_draw.cloud.v[:n].copy()
         ensemble = micro.ParticleEnsemble(
-            x=x0, v=v0, lam=lam_n, gravity=ref_draw.cloud.gravity
+            x=x0, v=v0, lam=base.lam, gravity=ref_draw.cloud.gravity
         )
         checks = micro.check_assumptions(ensemble, c_v=c_v)
         flag_sets.append((checks.h1, checks.h3, checks.h4))
@@ -294,7 +284,7 @@ def sweep_meanfield(base, n_values, out_dir=None, spread_threshold=2.0):
             x=x0.copy(),
             v=v0.copy(),
             w=np.full(n, 1.0 / n),
-            lam=lam_n,
+            lam=base.lam,
             gravity=ref_draw.cloud.gravity,
         )
         member_report = replace(
@@ -306,7 +296,7 @@ def sweep_meanfield(base, n_values, out_dir=None, spread_threshold=2.0):
         member_draw = SampleDraw(
             cloud=prefix_cloud, ensemble=ensemble, report=member_report, assumptions=checks
         )
-        member_config = replace(base, tier="micro", n=n, lam=lam_n)
+        member_config = replace(base, tier="micro", n=n)
         record = run(
             member_config,
             out_dir=None if out_dir is None else Path(out_dir) / f"n_{n}",
@@ -315,21 +305,16 @@ def sweep_meanfield(base, n_values, out_dir=None, spread_threshold=2.0):
         if not record.ok:
             _raise_member_abort(f"n={n}", record)
 
-        # phase-space distances against the larger reference cloud: exact
-        # when n divides n_ref within EXACT_CAP, entropic otherwise
-        initial_view = _uniform_view(x0, v0)
+        # phase-space distances against the larger reference cloud
         final_ens = record.final_state
-        final_view = _uniform_view(final_ens.x, final_ens.v)
-        ref_initial = ref_record.snapshots[0][1]
-        ref_final = ref_record.final_state
-        w2_0 = _phase_distance(initial_view, ref_initial, entropic_opts)
-        w2_t = _phase_distance(final_view, ref_final, entropic_opts)
+        w2_0 = _w2(_uniform_view(x0, v0), ref_record.snapshots[0][1], "phase")
+        w2_t = _w2(_uniform_view(final_ens.x, final_ens.v), ref_record.final_state, "phase")
 
         energies = _prefix_energies(record, ref_record, n, grid)
         members.append(
             MeanfieldMember(
                 n=n,
-                lam=lam_n,
+                lam=base.lam,
                 w2_initial=float(w2_0),
                 w2_final=float(w2_t),
                 growth=float(w2_t / w2_0),
@@ -352,7 +337,7 @@ def sweep_meanfield(base, n_values, out_dir=None, spread_threshold=2.0):
         members=members,
         reference_record=ref_record,
         growth_spread=spread,
-        spread_ok=bool(spread <= spread_threshold),
+        spread_ok=bool(spread <= SPREAD_GATE),
         fitted_growth_constant=float(np.log(growths.max()) / base.t_final),
         h4_ok=bool(all(m.v_moment9_max <= c_v for m in members)),
         dmin_ok=bool(

@@ -25,12 +25,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-import struct
 
 import numpy as np
 from scipy import fft
 
-from .csvfile import write_csv
 from .errors import ConvergenceError, DomainExhaustedError
 
 EIGHT_PI = 8.0 * np.pi
@@ -498,17 +496,6 @@ def velocity_gradient(field: VectorGrid) -> np.ndarray:
     return g
 
 
-def velocity_from_flux(rho: ScalarGrid, j: VectorGrid, floor_ratio: float = 1e-12) -> VectorGrid:
-    """Bulk velocity j / rho with a density floor: cells with rho below
-    floor_ratio * max(rho) get zero velocity instead of a division."""
-    rmax = float(rho.values.max(initial=0.0))
-    floor = floor_ratio * rmax
-    safe = np.where(rho.values > floor, rho.values, 1.0)
-    v = j.values / safe[..., None]
-    v[rho.values <= floor] = 0.0
-    return VectorGrid(rho.spec, v)
-
-
 @dataclass
 class DissipationReport:
     lhs: float  # int V . (V - u) drho
@@ -536,35 +523,3 @@ def dissipation_check(rho: ScalarGrid, bulk: VectorGrid, fluid: FluidState) -> D
     res = lhs - grad - fric
     scale = max(abs(lhs), grad, fric, 1e-300)
     return DissipationReport(lhs, grad, fric, res, abs(res) / scale)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-_GRID_HEADER = struct.Struct("<dq")  # box_length, n
-
-
-def save_vector_grid(field: VectorGrid, path) -> None:
-    """Flat binary: header (L float64, n int64), payload row-major
-    float64 little-endian triples."""
-    with open(path, "wb") as f:
-        f.write(_GRID_HEADER.pack(field.spec.box_length, field.spec.n))
-        f.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
-
-
-def load_vector_grid(path) -> VectorGrid:
-    with open(path, "rb") as f:
-        L, n = _GRID_HEADER.unpack(f.read(_GRID_HEADER.size))
-        data = np.frombuffer(f.read(), dtype="<f8")
-    spec = GridSpec(L, int(n))
-    expect = spec.n ** 3 * 3
-    if data.size != expect:
-        raise ValueError(f"grid payload has {data.size} floats, expected {expect}")
-    return VectorGrid(spec, data.reshape(spec.n, spec.n, spec.n, 3).copy())
-
-
-def save_vector_grid_csv(field: VectorGrid, path) -> None:
-    n = field.spec.n
-    u = field.values
-    rows = ((i, j, k, *u[i, j, k]) for i in range(n) for j in range(n) for k in range(n))
-    write_csv(path, ["i", "j", "k", "ux", "uy", "uz"], rows)

@@ -32,8 +32,6 @@ from .kernels import (
     interpolate,
 )
 
-DEFAULT_MOMENT_ORDERS = (0.0, 1.0, 2.0, 3.0, 9.0, 9.5)
-
 
 @dataclass(frozen=True)
 class PhaseCloud:
@@ -160,7 +158,7 @@ def _zero_fluid(grid):
     return FluidState(velocity=zero, residual=0.0, iterations=0)
 
 
-def vlasov_step(cloud, grid, dt, coupling=True, theta=1.0, tol=1e-9, max_iter=200, u0=None):
+def vlasov_step(cloud, grid, dt, coupling=True, tol=1e-9, u0=None):
     """Advance the cloud one step; returns (new cloud, fluid, start-of-step budget).
 
     coupling=False forces u to zero, leaving the pure relaxation toward g;
@@ -170,7 +168,7 @@ def vlasov_step(cloud, grid, dt, coupling=True, theta=1.0, tol=1e-9, max_iter=20
         raise ValueError("dt must be positive")
     if coupling:
         rho, j = deposit(cloud, grid)
-        fluid = brinkman_solve(rho, j, tol=tol, max_iter=max_iter, theta=theta, u0=u0)
+        fluid = brinkman_solve(rho, j, tol=tol, u0=u0)
         u_at = interpolate(fluid.velocity, cloud.x)
     else:
         fluid = _zero_fluid(grid)
@@ -179,26 +177,6 @@ def vlasov_step(cloud, grid, dt, coupling=True, theta=1.0, tol=1e-9, max_iter=20
     x_new, v_new = relaxation_push(cloud.x, cloud.v, cloud.gravity[None, :] + u_at, cloud.lam, dt)
     new_cloud = replace(cloud, x=x_new, v=v_new, time=cloud.time + dt)
     return new_cloud, fluid, budget
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Velocity moments M_k = sum w |v|^k and grid L^p norms of the density."""
-
-    m: dict
-    lp_rho: dict
-
-
-def moments(cloud, k_set=DEFAULT_MOMENT_ORDERS, grid=None, p_set=(1.0, 4.0 / 3.0, 4.0)):
-    speeds = np.linalg.norm(cloud.v, axis=1)
-    m = {float(k): float(cloud.w @ speeds**k) for k in k_set}
-    lp = {}
-    if grid is not None:
-        rho, _ = deposit(cloud, grid)
-        cell = grid.cell_volume
-        for p in p_set:
-            lp[float(p)] = float((np.sum(np.abs(rho.values) ** p) * cell) ** (1.0 / p))
-    return MomentReport(m=m, lp_rho=lp)
 
 
 @dataclass

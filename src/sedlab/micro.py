@@ -181,7 +181,7 @@ class _PairKernel:
         return (self.r_inv @ q + aniso) / EIGHT_PI
 
 
-def implicit_velocities(ens, tol=1e-12, max_iter=200, theta=1.0):
+def implicit_velocities(ens, tol=1e-12, max_iter=200):
     """Solve the closure for the ambient velocities w.
 
     Fixed-point iteration on w <- (1/N) sum_j Phi(x_i - x_j)(V_j - w_j),
@@ -204,6 +204,7 @@ def implicit_velocities(ens, tol=1e-12, max_iter=200, theta=1.0):
     kernel = _PairKernel(ens.x)
     scale = 1.0 + float(np.max(np.linalg.norm(ens.v, axis=1)))
     w = np.zeros((n, 3))
+    theta = 1.0
     residual = np.inf
     prev_residual = np.inf
     for _ in range(max_iter):
@@ -235,42 +236,38 @@ def forces(ens, w):
     return 6.0 * np.pi * ens.radius * (ens.v - w)
 
 
-def step(ens, dt, w=None, tol=1e-12, max_iter=200):
+def step(ens, dt, w=None, tol=1e-12):
     """Advance one step of X' = V, V' = lam (g + w - V) with w frozen.
 
-    w is the closure solution for ens; when None it is solved here with
-    tol and max_iter, otherwise it is used unchanged (zeros switch the
-    interactions off).  The linear relaxation toward g + w is integrated
-    exactly (see `kinetic.relaxation_push`), so the only approximation is
-    holding w constant over the step.  A step that produces contact
-    raises, carrying the offending state.
+    w is the closure solution for ens; when None it is solved here to tol,
+    otherwise it is used unchanged (zeros switch the interactions off).
+    The linear relaxation toward g + w is integrated exactly (see
+    `kinetic.relaxation_push`), so the only approximation is holding w
+    constant over the step.  A step that produces contact raises, carrying
+    the offending state.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if w is None:
-        w = implicit_velocities(ens, tol=tol, max_iter=max_iter)
+        w = implicit_velocities(ens, tol=tol)
     elif np.shape(w) != ens.v.shape:
         raise ValueError("w must match the ensemble's velocity array")
     x_new, v_new = relaxation_push(ens.x, ens.v, ens.gravity[None, :] + w, ens.lam, dt)
     return replace(ens, x=x_new, v=v_new, time=ens.time + dt)
 
 
-def default_dt(lam):
-    # frozen-w drift error control; the relaxation itself is exact
-    return min(0.01, 1.0 / (4.0 * lam))
-
-
-def stats(ens, force_values=None, betas=(1.0, 2.25)):
+def stats(ens, force_values=None):
     """Configuration statistics: d_min, normalized interaction sums, moments.
 
-    The row sums scan the pairs in blocks of 1024 rows of `cdist`, so memory
-    stays O(N); each row counts its i = j entry at d_min.
+    The sums S_beta are taken for beta = 1 and 9/4.  The row sums scan the
+    pairs in blocks of 1024 rows of `cdist`, so memory stays O(N); each row
+    counts its i = j entry at d_min.
     """
     x = ens.x
     n = ens.n
     if n >= 2:
         d_min = pairwise_min_distance(x)
-        row_max = {float(beta): 0.0 for beta in betas}
+        row_max = {1.0: 0.0, 2.25: 0.0}
         block = 1024
         for start in range(0, n, block):
             d = cdist(x[start : start + block], x)
@@ -280,7 +277,7 @@ def stats(ens, force_values=None, betas=(1.0, 2.25)):
         s_beta = {beta: value / n for beta, value in row_max.items()}
     else:
         d_min = np.inf
-        s_beta = {float(beta): 0.0 for beta in betas}
+        s_beta = {1.0: 0.0, 2.25: 0.0}
     speeds = np.linalg.norm(ens.v, axis=1)
     v_moment9 = float(np.mean(speeds**9))
     if force_values is None:

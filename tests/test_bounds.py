@@ -4,11 +4,9 @@ from scipy.integrate import solve_ivp
 
 from sedlab.bounds import (
     GronwallEnvelope,
-    check_series_against,
     comparison_system,
     envelope_a,
     envelope_b,
-    layer_bounds,
 )
 from sedlab.errors import AssumptionError
 
@@ -125,97 +123,3 @@ class TestGronwallEnvelope:
                 hi = GronwallEnvelope(**bumped)
                 assert np.all(envelope_a(hi, t) >= envelope_a(lo, t) - 1e-14)
                 assert np.all(envelope_b(hi, t) >= envelope_b(lo, t) - 1e-14)
-
-
-class TestLayerBounds:
-    def test_threshold_rejection(self):
-        with pytest.raises(AssumptionError):
-            layer_bounds(alpha_sup=1.0, lam=3.0)
-        with pytest.raises(AssumptionError):
-            layer_bounds(alpha_sup=2.0, lam=7.9)
-        with pytest.raises(AssumptionError):
-            layer_bounds(alpha_sup=-1.0, lam=10.0)
-
-    def test_threshold_boundary_accepted(self):
-        lb = layer_bounds(alpha_sup=1.0, lam=4.0)
-        assert lb.lam == 4.0
-
-    def test_flag_gates(self):
-        lb = layer_bounds(alpha_sup=1.0, lam=8.0, beta=0.5, a_vanishes_at_end=False)
-        with pytest.raises(AssumptionError):
-            lb.a_from_b(0.1, 1.0)
-        with pytest.raises(AssumptionError):
-            lb.b_from_a(1.0)
-
-    def test_saturating_decay_is_tight(self):
-        # a == 0, b = b0 e^{-lam t} saturates b' = lam (alpha a - b); the
-        # envelope overshoots only by the e^{2 alpha t} safety factor
-        lam, b0 = 8.0, 2.0
-        lb = layer_bounds(alpha_sup=1.0, lam=lam, beta=0.0, a_vanishes_at_end=True)
-        t = np.linspace(0.0, 1.0, 201)
-        true_b = b0 * np.exp(-lam * t)
-        envel = lb.b_envelope(t, b_s=b0, s=0.0)
-        assert np.all(envel >= true_b - 1e-14)
-        assert lb.b_envelope(0.02, b_s=b0) / (b0 * np.exp(-lam * 0.02)) < 1.05
-
-    def test_exact_pair_with_terminal_zero(self):
-        # a = e^{-lam t} - e^{-lam T}, b = lam e^{-lam t} satisfies
-        # |a'| <= b and b' = -lam b with alpha = 0, beta = 0, a(T) = 0
-        lam, T = 8.0, 1.0
-        lb = layer_bounds(alpha_sup=0.0, lam=lam, beta=0.0, a_vanishes_at_end=True)
-        t = np.linspace(0.0, T, 101)
-        a = np.exp(-lam * t) - np.exp(-lam * T)
-        b = lam * np.exp(-lam * t)
-        assert np.all(a <= lb.a_from_b(t, b) + 1e-14)
-        # alpha = 0 makes the decay envelope exact
-        assert np.allclose(lb.b_envelope(t, b_s=b[0], s=0.0), b, rtol=1e-12)
-
-    def test_ratio_bound_from_comparison_run(self):
-        # beta = 0, b(0) = 0: b never exceeds 2 sup(alpha) a
-        alpha, lam = 1.5, 8.0
-        lb = layer_bounds(alpha_sup=alpha, lam=lam, beta=0.0)
-
-        def rhs(t, y):
-            a, b = y
-            return (b, lam * (alpha * a - b))
-
-        t = np.linspace(0.0, 2.0, 201)
-        sol = solve_ivp(rhs, (0, 2), [1.0, 0.0], method="DOP853", rtol=1e-11,
-                        atol=1e-13, t_eval=t)
-        assert sol.success
-        a, b = sol.y
-        assert np.all(b <= lb.b_from_a(a) * (1 + 1e-9) + 1e-12)
-
-
-class TestCheckSeries:
-    def setup_method(self):
-        self.env = GronwallEnvelope(C=1.5, c=2.0, lam=10.0, d=0.3, a0=0.5, b0=1.0)
-        self.t = np.linspace(0.0, 3.0, 61)
-
-    def test_envelope_generated_data_passes(self):
-        assert check_series_against(self.env, self.t, envelope_a(self.env, self.t)) == []
-        assert (
-            check_series_against(self.env, self.t, envelope_b(self.env, self.t), component="b")
-            == []
-        )
-
-    def test_scaled_up_data_flagged(self):
-        values = 2.0 * envelope_a(self.env, self.t)
-        out = check_series_against(self.env, self.t, values)
-        assert len(out) == len(self.t)
-        t0, v0, e0 = out[0]
-        assert t0 == self.t[0]
-        assert v0 == pytest.approx(2.0 * e0)
-
-    def test_simulation_tolerance(self):
-        values = envelope_a(self.env, self.t) * 1.02
-        assert check_series_against(self.env, self.t, values, tol=0.05) == []
-        assert len(check_series_against(self.env, self.t, values, tol=1e-9)) > 0
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            check_series_against(self.env, self.t[::-1], np.ones_like(self.t))
-        with pytest.raises(ValueError):
-            check_series_against(self.env, self.t, np.ones(3))
-        with pytest.raises(ValueError):
-            check_series_against(self.env, self.t, np.ones_like(self.t), component="x")

@@ -43,6 +43,29 @@ class TestConfig:
         assert cfg.extra["notes"]["tags"] == [7.5, 8, 8.5]
         assert cfg.cells == 16
 
+    def test_unread_keys_rejected(self):
+        # keys that no run reads are errors, not silent no-ops
+        for section, key in [
+            ("meanfield", "lambda_coupling"),
+            ("meanfield", "sinkhorn_tol"),
+            ("initial", "d_min_floor"),
+            ("initial", "jitter_wavenumber"),
+            ("run", "lamda"),
+        ]:
+            with pytest.raises(ValueError, match=key):
+                build_config({section: {key: 1}})
+        cfg = build_config(
+            {
+                "initial": {"family": "uniform_ball", "x_radius": 2.0, "v_radius": 0.1},
+                "hydro": {"steps_per_relaxation": 4.0, "transport_dt": 0.02},
+                "meanfield": {"n_ref": 512},
+                "notes": {"anything": "goes"},
+            }
+        )
+        assert cfg.initial["x_radius"] == 2.0
+        assert cfg.extra["meanfield"] == {"n_ref": 512}
+        assert cfg.extra["notes"] == {"anything": "goes"}
+
     def test_hash_ignores_ordering(self):
         a = build_config(parse_config_text("tier = micro\nn = 7\n[grid]\ncells = 16"))
         b = build_config(parse_config_text("[grid]\ncells = 16\n[run]\nn = 7\ntier = micro"))
@@ -306,8 +329,9 @@ class TestRunner:
     def test_fit_dmin_constant_edges(self):
         times = np.linspace(0.0, 1.0, 10)
         assert fit_dmin_constant(times, np.full(10, 0.3)) == 1.0
-        collapse = 0.3 * np.exp(-80.0 * times)
-        assert fit_dmin_constant(times, collapse, c_max=10.0) == np.inf
+        # a collapse at rate 8e7 outruns even C = 1e6, the largest C tried
+        fast = times * 1e-6
+        assert fit_dmin_constant(fast, 0.3 * np.exp(-8e7 * fast)) == np.inf
 
 
 def hydro_base_config():
@@ -497,6 +521,12 @@ class TestCli:
         assert lines[0] == "t,envelope_a,envelope_b"
         final = [float(v) for v in lines[-1].split(",")]
         assert final[1] == pytest.approx(np.e, abs=1e-12)
+
+    def test_unread_config_key_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "stale.cfg"
+        cfg.write_text("tier = micro\nn = 64\n[meanfield]\nlambda_coupling = cuberoot\n")
+        assert cli.main(["simulate", "--config", str(cfg)]) == 1
+        assert "lambda_coupling" in capsys.readouterr().err
 
     def test_oracle_rejects_malformed_params(self, capsys):
         assert cli.main(["oracle", "--params", "C"]) == 1

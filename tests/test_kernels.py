@@ -115,30 +115,6 @@ class TestGrids:
         assert s.h == 0.5
         assert s.centers()[0] == 0.25
 
-    def test_grid_io_roundtrip(self, tmp_path):
-        spec = K.GridSpec(4.0, 8)
-        vals = np.arange(8**3 * 3, dtype=float).reshape(8, 8, 8, 3)
-        g = K.VectorGrid(spec, vals)
-        p = tmp_path / "grid.bin"
-        K.save_vector_grid(g, p)
-        g2 = K.load_vector_grid(p)
-        assert g2.spec == spec
-        assert np.array_equal(g2.values, vals)
-
-    def test_grid_csv(self, tmp_path):
-        spec = K.GridSpec(4.0, 8)
-        vals = np.zeros((8, 8, 8, 3))
-        vals[1, 2, 3] = (0.1, -2.5, 1e-300)
-        g = K.VectorGrid(spec, vals)
-        p = tmp_path / "grid.csv"
-        K.save_vector_grid_csv(g, p)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "i,j,k,ux,uy,uz"
-        assert len(lines) == 1 + 8**3
-        cells = lines[1 + (1 * 8 + 2) * 8 + 3].split(",")
-        assert cells[:3] == ["1", "2", "3"]
-        assert [float(c) for c in cells[3:]] == [0.1, -2.5, 1e-300]
-
 
 class _Cloud:
     def __init__(self, x, w, v=None):
@@ -445,11 +421,3 @@ class TestBrinkmanSolve:
         j = K.VectorGrid(self.spec, np.zeros((32, 32, 32, 3)))
         with pytest.raises(ValueError):
             K.brinkman_solve(rho, j)
-
-    def test_velocity_from_flux_floor(self):
-        rho = K.ScalarGrid(self.spec, np.zeros((32, 32, 32)))
-        rho.values[1, 1, 1] = 1.0
-        j = K.VectorGrid(self.spec, np.ones((32, 32, 32, 3)))
-        v = K.velocity_from_flux(rho, j)
-        assert np.all(v.values[0, 0, 0] == 0.0)  # below floor: no division
-        assert np.abs(v.values[1, 1, 1] - 1.0).max() < 1e-12

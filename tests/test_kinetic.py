@@ -10,7 +10,6 @@ from sedlab.kinetic import (
     energy_budget,
     finalize_budgets,
     jacobian_check,
-    moments,
     replay_flow,
     save_budget_csv,
     save_cloud_csv,
@@ -126,7 +125,7 @@ class TestStep:
         cloud = gaussian_cloud(200, 10.0, seed=3)
         out, _, _ = vlasov_step(cloud, grid, 0.01)
         assert np.array_equal(out.w, cloud.w)
-        assert moments(out).m[0.0] == pytest.approx(1.0, abs=1e-12)
+        assert out.w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_monokinetic_at_rest_budget_is_zero(self):
         # v = 0 deposits zero momentum, the fluid vanishes, and every term
@@ -202,34 +201,6 @@ class TestStep:
 
 
 class TestMoments:
-    def test_uniform_ball_second_moment(self):
-        # |v| uniform in the unit ball has E|v|^2 = 3/5
-        rng = np.random.default_rng(42)
-        n = 120_000
-        direction = rng.standard_normal((n, 3))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        r = rng.random(n) ** (1.0 / 3.0)
-        cloud = PhaseCloud(
-            x=np.full((n, 3), 8.0),
-            v=direction * r[:, None],
-            w=np.full(n, 1.0 / n),
-            lam=1.0,
-            gravity=GRAVITY,
-        )
-        rep = moments(cloud)
-        assert rep.m[0.0] == pytest.approx(1.0, abs=1e-12)
-        assert rep.m[2.0] == pytest.approx(0.6, abs=5e-3)
-        assert rep.m[1.0] <= np.sqrt(rep.m[2.0])
-
-    def test_density_norms_on_grid(self):
-        grid = GridSpec(16.0, 32)
-        cloud = gaussian_cloud(5000, 1.0, seed=9)
-        rep = moments(cloud, grid=grid)
-        # total mass is the L^1 norm of the deposited density
-        assert rep.lp_rho[1.0] == pytest.approx(1.0, rel=1e-12)
-        assert rep.lp_rho[4.0] > rep.lp_rho[4.0 / 3.0] * 0  # present and positive
-        assert set(rep.lp_rho) == {1.0, 4.0 / 3.0, 4.0}
-
     def test_moment_interpolation_inequality(self):
         # product data rho(x) uniform-ball(v): the velocity-moment density
         # m_l = rho * 3 R^l / (3+l) obeys

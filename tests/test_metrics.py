@@ -9,6 +9,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from sedlab import metrics
+from sedlab.errors import ConvergenceError
 from sedlab.kernels import GridSpec, VectorGrid, deposit, interpolate, stokes_solve
 from sedlab.metrics import (
     CoupledRun,
@@ -256,6 +257,29 @@ class TestEntropic:
         pi = out.pairing
         assert np.abs(pi.sum(axis=1) - 1.0 / 32).max() < 1e-6
         assert np.abs(pi.sum(axis=0) - 1.0 / 32).max() < 1e-6
+
+    def test_unconverged_self_term_raises(self, monkeypatch):
+        # at the last eps stage the cross term OT(a, b) meets tol within
+        # max_iter, but the debiasing term OT(a, a) needs about ten times as
+        # many iterations; the call must not hand back that estimate
+        rng = np.random.default_rng(0)
+        a = rng.normal(0.0, 1.0, size=(32, 1))
+        b = rng.normal(0.5, 0.3, size=(32, 1))
+        violations = []
+        solve = metrics._sinkhorn_potentials
+
+        def recording(*args):
+            out = solve(*args)
+            violations.append(out[3])
+            return out
+
+        monkeypatch.setattr(metrics, "_sinkhorn_potentials", recording)
+        with pytest.raises(ConvergenceError) as err:
+            wasserstein2_entropic(a, b, max_iter=1000)
+        cross, self_a, self_b = violations[-3:]
+        assert cross < 1e-6 <= self_a
+        assert err.value.residual == max(cross, self_a, self_b)
+        assert err.value.iterations == 1000
 
     def test_weight_validation(self):
         rng = np.random.default_rng(8)

@@ -9,7 +9,6 @@ from sedlab.micro import (
     AssumptionReport,
     ParticleEnsemble,
     check_assumptions,
-    default_dt,
     forces,
     implicit_velocities,
     load_checkpoint,
@@ -257,10 +256,6 @@ class TestStep:
         ens = random_ensemble(np.random.default_rng(10), 4)
         with pytest.raises(ValueError):
             step(ens, 0.0)
-
-    def test_default_dt(self):
-        assert default_dt(1.0) == pytest.approx(0.01)
-        assert default_dt(100.0) == pytest.approx(1.0 / 400.0)
 
 
 class TestStats:
