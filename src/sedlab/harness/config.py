@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from ..kernels import GridSpec
 
 TIERS = ("micro", "vlasov", "transport")
+S_CADENCES = ("step", "snapshot")  # record S after every step, or at snapshots only
 
 DEFAULTS = {
     "run": {
@@ -118,6 +119,9 @@ class SimConfig:
             raise ValueError("lambda must be positive")
         if self.n < 1:
             raise ValueError("n must be positive")
+        cadence = self.output.get("s_cadence", "snapshot")
+        if cadence not in S_CADENCES:
+            raise ValueError(f"[output] s_cadence must be one of {S_CADENCES}, got {cadence!r}")
         GridSpec(float(self.box), int(self.cells))  # rejects a bad box or cell count
 
     @property

@@ -3,13 +3,31 @@
 Members of a sweep share one seeded initial draw, so differences between
 runs come from the swept parameter alone.  Aggregation refuses to mix
 members whose assumption flags differ.
+
+The members run in one forked worker process per usable CPU; the run they
+are all compared with (transport, or the n_ref reference) stays in the calling
+process.  With one usable CPU they run in-process, one after another, so
+`taskset -c 0 sedlab sweep-hydro ...` runs serially.  A worker runs with one
+BLAS thread, and its results are bitwise those of the serial path run with one.
 """
 
+import ctypes
+import multiprocessing
+import os
+import threading
+import traceback
 from dataclasses import dataclass, replace
+from functools import partial
+from multiprocessing.connection import wait
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
 
 from .. import metrics, micro
 from ..csvfile import write_csv
@@ -31,6 +49,99 @@ def _raise_member_abort(label, record):
     err = record.error
     err.add_note(f"sweep member {label} aborted")
     raise err
+
+
+def _map_members(job, values, label):
+    """[job(v) for v in values], run in one forked worker per usable CPU.
+
+    A member's cost grows with its value (steps with lam, pairs with N), so
+    the largest goes first and each worker takes the next as it finishes.
+    Workers inherit the sweep's state by fork, without pickling or re-running
+    the caller's script; results come back over pipes to this thread.  A
+    worker's exception is re-raised with its traceback as a note, a dead
+    worker raises ChildProcessError, and no worker outlives the call.  Runs
+    in-process with one usable CPU, where `os.sched_getaffinity` is missing
+    (it exists only where fork does), or beside other threads, since a fork
+    would copy the locks they hold.
+    """
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(usable, len(values))
+    if workers < 2 or threading.active_count() > 1:
+        return [job(v) for v in values]
+    fork = multiprocessing.get_context("fork")
+    pending = sorted(range(len(values)), key=values.__getitem__)  # pop() takes the largest
+    results = [None] * len(values)
+    busy, procs, ends = {}, [], []  # busy: our pipe end -> (worker, member index)
+
+    def hand_out(conn, proc):
+        i = pending.pop() if pending else None
+        conn.send(i)  # None tells the worker to exit
+        if i is not None:
+            busy[conn] = (proc, i)
+
+    try:
+        for _ in range(workers):
+            ours, theirs = fork.Pipe()
+            proc = fork.Process(target=_serve, args=(theirs, [*ends, ours], job, values), daemon=True)
+            proc.start()
+            theirs.close()
+            procs.append(proc)
+            ends.append(ours)
+            hand_out(ours, proc)
+        while busy:
+            for conn in wait(list(busy)):
+                proc, i = busy.pop(conn)
+                member = label.format(values[i])
+                try:
+                    ok, payload, trace = conn.recv()
+                except EOFError:
+                    proc.join()
+                    raise ChildProcessError(
+                        f"sweep worker {proc.pid} died (exit code {proc.exitcode}) "
+                        f"running member {member}"
+                    ) from None
+                if not ok:
+                    payload.add_note(f"raised by sweep member {member} in worker {proc.pid}:\n{trace}")
+                    raise payload
+                results[i] = payload
+                hand_out(conn, proc)
+        for proc in procs:
+            proc.join()
+    finally:
+        for proc in procs:
+            proc.terminate()  # a no-op for a worker already joined
+            proc.join()
+        for conn in ends:
+            conn.close()
+    return results
+
+
+def _serve(conn, parent_ends, job, values):
+    """Worker loop: run each member whose index arrives, send back its result."""
+    for end in parent_ends:
+        end.close()  # so that recv sees EOF if the parent dies
+    # BLAS threads left idle spin for a while, and two workers with a BLAS
+    # thread per CPU each ran slower than the serial sweep
+    _blas_threads(1)
+    for i in iter(conn.recv, None):
+        try:
+            reply = (True, job(values[i]), None)
+        except Exception as err:
+            reply = (False, err, traceback.format_exc())
+        conn.send(reply)
+
+
+def _blas_threads(count):
+    """Set the thread count of numpy's OpenBLAS; returns the old count, or None
+    (and changes nothing) when numpy links another BLAS."""
+    lib = ctypes.CDLL(_multiarray_umath.__file__)  # resolves the BLAS it links
+    for prefix, suffix in (("scipy_", "64_"), ("", "")):
+        get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+        if get is not None:
+            old = get()
+            getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")(count)
+            return old
+    return None
 
 
 def _uniform_view(x, v=None):
@@ -102,6 +213,23 @@ class HydroReport:
         return self.slope_ok and self.rate_ratio_ok and self.plateau_ok
 
 
+def _hydro_member(base, draw, transport_final, steps_per_relax, out_dir, lam):
+    """One lam member: its vlasov run, S relaxation fit and W2 to the transport state.
+
+    An aborted run comes back with NaN figures for the caller to raise.
+    """
+    dt = base.t_final / max(1, round(steps_per_relax * lam * base.t_final))
+    config = replace(base, tier="vlasov", lam=lam, dt=dt, output={**base.output, "s_cadence": "step"})
+    member_draw = SampleDraw(cloud=replace(draw.cloud, lam=lam), ensemble=None, report=draw.report)
+    sub = None if out_dir is None else Path(out_dir) / f"lam_{lam:g}"
+    record = run(config, out_dir=sub, draw=member_draw)
+    if not record.ok:
+        return HydroMember(lam, dt, np.nan, np.nan, np.nan, np.nan, record)
+    rate, rate_r2, plateau = fit_s_relaxation(*zip(*record.s_series))
+    w2 = _w2(record.final_state, transport_final, "spatial")
+    return HydroMember(lam, dt, w2, rate, rate_r2, plateau, record)
+
+
 def sweep_hydrodynamic(base, lambdas, out_dir=None):
     """Kinetic-vs-transport gap across a ladder of relaxation strengths.
 
@@ -144,42 +272,11 @@ def sweep_hydrodynamic(base, lambdas, out_dir=None):
     )
     if not transport_record.ok:
         _raise_member_abort("transport", transport_record)
-    transport_final = transport_record.final_state
-
-    members = []
-    for lam in lambdas:
-        steps = max(1, round(steps_per_relax * lam * t_final))
-        member_config = replace(
-            base,
-            tier="vlasov",
-            lam=lam,
-            dt=t_final / steps,
-            output={**base.output, "s_cadence": "step"},
-        )
-        member_draw = SampleDraw(
-            cloud=replace(draw.cloud, lam=lam), ensemble=None, report=draw.report
-        )
-        record = run(
-            member_config,
-            out_dir=None if out_dir is None else Path(out_dir) / f"lam_{lam:g}",
-            draw=member_draw,
-        )
-        if not record.ok:
-            _raise_member_abort(f"lam={lam:g}", record)
-        s_t = [t for t, _ in record.s_series]
-        s_v = [v for _, v in record.s_series]
-        rate, rate_r2, plateau = fit_s_relaxation(s_t, s_v)
-        members.append(
-            HydroMember(
-                lam=lam,
-                dt=member_config.dt,
-                w2_final=_w2(record.final_state, transport_final, "spatial"),
-                s_rate=rate,
-                s_rate_r2=rate_r2,
-                s_plateau=plateau,
-                record=record,
-            )
-        )
+    job = partial(_hydro_member, base, draw, transport_record.final_state, steps_per_relax, out_dir)
+    members = _map_members(job, lambdas, "lam={:g}")
+    for m in members:
+        if not m.record.ok:
+            _raise_member_abort(f"lam={m.lam:g}", m.record)
 
     slope, slope_r2 = metrics.rate_fit(
         [m.lam for m in members], [m.w2_final for m in members], model="powerlaw"
@@ -239,6 +336,35 @@ class MeanfieldReport:
         return self.spread_ok and self.h4_ok and self.dmin_ok
 
 
+def _meanfield_member(base, draws, ref_record, grid, out_dir, n):
+    """One N member: its micro run, W2 to the reference at both ends, E/H series.
+
+    An aborted run comes back with NaN figures for the caller to raise.
+    """
+    ensemble = draws[n].ensemble
+    sub = None if out_dir is None else Path(out_dir) / f"n_{n}"
+    record = run(replace(base, tier="micro", n=n), out_dir=sub, draw=draws[n])
+    if not record.ok:
+        return MeanfieldMember(n, base.lam, np.nan, np.nan, np.nan, np.nan, False, np.nan, [], record)
+
+    # phase-space distances against the larger reference cloud
+    final_ens = record.final_state
+    w2_0 = _w2(_uniform_view(ensemble.x, ensemble.v), ref_record.snapshots[0][1], "phase")
+    w2_t = _w2(_uniform_view(final_ens.x, final_ens.v), ref_record.final_state, "phase")
+    return MeanfieldMember(
+        n=n,
+        lam=base.lam,
+        w2_initial=float(w2_0),
+        w2_final=float(w2_t),
+        growth=float(w2_t / w2_0),
+        dmin_constant=float(record.summary.get("d_min_constant", np.inf)),
+        dmin_above_contact=all(st.d_min > 2.0 * ensemble.radius for _, st in record.stats),
+        v_moment9_max=float(record.summary.get("v_moment9_max", np.nan)),
+        energies=_prefix_energies(record, ref_record, n, grid),
+        record=record,
+    )
+
+
 def sweep_meanfield(base, n_values, out_dir=None):
     """Discrete-vs-kinetic stability at fixed lam across particle counts.
 
@@ -270,8 +396,7 @@ def sweep_meanfield(base, n_values, out_dir=None):
     if not ref_record.ok:
         _raise_member_abort("reference", ref_record)
 
-    members = []
-    flag_sets = []
+    draws, flag_sets = {}, []
     for n in n_values:
         x0 = ref_draw.cloud.x[:n].copy()
         v0 = ref_draw.cloud.v[:n].copy()
@@ -293,43 +418,17 @@ def sweep_meanfield(base, n_values, out_dir=None):
             h3_ratio=checks.h3_ratio,
             h4_value=checks.h4_value,
         )
-        member_draw = SampleDraw(
+        draws[n] = SampleDraw(
             cloud=prefix_cloud, ensemble=ensemble, report=member_report, assumptions=checks
         )
-        member_config = replace(base, tier="micro", n=n)
-        record = run(
-            member_config,
-            out_dir=None if out_dir is None else Path(out_dir) / f"n_{n}",
-            draw=member_draw,
-        )
-        if not record.ok:
-            _raise_member_abort(f"n={n}", record)
-
-        # phase-space distances against the larger reference cloud
-        final_ens = record.final_state
-        w2_0 = _w2(_uniform_view(x0, v0), ref_record.snapshots[0][1], "phase")
-        w2_t = _w2(_uniform_view(final_ens.x, final_ens.v), ref_record.final_state, "phase")
-
-        energies = _prefix_energies(record, ref_record, n, grid)
-        members.append(
-            MeanfieldMember(
-                n=n,
-                lam=base.lam,
-                w2_initial=float(w2_0),
-                w2_final=float(w2_t),
-                growth=float(w2_t / w2_0),
-                dmin_constant=float(record.summary.get("d_min_constant", np.inf)),
-                dmin_above_contact=all(
-                    st.d_min > 2.0 * ensemble.radius for _, st in record.stats
-                ),
-                v_moment9_max=float(record.summary.get("v_moment9_max", np.nan)),
-                energies=energies,
-                record=record,
-            )
-        )
-
     if len(set(flag_sets)) > 1:
         raise AssumptionError(f"members disagree on assumption flags: {flag_sets}")
+
+    job = partial(_meanfield_member, base, draws, ref_record, grid, out_dir)
+    members = _map_members(job, n_values, "n={}")
+    for m in members:
+        if not m.record.ok:
+            _raise_member_abort(f"n={m.n}", m.record)
 
     growths = np.array([m.growth for m in members])
     spread = float(growths.max() / growths.min())

@@ -1,8 +1,12 @@
 """Config parsing, seeded sampling, run orchestration, sweeps, CLI."""
 
 import csv
+import dataclasses
+import multiprocessing
+import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +91,8 @@ class TestConfig:
             default_config({"grid": {"cells": 24}})
         with pytest.raises(ValueError, match="lambda"):
             default_config({"run": {"lambda": -1.0}})
+        with pytest.raises(ValueError, match="s_cadence"):
+            default_config({"output": {"s_cadence": "steps"}})
 
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ValueError, match="line 2"):
@@ -353,6 +359,149 @@ def meanfield_base_config(**initial_extra):
     return default_config(sections)
 
 
+def use_cpus(monkeypatch, count):
+    """Make the sweeps see `count` usable CPUs, whatever this machine has."""
+    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def assert_bitwise_equal(a, b, where="report"):
+    """Field-by-field equality of two results, floats and arrays compared by their bytes."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), where
+        for f in dataclasses.fields(a):
+            assert_bitwise_equal(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            assert_bitwise_equal(a[key], b[key], f"{where}[{key!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b), where
+        for k, (x, y) in enumerate(zip(a, b)):
+            assert_bitwise_equal(x, y, f"{where}[{k}]")
+    elif isinstance(a, (float, np.ndarray)):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), where
+    else:
+        assert a == b, where
+
+
+class TestSweepWorkers:
+    """Sweep members run in forked workers; the reports match the serial path."""
+
+    @pytest.mark.parametrize(
+        "sweep, base, values, key, reference",
+        [
+            (sweep_hydrodynamic, hydro_base_config, [6.0, 12.0, 24.0], "lam", "transport_record"),
+            (sweep_meanfield, meanfield_base_config, [32, 64, 128], "n", "reference_record"),
+        ],
+    )
+    def test_parallel_matches_serial_bitwise(self, monkeypatch, sweep, base, values, key, reference):
+        def stamped_run(*args, **kwargs):
+            record = plain_run(*args, **kwargs)
+            record.summary["pid"] = os.getpid()
+            return record
+
+        plain_run = sweeps.run
+        monkeypatch.setattr(sweeps, "run", stamped_run)
+        # workers run with one BLAS thread, whose sums differ in the last bits
+        # from those of a multithreaded BLAS: the serial leg runs with one too
+        use_cpus(monkeypatch, 1)
+        blas_threads = sweeps._blas_threads(1)
+        try:
+            serial = sweep(base(), values)
+        finally:
+            if blas_threads is not None:
+                sweeps._blas_threads(blas_threads)
+        use_cpus(monkeypatch, 2)
+        parallel = sweep(base(), values)
+        assert multiprocessing.active_children() == []
+        assert all(m.record.summary["pid"] == os.getpid() for m in serial.members)
+        pids = {m.record.summary["pid"] for m in parallel.members}
+        assert os.getpid() not in pids and len(pids) == 2
+        for report in (serial, parallel):
+            for record in [m.record for m in report.members] + [getattr(report, reference)]:
+                del record.summary["pid"], record.summary["walltime_s"]
+        assert [getattr(m, key) for m in parallel.members] == values
+        assert_bitwise_equal(serial, parallel)
+
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        # each worker reports the count it had before this call set it to 1
+        counts = sweeps._map_members(sweeps._blas_threads, [1, 1], "{}")
+        assert counts in ([1, 1], [None, None])
+        assert multiprocessing.active_children() == []
+
+    def test_member_abort_comes_back_with_its_exit_code(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        base = dataclasses.replace(hydro_base_config(), tolerances={"brinkman": 1e-300, "closure": 1e-12})
+        with pytest.raises(ConvergenceError) as err:
+            sweep_hydrodynamic(base, [6.0, 12.0, 24.0])
+        assert err.value.exit_code == 3
+        assert "sweep member lam=6 aborted" in err.value.__notes__
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_is_reraised_with_its_traceback(self, monkeypatch):
+        def failing_run(config, *args, **kwargs):
+            if config.tier == "micro" and config.n == 64:
+                raise ValueError("member 64 cannot run")
+            return plain_run(config, *args, **kwargs)
+
+        plain_run = sweeps.run
+        monkeypatch.setattr(sweeps, "run", failing_run)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(ValueError, match="member 64 cannot run") as err:
+            sweep_meanfield(meanfield_base_config(), [32, 64, 128])
+        (note,) = err.value.__notes__
+        assert "sweep member n=64" in note and "in failing_run" in note
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_naming_its_member(self, monkeypatch):
+        parent = os.getpid()
+
+        def dying_run(config, *args, **kwargs):
+            if config.tier == "micro" and config.n == 64:
+                assert os.getpid() != parent, "member ran in the test process"
+                os._exit(1)
+            return plain_run(config, *args, **kwargs)
+
+        plain_run = sweeps.run
+        monkeypatch.setattr(sweeps, "run", dying_run)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match=r"exit code 1\) running member n=64"):
+            sweep_meanfield(meanfield_base_config(), [32, 64, 128])
+        assert multiprocessing.active_children() == []
+
+    def test_unguarded_script_runs_a_parallel_sweep(self, tmp_path):
+        # a forked worker does not re-import the caller's script, so a sweep
+        # at a script's top level, with no __main__ guard, runs once
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            textwrap.dedent(
+                """
+                import os
+                from sedlab.harness import default_config, sweep_meanfield
+
+                os.sched_getaffinity = lambda pid: {0, 1}
+                base = default_config({
+                    "run": {"tier": "micro", "n": 256, "lambda": 8.0, "t_final": 0.2,
+                            "dt": 1 / 32, "seed": 9},
+                    "grid": {"cells": 16},
+                    "initial": {"family": "well_prepared", "sigma_x": 1.2, "sigma_v": 0.1},
+                })
+                report = sweep_meanfield(base, [32, 64, 128])
+                print("spread_ok", report.spread_ok)
+                """
+            )
+        )
+        src = str(Path(sweeps.__file__).parents[2])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=600
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "spread_ok True"
+
+
 class TestSweeps:
     def test_hydro_sweep_gates(self, tmp_path):
         report = sweep_hydrodynamic(hydro_base_config(), [6.0, 12.0, 24.0], out_dir=tmp_path)
@@ -390,16 +539,24 @@ class TestSweeps:
         checked = []
 
         def counted(ens, *args, **kwargs):
-            checked.append(ens)
-            return check(ens, *args, **kwargs)
+            checked.append((ens, check(ens, *args, **kwargs)))
+            return checked[-1][1]
 
         monkeypatch.setattr(micro, "check_assumptions", counted)
+        use_cpus(monkeypatch, 1)
         report = sweep_meanfield(meanfield_base_config(), [32, 64, 128])
         # one check per member ensemble: the runner reuses the sweep's report
-        assert [ens.n for ens in checked] == [32, 64, 128]
-        for member, ens in zip(report.members, checked):
+        assert [ens.n for ens, _ in checked] == [32, 64, 128]
+        for member, (ens, _) in zip(report.members, checked):
             assert member.record.snapshots[0][1] is ens
             assert member.record.summary["assumption_h4"] is True
+        # from a worker, the record holds a copy of the sweep's report
+        checked.clear()
+        use_cpus(monkeypatch, 2)
+        report = sweep_meanfield(meanfield_base_config(), [32, 64, 128])
+        assert [ens.n for ens, _ in checked] == [32, 64, 128]
+        for member, (_, result) in zip(report.members, checked):
+            assert_bitwise_equal(member.record.assumptions, result)  # h2_w2 is NaN
 
     def test_meanfield_members_are_prefixes(self):
         base = meanfield_base_config()
@@ -527,6 +684,12 @@ class TestCli:
         cfg.write_text("tier = micro\nn = 64\n[meanfield]\nlambda_coupling = cuberoot\n")
         assert cli.main(["simulate", "--config", str(cfg)]) == 1
         assert "lambda_coupling" in capsys.readouterr().err
+
+    def test_misspelt_s_cadence_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cadence.cfg"
+        cfg.write_text("tier = vlasov\nn = 64\n[output]\ns_cadence = steps\n")
+        assert cli.main(["simulate", "--config", str(cfg)]) == 1
+        assert "s_cadence" in capsys.readouterr().err
 
     def test_oracle_rejects_malformed_params(self, capsys):
         assert cli.main(["oracle", "--params", "C"]) == 1
