@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from sedlab.errors import AssumptionError, ConvergenceError, DomainExhaustedError
+from sedlab import kernels
 from sedlab.harness import sweeps
 from sedlab.harness import cli
 from sedlab.harness.config import build_config, default_config, load_config, parse_config_text
@@ -360,8 +361,8 @@ def meanfield_base_config(**initial_extra):
 
 
 def use_cpus(monkeypatch, count):
-    """Make the sweeps see `count` usable CPUs, whatever this machine has."""
-    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: set(range(count)))
+    """Make the sweeps and the Stokes apply see `count` usable CPUs, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 def assert_bitwise_equal(a, b, where="report"):
@@ -429,6 +430,16 @@ class TestSweepWorkers:
         # each worker reports the count it had before this call set it to 1
         counts = sweeps._map_members(sweeps._blas_threads, [1, 1], "{}")
         assert counts in ([1, 1], [None, None])
+        assert multiprocessing.active_children() == []
+
+    def test_workers_run_one_apply_thread(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        n = kernels._SPLIT_CELLS
+        assert kernels._apply_threads(n) == 2
+        # each worker reports the threads its applies at the crossover size run on
+        counts = sweeps._map_members(kernels._apply_threads, [n, n], "{}")
+        assert counts == [1, 1]
+        assert kernels._apply_threads(n) == 2
         assert multiprocessing.active_children() == []
 
     def test_member_abort_comes_back_with_its_exit_code(self, monkeypatch):

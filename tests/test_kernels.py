@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -305,6 +310,63 @@ class TestStokesOperator:
         with pytest.raises(ValueError):
             op.apply(np.zeros((8, 8, 8)), np.zeros(2))
 
+    @pytest.mark.parametrize("n", sorted({16, K._SPLIT_CELLS, 64}))
+    def test_two_thread_apply_is_bitwise_one_thread(self, monkeypatch, n):
+        # 16 is below the crossover and forced to split: its ky blocks of 7
+        # do not divide the halves
+        monkeypatch.setattr(K, "_SPLIT_CELLS", min(n, K._SPLIT_CELLS))
+        monkeypatch.setattr(K.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert K._apply_threads(n) == 2
+        op = K.StokesOperator(K.GridSpec(float(n), n))
+        rng = np.random.default_rng(35)
+        f = rng.standard_normal((n, n, n, 3))
+        rho = rng.random((n, n, n))
+        g = np.array([0.36, -0.48, 0.8])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two halves as finely as the interpreter allows
+        try:
+            split = op.apply(f), op.apply(rho, g)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(K, "_CPU_CAP", 1)
+        assert K._apply_threads(n) == 1
+        serial = op.apply(f), op.apply(rho, g)
+        for a, b in zip(split, serial):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_two_thread_apply_leaves_no_thread_and_reraises(self, monkeypatch):
+        monkeypatch.setattr(K, "_SPLIT_CELLS", 8)
+        monkeypatch.setattr(K.os, "sched_getaffinity", lambda pid: {0, 1})
+        op = K.StokesOperator(self.spec)
+        f = np.random.default_rng(36).standard_normal((8, 8, 8, 3))
+        threads = threading.active_count()
+        ref = op.apply(f)
+        assert threading.active_count() == threads
+
+        fft = K.fft
+
+        def irfft(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper half failed")
+            return fft.irfft(*args, **kwargs)
+
+        monkeypatch.setattr(K, "fft", SimpleNamespace(rfft=fft.rfft, fft=fft.fft, ifft=fft.ifft, irfft=irfft))
+        with pytest.raises(RuntimeError, match="helper half failed"):
+            op.apply(f)
+        assert threading.active_count() == threads
+        monkeypatch.setattr(K, "fft", fft)
+        assert np.array_equal(op.apply(f), ref)
+
+    def test_sweep_after_two_thread_apply_forks_two_workers(self, monkeypatch):
+        from sedlab.harness import sweeps
+
+        monkeypatch.setattr(K, "_SPLIT_CELLS", 8)
+        monkeypatch.setattr(K.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert K._apply_threads(8) == 2
+        K.StokesOperator(self.spec).apply(np.ones((8, 8, 8, 3)))
+        pids = sweeps._map_members(lambda v: os.getpid(), [1, 2], "{}")
+        assert len(set(pids)) == 2 and os.getpid() not in pids
+
     def test_one_gradient_build_per_vlasov_step(self, monkeypatch):
         from sedlab import kinetic
 
@@ -415,6 +477,24 @@ class TestBrinkmanSolve:
         assert err.value.iterations == 1
         assert err.value.residual > 1e-11
         assert err.value.exit_code == 3
+
+    def test_blas_thread_count_leaves_no_bit_changed(self):
+        from sedlab.harness.sweeps import _blas_threads
+
+        spec = K.GridSpec(8.0, 16)
+        rho = gaussian_density(spec, 0.9)
+        j = K.VectorGrid(spec, rho.values[..., None] * np.array([0.2, 0.1, -1.0]))
+        old = _blas_threads(1)
+        if old is None:
+            pytest.skip("numpy links a BLAS other than OpenBLAS")
+        try:
+            one = K.brinkman_solve(rho, j, tol=1e-11)
+            _blas_threads(2)
+            two = K.brinkman_solve(rho, j, tol=1e-11)
+        finally:
+            _blas_threads(old)
+        assert one.velocity.values.tobytes() == two.velocity.values.tobytes()
+        assert (one.residual, one.iterations) == (two.residual, two.iterations)
 
     def test_negative_rho_rejected(self):
         rho = K.ScalarGrid(self.spec, -np.ones((32, 32, 32)))
