@@ -15,7 +15,7 @@ import numpy as np
 from .. import bounds, kinetic, metrics, micro
 from ..csvfile import write_csv
 from ..errors import SedlabError
-from ..kernels import GridSpec, StokesOperator, oseen_tensor, stokes_direct_sum
+from ..kernels import GridSpec, StokesOperator, oseen_tensor, stokes_direct_sum, support_window
 from .config import default_config, load_config
 from .runner import run
 from .sweeps import compare_tiers, sweep_hydrodynamic, sweep_meanfield
@@ -132,6 +132,14 @@ def _cmd_check_identities(args):
     direct = stokes_direct_sum(grid, force)
     err = float(np.abs(StokesOperator(grid).apply(force) - direct).max() / np.abs(direct).max())
     checks.append(("grid Stokes vs direct sum", err, 1e-13))
+
+    grid = GridSpec(8.0, 16)
+    force = np.zeros((16, 16, 16, 3))
+    force[3:11, 5:12, 10:16] = np.random.default_rng(3).standard_normal((8, 7, 6, 3))  # on the z = L face
+    window = support_window(grid, np.zeros((16, 16, 16)), force)
+    whole = StokesOperator(grid).apply(force)[window.cells]
+    err = float(np.abs(StokesOperator(window.spec).apply(force[window.cells]) - whole).max() / np.abs(whole).max())
+    checks.append(("window Stokes vs whole grid", err, 1e-14))
 
     n = 32
     x = 8.0 + 1.5 * rng.standard_normal((n, 3))

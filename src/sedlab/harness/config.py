@@ -122,7 +122,10 @@ class SimConfig:
         cadence = self.output.get("s_cadence", "snapshot")
         if cadence not in S_CADENCES:
             raise ValueError(f"[output] s_cadence must be one of {S_CADENCES}, got {cadence!r}")
-        GridSpec(float(self.box), int(self.cells))  # rejects a bad box or cell count
+        cells = int(self.cells)
+        if cells < 8 or cells & (cells - 1):
+            raise ValueError(f"grid resolution must be a power of two >= 8, got {cells}")
+        GridSpec(float(self.box), cells)  # rejects a bad box
 
     @property
     def steps(self) -> int:

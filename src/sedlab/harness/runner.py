@@ -137,7 +137,7 @@ def _run_transport(record, draw, config, grid):
     record.snapshots.append((cloud.time, cloud))
     record.times.append(cloud.time)
     for step_index in range(config.steps):
-        cloud, _ = transport.transport_step(cloud, grid, config.dt)
+        cloud = transport.transport_step(cloud, grid, config.dt)
         if (step_index + 1) % every == 0 or step_index + 1 == config.steps:
             record.snapshots.append((cloud.time, cloud))
             record.times.append(cloud.time)

@@ -18,6 +18,13 @@ of at least `_SPLIT_CELLS` cells a side, with two CPUs in the process's
 budget (`cpu_budget`), one apply runs in two halves, one on a short-lived
 helper thread, with the same bits as on one thread.
 
+Because the padded convolution is exact for any box that holds sources
+and targets, a force supported in a small part of the grid can be solved
+on a `Window`: the smallest cube of cells that holds its support, side a
+multiple of 8 (`support_window`).  `brinkman_solve` iterates there and
+measures its stop rule there, and the steady transport field at a cloud's
+own samples is solved there (`transport.steady_velocities`).
+
 Fields live on cell centers (i + 1/2) h of a cube [0, L)^3.  Energy
 integrals over the box omit the O(h/L) far-field tail outside it;
 callers that compare against whole-space identities should keep the
@@ -114,7 +121,11 @@ def oseen_regularized(x: np.ndarray, eps: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Cubic box [0, L)^3 with n cells per side, centers at (i + 1/2) h."""
+    """Cubic box [0, L)^3 with n cells per side, centers at (i + 1/2) h.
+
+    n is a multiple of 8.  Configured grids are powers of two (`SimConfig`
+    checks that); the other multiples are the windows of `support_window`.
+    """
 
     box_length: float
     n: int
@@ -122,8 +133,8 @@ class GridSpec:
     def __post_init__(self):
         if not self.box_length > 0.0:
             raise ValueError("box_length must be positive")
-        if self.n < 8 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"grid resolution must be a power of two >= 8, got {self.n}")
+        if self.n < 8 or self.n % 8 != 0:
+            raise ValueError(f"grid resolution must be a multiple of 8, got {self.n}")
 
     @property
     def h(self) -> float:
@@ -175,7 +186,9 @@ class FluidState:
 
     The finite-difference velocity gradient behind `grad_sup_norm` and
     `dirichlet_energy` is built on first use of either, once; solves whose
-    gradient nobody reads never build it.
+    gradient nobody reads never build it.  Its nine components are squared
+    into one per-cell sum as they arrive, so the (n, n, n, 3, 3) gradient
+    is never held.
     """
 
     velocity: VectorGrid
@@ -185,10 +198,13 @@ class FluidState:
 
     def _norms(self) -> tuple:
         if self._gradient_norms is None:
-            g = velocity_gradient(self.velocity)
-            g *= g
-            sup = float(np.sqrt(g.sum(axis=(-2, -1)).max()))
-            self._gradient_norms = (sup, float(g.sum() * self.velocity.spec.cell_volume))
+            n = self.velocity.spec.n
+            square = np.zeros((n, n, n))  # squared Frobenius norm per cell
+            for _, _, d in _gradient_components(self.velocity):
+                np.multiply(d, d, out=d)
+                square += d
+            sup = float(np.sqrt(square.max()))
+            self._gradient_norms = (sup, float(square.sum() * self.velocity.spec.cell_volume))
         return self._gradient_norms
 
     @property
@@ -249,16 +265,22 @@ def deposit(cloud, spec: GridSpec) -> tuple[ScalarGrid, VectorGrid]:
     w = np.asarray(cloud.w, dtype=float)
     v = getattr(cloud, "v", None)
     n = spec.n
-    rho = np.zeros(n * n * n)
-    j = np.zeros((n * n * n, 3)) if v is not None else None
-    for flat, wgt in _cic_stencil(spec, np.asarray(cloud.x, dtype=float), "deposit"):
-        np.add.at(rho, flat, w * wgt)
-        if j is not None:
-            np.add.at(j, flat, (w * wgt)[:, None] * v)
+    cells = n * n * n
+    # one bincount per field over the eight corners in turn: the additions
+    # into each cell come in the same order as eight sequential scatters
+    stencil = list(_cic_stencil(spec, np.asarray(cloud.x, dtype=float), "deposit"))
+    flat = np.concatenate([f for f, _ in stencil])
+    mass = np.concatenate([w * wgt for _, wgt in stencil])
     vol = spec.cell_volume
-    rho_grid = ScalarGrid(spec, rho.reshape(n, n, n) / vol)
-    j_vals = j.reshape(n, n, n, 3) / vol if j is not None else np.zeros((n, n, n, 3))
-    return rho_grid, VectorGrid(spec, j_vals)
+    rho = np.bincount(flat, weights=mass, minlength=cells) / vol
+    if v is None:
+        j = np.zeros((n, n, n, 3))
+    else:
+        j = np.empty((n, n, n, 3))
+        for c in range(3):  # each temporary is freed before the next one is made
+            np.divide(np.bincount(flat, weights=mass * np.tile(v[:, c], 8), minlength=cells).reshape(n, n, n),
+                      vol, out=j[..., c])
+    return ScalarGrid(spec, rho.reshape(n, n, n)), VectorGrid(spec, j)
 
 
 def interpolate(field: VectorGrid, positions: np.ndarray) -> np.ndarray:
@@ -284,7 +306,8 @@ _ROW_COMPONENTS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 _BLOCK_MODES = 4096  # (ky, kx, kz) modes per pass through the x transforms and the product
 # Smallest grid side n whose apply runs in two threads.  Best of 7 on a
 # 2-core box, both forms: two threads took 0.63-0.67x the time of one at
-# n = 64, and 1.15-1.9x at n = 32 and 16 (the table is in CHANGES.md).
+# n = 64, and 1.15-1.9x at n = 32 and 16; at the window sides 40-56 they
+# did not win in both forms (the tables are in CHANGES.md).
 _SPLIT_CELLS = 64
 _CPU_CAP = None  # set by `set_cpu_budget`
 
@@ -324,6 +347,9 @@ class StokesOperator:
     while the process runs a single thread, and a persistent pool would
     make every sweep serial.  Sweep workers set their budget to one CPU, so
     their applies run on one thread.
+
+    The grid may be a `Window` of a larger one (same h, n any multiple of
+    8); its table is cached like any other, under (n h, n).
 
     Solenoidality: the kernel is (I Lap - grad grad) of a radial generator,
     so div K = 0 identically, core included.  The grid output therefore
@@ -378,7 +404,8 @@ class StokesOperator:
         half = fft.rfft(rows, n=m, axis=3)
         spectrum = fft.fft(half, n=m, axis=0, overwrite_x=True)  # [ky, component, x, kz]
         del half
-        kept = np.empty((m, 3, n, n + 1), dtype=complex)  # [ky, a, x, kz]
+        # [ky, a, x, kz]; a vector force writes each block over the spectrum rows it has consumed
+        kept = spectrum if direction is None else np.empty((m, 3, n, n + 1), dtype=complex)
         block = max(1, _BLOCK_MODES // (m * (n + 1)))
         for k0 in range(0, m, block):
             f = fft.fft(spectrum[k0 : k0 + block], n=m, axis=2)  # [ky, component, kx, kz]
@@ -396,8 +423,9 @@ class StokesOperator:
         The passes along z and y split by x rows and the passes along x by
         ky rows, so each 1-d transform stays whole.  The spectrum and the
         kept rows are held as their two x halves, never copied whole, and
-        each buffer is allocated where the one-thread path allocates it, so
-        the peak memory is that path's plus one block's temporaries.
+        each buffer is allocated (or, for a vector force, reused) where the
+        one-thread path does so, so the peak memory is that path's plus one
+        block's temporaries.
         """
         n = self.spec.n
         m = 2 * n
@@ -426,7 +454,12 @@ class StokesOperator:
             np.multiply(u[..., :n].transpose(2, 0, 3, 1), self.spec.cell_volume, out=out[i * h : (i + 1) * h])
 
         _in_two_threads(forward)
-        kept = [np.empty((m, 3, h, n + 1), dtype=complex) for _ in range(2)]  # x halves of [ky, a, x, kz]
+        # x halves of [ky, a, x, kz]; as on one thread, a vector force overwrites the spectrum, and
+        # each ky row is read and written by one thread only
+        if direction is None:
+            kept = list(spectrum)
+        else:
+            kept = [np.empty((m, 3, h, n + 1), dtype=complex) for _ in range(2)]
         _in_two_threads(convolve)
         spectrum.clear()
         out = np.empty((n, n, n, 3))
@@ -537,6 +570,64 @@ def get_operator(spec: GridSpec) -> StokesOperator:
     return op
 
 
+# ---------------------------------------------------------------------------
+# windows: solves sized to the force's support
+
+
+@dataclass(frozen=True)
+class Window:
+    """The cube of cells origin + [0, spec.n)^3 of a grid, as a grid of its own.
+
+    `spec` has the grid's spacing h, so its `StokesOperator` tabulates the
+    same kernel (eps = h) on a smaller padded box.  Zero padding makes that
+    convolution exact for sources and targets inside the window, so a force
+    supported in the window gives there the velocity of the whole-grid
+    solve, to rounding.
+    """
+
+    grid: GridSpec
+    origin: tuple  # first cell along x, y and z
+    spec: GridSpec
+
+    @property
+    def full(self) -> bool:
+        return self.spec == self.grid
+
+    @property
+    def cells(self) -> tuple:
+        """Index of the window's cells in a whole-grid array."""
+        return tuple(slice(o, o + self.spec.n) for o in self.origin)
+
+    def embed(self, values: np.ndarray) -> np.ndarray:
+        """Window values in a whole-grid field that is zero off the window."""
+        if self.full:
+            return values
+        n = self.grid.n
+        out = np.zeros((n, n, n) + values.shape[3:])
+        out[self.cells] = values
+        return out
+
+
+def support_window(spec: GridSpec, rho: np.ndarray, j: np.ndarray | None = None) -> Window:
+    """Smallest cube of cells that holds every cell where rho, or j, is nonzero.
+
+    The side is rounded up to a multiple of 8 and clipped to the grid, and
+    a window that would cross a face is moved inward.  A window of side n
+    is the grid itself.
+    """
+    mask = rho != 0.0
+    if j is not None:
+        mask |= np.any(j != 0.0, axis=-1)
+    n = spec.n
+    extents = [np.flatnonzero(mask.any(axis=other)) for other in ((1, 2), (0, 2), (0, 1))]
+    span = max((int(e[-1] - e[0]) + 1 for e in extents if e.size), default=0)
+    side = min(n, max(8, -(-span // 8) * 8))
+    if side == n:
+        return Window(spec, (0, 0, 0), spec)
+    origin = tuple(min(int(e[0]), n - side) if e.size else 0 for e in extents)
+    return Window(spec, origin, GridSpec(side * spec.h, side))
+
+
 def stokes_solve(force, direction=None) -> FluidState:
     """Velocity field of a force density in free space, on the force's grid.
 
@@ -570,6 +661,14 @@ def brinkman_solve(
     reported step residual ||u_{k+1} - u_k|| / ||u_k||.  A defect still
     above tol after max_iter applications raises ConvergenceError carrying
     that defect and the iteration count.
+
+    The force j - rho u vanishes off the support of rho and j, so the loop
+    runs on its window (`support_window`) and measures the defect and the
+    residual there; a support that spans the grid runs on the grid.  On
+    convergence one whole-grid apply of the last force fills in the field
+    off the window.  With theta = 1 that is the whole-grid iterate itself;
+    after damping it differs from it off the window by the order of the
+    defect.
     """
     if rho.spec != j.spec:
         raise ValueError("rho and j live on different grids")
@@ -577,27 +676,34 @@ def brinkman_solve(
         raise ValueError("rho must be nonnegative")
     if not (np.all(np.isfinite(rho.values)) and np.all(np.isfinite(j.values))):
         raise ValueError("non-finite input field")
-    op = get_operator(rho.spec)
     if rho.values.max(initial=0.0) == 0.0:
         # no drag: the equation is linear Stokes, one application is exact
-        return FluidState(VectorGrid(rho.spec, op.apply(j.values)), residual=0.0, iterations=1)
-    u = np.zeros_like(j.values) if u0 is None else u0.values.copy()
+        return FluidState(VectorGrid(rho.spec, get_operator(rho.spec).apply(j.values)), residual=0.0, iterations=1)
+    window = support_window(rho.spec, rho.values, j.values)
+    op = get_operator(window.spec)
+    cells = window.cells
+    jw = j.values[cells]
+    rhov = rho.values[cells][..., None]
+    u = np.zeros_like(jw) if u0 is None else u0.values[cells].copy()
     u_norm = _norm(u)
-    rhov = rho.values[..., None]
     tiny = 1e-300
     defect = prev_defect = np.inf
     for it in range(1, max_iter + 1):
-        image = op.apply(j.values - rhov * u)
+        image = op.apply(jw - rhov * u)
         defect = _norm(image - u) / max(_norm(image), u_norm, tiny)
         if defect > prev_defect and theta > 0.125:
             theta *= 0.5
         prev_defect = defect
         u_next = (1.0 - theta) * u + theta * image
         step = _norm(u_next - u)
-        u, u_norm = u_next, _norm(u_next)
-        residual = step / max(u_norm, tiny)
+        u_norm = _norm(u_next)
         if defect <= tol:
-            return FluidState(VectorGrid(rho.spec, u), residual=residual, iterations=it)
+            if not window.full:
+                whole = get_operator(rho.spec).apply(window.embed(jw - rhov * u))
+                whole[cells] = u_next
+                u_next = whole
+            return FluidState(VectorGrid(rho.spec, u_next), residual=step / max(u_norm, tiny), iterations=it)
+        u = u_next
     raise ConvergenceError(
         f"Brinkman iteration left defect {defect:.3e} > tol {tol:.3e} after {max_iter} applications",
         residual=float(defect),
@@ -619,14 +725,19 @@ def _norm(x: np.ndarray) -> float:
 # gradient diagnostics and identities
 
 
+def _gradient_components(field: VectorGrid):
+    """Yield (a, b, d u_a / d x_b) for the nine finite-difference gradient entries."""
+    for a in range(3):
+        for b, d in enumerate(np.gradient(field.values[..., a], field.spec.h)):
+            yield a, b, d
+
+
 def velocity_gradient(field: VectorGrid) -> np.ndarray:
     """Finite-difference gradient, (n,n,n,3,3) with entry [a,b] = d u_a / d x_b."""
-    h = field.spec.h
     n = field.spec.n
     g = np.empty((n, n, n, 3, 3))
-    for a in range(3):
-        for b, d in enumerate(np.gradient(field.values[..., a], h)):
-            g[..., a, b] = d
+    for a, b, d in _gradient_components(field):
+        g[..., a, b] = d
     return g
 
 

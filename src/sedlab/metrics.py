@@ -22,8 +22,7 @@ from scipy.spatial.distance import cdist
 
 from .csvfile import write_csv
 from .errors import ConvergenceError
-from .kernels import interpolate
-from .transport import steady_velocity_field
+from .transport import steady_velocities
 
 EXACT_CAP = 4096
 # warm start of the duplicated-atom assignment: eps stages, iterations per
@@ -343,8 +342,7 @@ def steady_field_velocities(snapshot, grid, gravity):
     sampled at the snapshot's positions."""
     # positions and weights only: the momentum deposit of a phase cloud is not needed
     carrier = SimpleNamespace(x=np.asarray(snapshot.x, dtype=float), w=snapshot.w, gravity=gravity)
-    fluid = steady_velocity_field(carrier, grid)
-    return interpolate(fluid.velocity, carrier.x)
+    return steady_velocities(carrier, grid)
 
 
 def s_functional(snapshot, grid, gravity, weights):

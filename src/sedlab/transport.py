@@ -15,7 +15,7 @@ import numpy as np
 
 from .csvfile import write_csv
 from .errors import ConvergenceError
-from .kernels import deposit, interpolate, stokes_solve
+from .kernels import ScalarGrid, VectorGrid, deposit, interpolate, stokes_solve, support_window
 
 
 @dataclass(frozen=True)
@@ -61,27 +61,43 @@ def steady_velocity_field(cloud, grid):
     """
     rho, _ = deposit(cloud, grid)
     fluid = stokes_solve(rho, cloud.gravity)
-    if not np.all(np.isfinite(fluid.velocity.values)):
-        raise ConvergenceError("velocity solve produced non-finite values")
+    _require_finite(fluid.velocity.values)
     return fluid
 
 
-def transport_step(cloud, grid, dt):
-    """Advance the cloud one midpoint step; returns (new cloud, start-of-step fluid).
+def steady_velocities(cloud, grid):
+    """The field of `steady_velocity_field`, at the cloud's own samples only.
 
-    The returned field is the one deposited at the step's start; the
+    Interpolation at a sample reads only cells that its own deposit
+    touched, so the solve runs on the density's window
+    (`kernels.support_window`) and agrees with the whole-grid field there
+    to rounding; a density that spans the grid is solved on the grid.
+    """
+    rho, _ = deposit(cloud, grid)
+    window = support_window(grid, rho.values)
+    u = stokes_solve(ScalarGrid(window.spec, rho.values[window.cells]), cloud.gravity).velocity.values
+    _require_finite(u)
+    return interpolate(VectorGrid(grid, window.embed(u)), cloud.x)
+
+
+def _require_finite(u):
+    if not np.all(np.isfinite(u)):
+        raise ConvergenceError("velocity solve produced non-finite values")
+
+
+def transport_step(cloud, grid, dt):
+    """Advance the cloud one midpoint step; returns the new cloud.
+
+    The predictor uses the field deposited at the step's start; the
     corrector stage refreshes it from the half-step positions, which is
     what makes the update second order along the self-consistent flow.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    fluid = steady_velocity_field(cloud, grid)
-    drift = cloud.gravity[None, :] + interpolate(fluid.velocity, cloud.x)
+    drift = cloud.gravity[None, :] + steady_velocities(cloud, grid)
     half = replace(cloud, x=cloud.x + 0.5 * dt * drift, time=cloud.time + 0.5 * dt)
-    fluid_half = steady_velocity_field(half, grid)
-    drift_half = cloud.gravity[None, :] + interpolate(fluid_half.velocity, half.x)
-    new_cloud = replace(cloud, x=cloud.x + dt * drift_half, time=cloud.time + dt)
-    return new_cloud, fluid
+    drift_half = cloud.gravity[None, :] + steady_velocities(half, grid)
+    return replace(cloud, x=cloud.x + dt * drift_half, time=cloud.time + dt)
 
 
 def save_spatial_csv(cloud, path):

@@ -660,7 +660,7 @@ class TestCli:
     def test_check_identities_passes(self, capsys):
         assert cli.main(["check-identities"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 9 and "FAIL" not in out
+        assert out.count("PASS") == 10 and "FAIL" not in out
 
     def test_simulate_assumption_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -712,4 +712,4 @@ class TestCli:
             text=True,
         )
         assert result.returncode == 0
-        assert result.stdout.count("PASS") == 9
+        assert result.stdout.count("PASS") == 10

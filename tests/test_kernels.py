@@ -187,6 +187,21 @@ class TestDepositInterpolate:
         rhs = float((j.values * u.values).sum() * self.spec.cell_volume)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
+    def test_deposit_is_bitwise_eight_scatters(self):
+        # reference: eight sequential scatters, one np.add.at per corner and field
+        rng = np.random.default_rng(40)
+        spec = K.GridSpec(16.0, 32)
+        c = _Cloud(8.0 + 1.5 * rng.standard_normal((2000, 3)), rng.dirichlet(np.ones(2000)),
+                   rng.standard_normal((2000, 3)))
+        rho = np.zeros(spec.n**3)
+        j = np.zeros((spec.n**3, 3))
+        for flat, wgt in K._cic_stencil(spec, c.x, "deposit"):
+            np.add.at(rho, flat, c.w * wgt)
+            np.add.at(j, flat, (c.w * wgt)[:, None] * c.v)
+        got_rho, got_j = K.deposit(c, spec)
+        assert got_rho.values.tobytes() == (rho.reshape(32, 32, 32) / spec.cell_volume).tobytes()
+        assert got_j.values.tobytes() == (j.reshape(32, 32, 32, 3) / spec.cell_volume).tobytes()
+
     def test_out_of_box_raises(self):
         bad = _Cloud(np.array([[0.1, 4.0, 4.0]]), np.array([1.0]))
         with pytest.raises(DomainExhaustedError):
@@ -371,8 +386,8 @@ class TestStokesOperator:
         from sedlab import kinetic
 
         builds = []
-        build = K.velocity_gradient
-        monkeypatch.setattr(K, "velocity_gradient", lambda field: builds.append(1) or build(field))
+        build = K._gradient_components
+        monkeypatch.setattr(K, "_gradient_components", lambda field: builds.append(1) or build(field))
         rng = np.random.default_rng(34)
         cloud = kinetic.PhaseCloud(
             x=4.0 + 0.5 * rng.standard_normal((64, 3)),
@@ -501,3 +516,116 @@ class TestBrinkmanSolve:
         j = K.VectorGrid(self.spec, np.zeros((32, 32, 32, 3)))
         with pytest.raises(ValueError):
             K.brinkman_solve(rho, j)
+
+
+def _cloud_density(spec, count, seed, sigma=1.2):
+    """rho and j of a seeded Gaussian phase cloud centred in the box."""
+    rng = np.random.default_rng(seed)
+    c = _Cloud(spec.box_length / 2 + sigma * rng.standard_normal((count, 3)), np.full(count, 1.0 / count),
+               np.array([0.0, 0.0, -1.0]) + 0.1 * rng.standard_normal((count, 3)))
+    return K.deposit(c, spec)
+
+
+def _whole_grid_window(spec, rho, j=None):
+    return K.Window(spec, (0, 0, 0), spec)
+
+
+class TestWindow:
+    spec = K.GridSpec(16.0, 32)
+
+    def _rel(self, a, b):
+        return float(np.abs(a - b).max() / np.abs(b).max())
+
+    def test_support_window(self):
+        n = self.spec.n
+        rho = np.zeros((n, n, n))
+        rho[5:18, 9:12, 30] = 1.0  # spans 13, 3 and 1 cells
+        w = K.support_window(self.spec, rho)
+        assert w.spec.n == 16 and w.origin == (5, 9, 16)  # z moved inward from the face
+        assert w.spec.h == self.spec.h and not w.full
+        assert np.array_equal(w.embed(rho[w.cells]), rho)
+        j = np.zeros((n, n, n, 3))
+        j[0, 0, 0, 2] = 1.0
+        assert K.support_window(self.spec, rho, j).full
+        assert K.support_window(self.spec, np.zeros((n, n, n))).spec.n == 8
+
+    @pytest.mark.parametrize("origin", [(5, 9, 16), (0, 16, 3)])
+    def test_window_apply_matches_whole_grid(self, origin):
+        # both sit on a face of the grid: z = n - s and x = 0, y = n - s
+        s = 16
+        window = K.Window(self.spec, origin, K.GridSpec(s * self.spec.h, s))
+        rng = np.random.default_rng(41)
+        f = window.embed(rng.standard_normal((s, s, s, 3)))
+        rho = window.embed(rng.random((s, s, s)))
+        g = np.array([0.36, -0.48, 0.8])
+        whole, op = K.get_operator(self.spec), K.get_operator(window.spec)
+        assert op.spec.n == s
+        assert self._rel(op.apply(f[window.cells]), whole.apply(f)[window.cells]) <= 1e-14
+        assert self._rel(op.apply(rho[window.cells], g), whole.apply(rho, g)[window.cells]) <= 1e-14
+
+    def test_brinkman_on_window_matches_whole_grid_loop(self, monkeypatch):
+        rho, j = _cloud_density(self.spec, 2000, seed=42)
+        assert K.support_window(self.spec, rho.values, j.values).spec.n == 24
+        windowed = K.brinkman_solve(rho, j)
+        warm = K.brinkman_solve(rho, j, u0=windowed.velocity)
+        monkeypatch.setattr(K, "support_window", _whole_grid_window)
+        whole = K.brinkman_solve(rho, j)
+        assert windowed.iterations == whole.iterations
+        assert self._rel(windowed.velocity.values, whole.velocity.values) <= 1e-13
+        whole_warm = K.brinkman_solve(rho, j, u0=whole.velocity)
+        assert warm.iterations == whole_warm.iterations
+        assert self._rel(warm.velocity.values, whole_warm.velocity.values) <= 1e-13
+
+    def test_support_spanning_grid_is_bitwise_the_whole_grid_loop(self):
+        rho = gaussian_density(self.spec, 1.5)
+        j = K.VectorGrid(self.spec, rho.values[..., None] * np.array([0.2, 0.1, -1.0]))
+        assert K.support_window(self.spec, rho.values, j.values).full
+        got = K.brinkman_solve(rho, j, tol=1e-11)
+        op = K.get_operator(self.spec)
+        u = np.zeros_like(j.values)
+        u_norm, rhov = 0.0, rho.values[..., None]
+        for it in range(1, 200):
+            image = op.apply(j.values - rhov * u)
+            defect = K._norm(image - u) / max(K._norm(image), u_norm, 1e-300)
+            step = K._norm(image - u)
+            u, u_norm = image, K._norm(image)
+            if defect <= 1e-11:
+                break
+        assert (got.iterations, got.residual) == (it, step / u_norm)
+        assert got.velocity.values.tobytes() == u.tobytes()
+
+    def test_steady_velocities_match_whole_grid_solve(self):
+        from sedlab.metrics import steady_field_velocities
+        from sedlab.transport import steady_velocity_field
+
+        rng = np.random.default_rng(43)
+        cloud = SimpleNamespace(x=8.0 + 1.5 * rng.standard_normal((2000, 3)), w=np.full(2000, 1 / 2000),
+                                v=rng.standard_normal((2000, 3)))
+        g = np.array([0.0, 0.6, -0.8])
+        rho, _ = K.deposit(cloud, self.spec)
+        assert not K.support_window(self.spec, rho.values).full
+        whole = K.interpolate(steady_velocity_field(SimpleNamespace(x=cloud.x, w=cloud.w, gravity=g),
+                                                    self.spec).velocity, cloud.x)
+        assert self._rel(steady_field_velocities(cloud, self.spec, g), whole) <= 1e-13
+
+    def test_vlasov_run_builds_each_window_table_once(self, monkeypatch):
+        from collections import OrderedDict
+
+        from sedlab import harness
+
+        monkeypatch.setattr(K, "_OPERATOR_CACHE", OrderedDict())
+        K.get_operator(self.spec)
+        built = []
+        init = K.StokesOperator.__init__
+        monkeypatch.setattr(K.StokesOperator, "__init__", lambda op, spec: built.append(spec.n) or init(op, spec))
+        config = harness.default_config(
+            {
+                "run": {"tier": "vlasov", "n": 2000, "lambda": 20.0, "dt": 0.0125, "t_final": 0.05, "seed": 3},
+                "grid": {"box": 16.0, "cells": 32},
+                "output": {"s_cadence": "step"},
+            }
+        )
+        record = harness.run(config)
+        assert record.ok and len(record.s_series) == 5
+        assert built and self.spec.n not in built
+        assert sorted(built) == sorted(set(built))

@@ -100,7 +100,7 @@ class TestTransportStep:
         grid = GridSpec(16.0, 32)
         cloud = SpatialCloud(x=np.array([[8.25, 8.25, 8.25]]), w=np.ones(1), gravity=GRAVITY)
         dt = 0.01
-        out, _ = transport_step(cloud, grid, dt)
+        out = transport_step(cloud, grid, dt)
         disp = (out.x - cloud.x)[0] / dt
         assert disp[2] < -1.0  # the self-induced flow adds to the fall speed
         assert abs(disp[0]) < 1e-12 and abs(disp[1]) < 1e-12
@@ -119,7 +119,7 @@ class TestTransportStep:
         n = x.shape[0]
         cloud = SpatialCloud(x=x, w=np.full(n, 1.0 / n), gravity=GRAVITY)
         dt = 0.01
-        out, fluid = transport_step(cloud, grid, dt)
+        out = transport_step(cloud, grid, dt)
         disp = out.x - cloud.x
         com = disp.mean(axis=0) / dt
         assert abs(com[0]) < 1e-12 and abs(com[1]) < 1e-12
@@ -131,7 +131,7 @@ class TestTransportStep:
     def test_mass_and_weights_conserved(self):
         grid = GridSpec(16.0, 32)
         cloud = gaussian_cloud(400, seed=3)
-        out, _ = transport_step(cloud, grid, 0.02)
+        out = transport_step(cloud, grid, 0.02)
         assert np.array_equal(out.w, cloud.w)
         rho, _ = deposit(out, grid)
         assert float(rho.values.sum()) * grid.cell_volume == pytest.approx(1.0, rel=1e-12)
@@ -160,7 +160,7 @@ class TestTransportStep:
 
         before = norms(cloud)
         for _ in range(4):
-            cloud, _ = transport_step(cloud, grid, 0.02)
+            cloud = transport_step(cloud, grid, 0.02)
         after = norms(cloud)
         for p in before:
             assert after[p] == pytest.approx(before[p], rel=1e-2)
@@ -173,7 +173,7 @@ class TestTransportStep:
         def advance(dt):
             c = start
             for _ in range(round(horizon / dt)):
-                c, _ = transport_step(c, grid, dt)
+                c = transport_step(c, grid, dt)
             return c.x
 
         x1, x2, x4 = advance(0.02), advance(0.01), advance(0.005)
