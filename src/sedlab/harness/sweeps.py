@@ -8,12 +8,13 @@ The members run in one forked worker process per usable CPU; the run they
 are all compared with (transport, or the n_ref reference) stays in the calling
 process.  With one usable CPU they run in-process, one after another, so
 `taskset -c 0 sedlab sweep-hydro ...` runs serially.  A worker runs with one
-BLAS thread and a CPU budget of one, so its Stokes applies run on one thread,
-and its results are bitwise those of the serial path run with one BLAS thread.
+BLAS thread, and its results are bitwise those of the serial path run with
+one BLAS thread.
 """
 
 import ctypes
 import multiprocessing
+import os
 import threading
 import traceback
 from dataclasses import dataclass, replace
@@ -32,7 +33,7 @@ except ImportError:  # numpy < 2
 from .. import metrics, micro
 from ..csvfile import write_csv
 from ..errors import AssumptionError
-from ..kernels import GridSpec, cpu_budget, set_cpu_budget
+from ..kernels import GridSpec
 from ..kinetic import PhaseCloud
 from .runner import RunRecord, run
 from .sampling import SampleDraw, sample_initial
@@ -60,11 +61,12 @@ def _map_members(job, values, label):
     the caller's script; results come back over pipes to this thread.  A
     worker's exception is re-raised with its traceback as a note, a dead
     worker raises ChildProcessError, and no worker outlives the call.  Runs
-    in-process with one usable CPU (`kernels.cpu_budget`, which is one where
+    in-process with one usable CPU (the affinity set; one where
     `os.sched_getaffinity` and with it fork are missing), or beside other
     threads, since a fork would copy the locks they hold.
     """
-    workers = min(cpu_budget(), len(values))
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(usable, len(values))
     if workers < 2 or threading.active_count() > 1:
         return [job(v) for v in values]
     fork = multiprocessing.get_context("fork")
@@ -120,10 +122,8 @@ def _serve(conn, parent_ends, job, values):
     for end in parent_ends:
         end.close()  # so that recv sees EOF if the parent dies
     # BLAS threads left idle spin for a while, and two workers with a BLAS
-    # thread per CPU each ran slower than the serial sweep; so did two
-    # workers whose Stokes applies each ran on two threads
+    # thread per CPU each ran slower than the serial sweep
     _blas_threads(1)
-    set_cpu_budget(1)
     for i in iter(conn.recv, None):
         try:
             reply = (True, job(values[i]), None)

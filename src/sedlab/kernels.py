@@ -13,10 +13,7 @@ with a smoothing length of one grid spacing.  The convolution is pruned
 and blocked (see `StokesOperator`): it transforms only the rows of the
 padded cube that can be nonzero or are kept, and it works through the
 spectrum a few ky columns at a time.  A force of the form rho g (a
-density times one direction) needs a single forward transform.  On grids
-of at least `_SPLIT_CELLS` cells a side, with two CPUs in the process's
-budget (`cpu_budget`), one apply runs in two halves, one on a short-lived
-helper thread, with the same bits as on one thread.
+density times one direction) needs a single forward transform.
 
 Because the padded convolution is exact for any box that holds sources
 and targets, a force supported in a small part of the grid can be solved
@@ -34,8 +31,6 @@ cloud diameter well under L.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -304,12 +299,7 @@ def interpolate(field: VectorGrid, positions: np.ndarray) -> np.ndarray:
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _ROW_COMPONENTS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 _BLOCK_MODES = 4096  # (ky, kx, kz) modes per pass through the x transforms and the product
-# Smallest grid side n whose apply runs in two threads.  Best of 7 on a
-# 2-core box, both forms: two threads took 0.63-0.67x the time of one at
-# n = 64, and 1.15-1.9x at n = 32 and 16; at the window sides 40-56 they
-# did not win in both forms (the tables are in CHANGES.md).
-_SPLIT_CELLS = 64
-_CPU_CAP = None  # set by `set_cpu_budget`
+_TABLE_SLAB = 16  # x rows of the padded box per evaluation of the kernel's generator
 
 
 class StokesOperator:
@@ -335,19 +325,6 @@ class StokesOperator:
     4. inverse fft along y, keeping n;
     5. irfft along z, keeping n.
 
-    Two threads: with n >= `_SPLIT_CELLS` and a `cpu_budget` of two or
-    more, every pass is split into two halves over a batch axis, and a
-    helper thread runs one half while the calling thread runs the other.
-    Passes 1-2 and 4-5 split by x rows, pass 3 by ky rows.  Each 1-d
-    transform stays whole, so the output is bitwise the one-thread output.
-    The crossover `_SPLIT_CELLS` is the smallest measured size where the
-    split ran faster; below it one thread is faster.  A helper is started
-    and joined inside each of the three stages (passes 1-2, pass 3, passes
-    4-5), so no thread outlives `apply`: the sweeps fork their workers only
-    while the process runs a single thread, and a persistent pool would
-    make every sweep serial.  Sweep workers set their budget to one CPU, so
-    their applies run on one thread.
-
     The grid may be a `Window` of a larger one (same h, n any multiple of
     8); its table is cached like any other, under (n h, n).
 
@@ -366,9 +343,10 @@ class StokesOperator:
         m = 2 * n
         k = np.arange(m)
         xi = np.where(k <= n, k, k - m) * spec.h  # min-image offsets
-        r2 = xi[:, None, None] ** 2 + xi[None, :, None] ** 2 + xi[None, None, :] ** 2
-        iso, aniso = _oseen_generator(r2, spec.h)
-        del r2
+        iso, aniso = np.empty((m, m, m)), np.empty((m, m, m))
+        for x0 in range(0, m, _TABLE_SLAB):  # slabs of x rows bound the generator's temporaries
+            r2 = xi[x0 : x0 + _TABLE_SLAB, None, None] ** 2 + xi[None, :, None] ** 2 + xi[None, None, :] ** 2
+            iso[x0 : x0 + _TABLE_SLAB], aniso[x0 : x0 + _TABLE_SLAB] = _oseen_generator(r2, spec.h)
         table = np.empty((m, 6, m, n + 1))
         for c, (a, b) in enumerate(_PAIRS):
             comp = aniso * _axis_coord(xi, a) * _axis_coord(xi, b)
@@ -399,8 +377,6 @@ class StokesOperator:
                 raise ValueError(f"density shape {force.shape} != {(n, n, n)} or direction not a 3-vector")
             rows = force.transpose(1, 0, 2)[:, None]
             along = [b for b in range(3) if direction[b] != 0.0]
-        if _apply_threads(n) > 1:
-            return self._apply_split(rows, direction, along)
         half = fft.rfft(rows, n=m, axis=3)
         spectrum = fft.fft(half, n=m, axis=0, overwrite_x=True)  # [ky, component, x, kz]
         del half
@@ -415,55 +391,6 @@ class StokesOperator:
         u = fft.irfft(fft.ifft(kept, axis=0, overwrite_x=True)[:n], n=m, axis=3)
         out = np.empty((n, n, n, 3))
         np.multiply(u[..., :n].transpose(2, 0, 3, 1), self.spec.cell_volume, out=out)
-        return out
-
-    def _apply_split(self, rows, direction, along):
-        """`apply` in two halves, one of them on a helper thread; same bits.
-
-        The passes along z and y split by x rows and the passes along x by
-        ky rows, so each 1-d transform stays whole.  The spectrum and the
-        kept rows are held as their two x halves, never copied whole, and
-        each buffer is allocated (or, for a vector force, reused) where the
-        one-thread path does so, so the peak memory is that path's plus one
-        block's temporaries.
-        """
-        n = self.spec.n
-        m = 2 * n
-        h = n // 2
-        spectrum = [None, None]  # x halves of [ky, component, x, kz]
-        block = max(1, _BLOCK_MODES // (m * (n + 1)))
-
-        def forward(i):
-            half = fft.rfft(rows[:, :, i * h : (i + 1) * h], n=m, axis=3)
-            spectrum[i] = fft.fft(half, n=m, axis=0, overwrite_x=True)
-
-        def convolve(i):
-            for k0 in range(i * n, (i + 1) * n, block):
-                k1 = min(k0 + block, (i + 1) * n)
-                f = np.zeros((k1 - k0, rows.shape[1], m, n + 1), dtype=complex)  # x padded to 2n
-                f[:, :, :h] = spectrum[0][k0:k1]
-                f[:, :, h:n] = spectrum[1][k0:k1]
-                u = self._product(k0, fft.fft(f, axis=2, overwrite_x=True), direction, along)
-                u = fft.ifft(u, axis=2, overwrite_x=True)
-                kept[0][k0:k1] = u[:, :, :h]
-                kept[1][k0:k1] = u[:, :, h:n]
-
-        def inverse(i):
-            u = fft.irfft(fft.ifft(kept[i], axis=0, overwrite_x=True)[:n], n=m, axis=3)
-            kept[i] = None
-            np.multiply(u[..., :n].transpose(2, 0, 3, 1), self.spec.cell_volume, out=out[i * h : (i + 1) * h])
-
-        _in_two_threads(forward)
-        # x halves of [ky, a, x, kz]; as on one thread, a vector force overwrites the spectrum, and
-        # each ky row is read and written by one thread only
-        if direction is None:
-            kept = list(spectrum)
-        else:
-            kept = [np.empty((m, 3, h, n + 1), dtype=complex) for _ in range(2)]
-        _in_two_threads(convolve)
-        spectrum.clear()
-        out = np.empty((n, n, n, 3))
-        _in_two_threads(inverse)
         return out
 
     def _product(self, k0, f, direction, along):
@@ -488,50 +415,6 @@ class StokesOperator:
             for b in along:
                 kg[:, a] += direction[b] * table[:, comps[b]]
         return kg * f
-
-
-def cpu_budget() -> int:
-    """CPUs this process may use: its affinity set, capped by `set_cpu_budget`.
-
-    One where `os.sched_getaffinity` is missing (it exists only on Linux).
-    """
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return usable if _CPU_CAP is None else min(usable, _CPU_CAP)
-
-
-def set_cpu_budget(count: int | None) -> None:
-    """Cap `cpu_budget` at count CPUs for the rest of this process; None lifts the cap."""
-    global _CPU_CAP
-    _CPU_CAP = count
-
-
-def _apply_threads(n: int) -> int:
-    """Threads one `StokesOperator.apply` on an n^3 grid runs on: 1 or 2."""
-    return 2 if n >= _SPLIT_CELLS and cpu_budget() >= 2 else 1
-
-
-def _in_two_threads(work) -> None:
-    """Run work(1) on a helper thread and work(0) on this one.
-
-    The helper is joined before this returns, also when work(0) raises;
-    an exception raised in the helper is re-raised here.
-    """
-    failed = []
-
-    def helper():
-        try:
-            work(1)
-        except BaseException as err:
-            failed.append(err)
-
-    thread = threading.Thread(target=helper, name="stokes-apply-half")
-    thread.start()
-    try:
-        work(0)
-    finally:
-        thread.join()
-    if failed:
-        raise failed[0]
 
 
 def _axis_coord(xi: np.ndarray, axis: int) -> np.ndarray:

@@ -7,13 +7,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sedlab.errors import AssumptionError, ConvergenceError, DomainExhaustedError
-from sedlab import kernels
 from sedlab.harness import sweeps
 from sedlab.harness import cli
 from sedlab.harness.config import build_config, default_config, load_config, parse_config_text
@@ -361,7 +361,7 @@ def meanfield_base_config(**initial_extra):
 
 
 def use_cpus(monkeypatch, count):
-    """Make the sweeps and the Stokes apply see `count` usable CPUs, whatever this machine has."""
+    """Make the sweeps see `count` usable CPUs, whatever this machine has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
@@ -432,14 +432,27 @@ class TestSweepWorkers:
         assert counts in ([1, 1], [None, None])
         assert multiprocessing.active_children() == []
 
-    def test_workers_run_one_apply_thread(self, monkeypatch):
+    def test_runs_in_process_without_sched_getaffinity(self, monkeypatch):
         use_cpus(monkeypatch, 2)
-        n = kernels._SPLIT_CELLS
-        assert kernels._apply_threads(n) == 2
-        # each worker reports the threads its applies at the crossover size run on
-        counts = sweeps._map_members(kernels._apply_threads, [n, n], "{}")
-        assert counts == [1, 1]
-        assert kernels._apply_threads(n) == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert sweeps._map_members(lambda v: os.getpid(), [1, 2], "{}") == [os.getpid()] * 2
+        assert multiprocessing.active_children() == []
+
+    def test_runs_in_process_beside_another_thread(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(600,))
+        other.start()
+        try:
+            assert sweeps._map_members(lambda v: os.getpid(), [1, 2], "{}") == [os.getpid()] * 2
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert multiprocessing.active_children() == []
+        # with the thread gone the same call forks two workers
+        pids = sweeps._map_members(lambda v: os.getpid(), [1, 2], "{}")
+        assert len(set(pids)) == 2 and os.getpid() not in pids
         assert multiprocessing.active_children() == []
 
     def test_member_abort_comes_back_with_its_exit_code(self, monkeypatch):

@@ -1,6 +1,3 @@
-import os
-import sys
-import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -295,6 +292,24 @@ class TestStokesOperator:
         ref = K.stokes_direct_sum(self.spec, f)
         assert np.abs(u - ref).max() < 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("slab", [K._TABLE_SLAB, 7])
+    def test_table_is_bitwise_the_whole_array_build(self, monkeypatch, slab):
+        # 2n is a multiple of 16 for every grid, so a slab of 7 checks the ragged last slab
+        monkeypatch.setattr(K, "_TABLE_SLAB", slab)
+        n, m = 24, 48
+        spec = K.GridSpec(12.0, n)
+        k = np.arange(m)
+        xi = np.where(k <= n, k, k - m) * spec.h
+        r2 = xi[:, None, None] ** 2 + xi[None, :, None] ** 2 + xi[None, None, :] ** 2
+        iso, aniso = K._oseen_generator(r2, spec.h)
+        ref = np.empty((m, 6, m, n + 1))
+        for c, (a, b) in enumerate(K._PAIRS):
+            comp = aniso * K._axis_coord(xi, a) * K._axis_coord(xi, b)
+            if a == b:
+                comp += iso
+            ref[:, c] = K.fft.rfftn(comp).real.transpose(1, 0, 2)
+        assert K.StokesOperator(spec)._table.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("g", [(0.0, 0.0, -1.0), (0.36, -0.48, 0.8)])
     def test_density_direction_form_matches_vector_form(self, g):
         spec = K.GridSpec(16.0, 16)
@@ -324,63 +339,6 @@ class TestStokesOperator:
             op.apply(np.zeros((8, 8, 8)))
         with pytest.raises(ValueError):
             op.apply(np.zeros((8, 8, 8)), np.zeros(2))
-
-    @pytest.mark.parametrize("n", sorted({16, K._SPLIT_CELLS, 64}))
-    def test_two_thread_apply_is_bitwise_one_thread(self, monkeypatch, n):
-        # 16 is below the crossover and forced to split: its ky blocks of 7
-        # do not divide the halves
-        monkeypatch.setattr(K, "_SPLIT_CELLS", min(n, K._SPLIT_CELLS))
-        monkeypatch.setattr(K.os, "sched_getaffinity", lambda pid: {0, 1})
-        assert K._apply_threads(n) == 2
-        op = K.StokesOperator(K.GridSpec(float(n), n))
-        rng = np.random.default_rng(35)
-        f = rng.standard_normal((n, n, n, 3))
-        rho = rng.random((n, n, n))
-        g = np.array([0.36, -0.48, 0.8])
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the two halves as finely as the interpreter allows
-        try:
-            split = op.apply(f), op.apply(rho, g)
-        finally:
-            sys.setswitchinterval(interval)
-        monkeypatch.setattr(K, "_CPU_CAP", 1)
-        assert K._apply_threads(n) == 1
-        serial = op.apply(f), op.apply(rho, g)
-        for a, b in zip(split, serial):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-    def test_two_thread_apply_leaves_no_thread_and_reraises(self, monkeypatch):
-        monkeypatch.setattr(K, "_SPLIT_CELLS", 8)
-        monkeypatch.setattr(K.os, "sched_getaffinity", lambda pid: {0, 1})
-        op = K.StokesOperator(self.spec)
-        f = np.random.default_rng(36).standard_normal((8, 8, 8, 3))
-        threads = threading.active_count()
-        ref = op.apply(f)
-        assert threading.active_count() == threads
-
-        fft = K.fft
-
-        def irfft(*args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("helper half failed")
-            return fft.irfft(*args, **kwargs)
-
-        monkeypatch.setattr(K, "fft", SimpleNamespace(rfft=fft.rfft, fft=fft.fft, ifft=fft.ifft, irfft=irfft))
-        with pytest.raises(RuntimeError, match="helper half failed"):
-            op.apply(f)
-        assert threading.active_count() == threads
-        monkeypatch.setattr(K, "fft", fft)
-        assert np.array_equal(op.apply(f), ref)
-
-    def test_sweep_after_two_thread_apply_forks_two_workers(self, monkeypatch):
-        from sedlab.harness import sweeps
-
-        monkeypatch.setattr(K, "_SPLIT_CELLS", 8)
-        monkeypatch.setattr(K.os, "sched_getaffinity", lambda pid: {0, 1})
-        assert K._apply_threads(8) == 2
-        K.StokesOperator(self.spec).apply(np.ones((8, 8, 8, 3)))
-        pids = sweeps._map_members(lambda v: os.getpid(), [1, 2], "{}")
-        assert len(set(pids)) == 2 and os.getpid() not in pids
 
     def test_one_gradient_build_per_vlasov_step(self, monkeypatch):
         from sedlab import kinetic
