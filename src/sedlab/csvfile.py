@@ -9,6 +9,9 @@ import csv
 
 import numpy as np
 
+# cells csv.writer writes as `_cell` would; rows of them, as from ndarray.tolist(), go as they are
+_NATIVE = frozenset((float, int, str))
+
 
 def _cell(value):
     return repr(float(value)) if isinstance(value, (float, np.floating)) else value
@@ -19,4 +22,4 @@ def write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)
+        writer.writerows(row if _NATIVE.issuperset(map(type, row)) else [_cell(v) for v in row] for row in rows)

@@ -45,6 +45,7 @@ DEFAULTS = {
 KNOWN_KEYS = {
     **{name: frozenset(keys) for name, keys in DEFAULTS.items()},
     "initial": frozenset(DEFAULTS["initial"]) | {"x_radius", "v_radius"},
+    "output": frozenset(DEFAULTS["output"]) | {"energy_budget"},  # 1 (on) or 0
     "hydro": frozenset({"steps_per_relaxation", "transport_dt"}),
     "meanfield": frozenset({"n_ref"}),
 }
@@ -122,6 +123,8 @@ class SimConfig:
         cadence = self.output.get("s_cadence", "snapshot")
         if cadence not in S_CADENCES:
             raise ValueError(f"[output] s_cadence must be one of {S_CADENCES}, got {cadence!r}")
+        if self.output.get("energy_budget", 1) not in (0, 1):
+            raise ValueError(f"[output] energy_budget must be 0 or 1, got {self.output['energy_budget']!r}")
         cells = int(self.cells)
         if cells < 8 or cells & (cells - 1):
             raise ValueError(f"grid resolution must be a power of two >= 8, got {cells}")

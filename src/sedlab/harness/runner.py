@@ -3,7 +3,7 @@
 A run never escapes as an unexplained traceback: tier-specific aborts
 (contact, non-convergence, leaving the grid, violated assumptions) are
 caught, stamped into the record with their exit code, and the partial
-series plus a final checkpoint are still written.
+series are still written.
 """
 
 import time as _time
@@ -25,7 +25,6 @@ class RunRecord:
     config: SimConfig
     config_hash: str
     grid: GridSpec
-    times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)  # (t, cloud/ensemble) at cadence
     budgets: list = field(default_factory=list)  # vlasov: filled EnergyBudget series
     stats: list = field(default_factory=list)  # micro: (t, EnsembleStats)
@@ -40,6 +39,10 @@ class RunRecord:
     @property
     def ok(self) -> bool:
         return not self.abort
+
+    @property
+    def times(self) -> list:
+        return [t for t, _ in self.snapshots]
 
     @property
     def final_state(self):
@@ -89,7 +92,6 @@ def _run_micro(record, draw, config, grid):
         st = micro.stats(e, force_values=micro.forces(e, w))
         record.stats.append((e.time, st))
         record.snapshots.append((e.time, e))
-        record.times.append(e.time)
         return w
 
     # one closure solve per state: a snapshot's w drives the step from it
@@ -108,24 +110,24 @@ def _run_vlasov(record, draw, config, grid):
     tol = float(config.tolerances.get("brinkman", 1e-9))
     every = _cadence(config.steps, config.output.get("snapshots", 50))
     s_every_step = config.output.get("s_cadence", "snapshot") == "step"
+    with_budget = bool(config.output.get("energy_budget", 1))
 
     def record_s(c):
         record.s_series.append((c.time, metrics.s_functional(c, grid, c.gravity, c.w)))
 
     record.snapshots.append((cloud.time, cloud))
-    record.times.append(cloud.time)
     record_s(cloud)
     warm = None
     for step_index in range(config.steps):
-        cloud, fluid, budget = kinetic.vlasov_step(cloud, grid, dt, tol=tol, u0=warm)
-        warm = fluid.velocity
-        record.budgets.append(budget)
+        cloud, fluid, budget = kinetic.vlasov_step(cloud, grid, dt, tol=tol, u0=warm, budget=with_budget)
+        warm = fluid.warm_start
+        if budget is not None:
+            record.budgets.append(budget)
         last = step_index + 1 == config.steps
         if s_every_step or (step_index + 1) % every == 0 or last:
             record_s(cloud)
         if (step_index + 1) % every == 0 or last:
             record.snapshots.append((cloud.time, cloud))
-            record.times.append(cloud.time)
     final_m2 = float(cloud.w @ np.sum(cloud.v**2, axis=1))
     record.budgets = kinetic.finalize_budgets(record.budgets, final_m2, dt)
     return cloud
@@ -135,12 +137,10 @@ def _run_transport(record, draw, config, grid):
     cloud = draw.spatial_cloud()
     every = _cadence(config.steps, config.output.get("snapshots", 50))
     record.snapshots.append((cloud.time, cloud))
-    record.times.append(cloud.time)
     for step_index in range(config.steps):
         cloud = transport.transport_step(cloud, grid, config.dt)
         if (step_index + 1) % every == 0 or step_index + 1 == config.steps:
             record.snapshots.append((cloud.time, cloud))
-            record.times.append(cloud.time)
     return cloud
 
 
@@ -164,9 +164,6 @@ def _write_outputs(record, out_dir):
         snap = out / "final_state.csv"
         if config.tier == "micro":
             micro.save_ensemble_csv(final, snap)
-            chk = out / "final_checkpoint.bin"
-            micro.save_checkpoint(final, chk, seed=config.seed)
-            record.csv_paths["checkpoint"] = str(chk)
         elif config.tier == "vlasov":
             kinetic.save_cloud_csv(final, snap)
         else:

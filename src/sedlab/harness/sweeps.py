@@ -220,7 +220,8 @@ def _hydro_member(base, draw, transport_final, steps_per_relax, out_dir, lam):
     An aborted run comes back with NaN figures for the caller to raise.
     """
     dt = base.t_final / max(1, round(steps_per_relax * lam * base.t_final))
-    config = replace(base, tier="vlasov", lam=lam, dt=dt, output={**base.output, "s_cadence": "step"})
+    output = {**base.output, "s_cadence": "step", "energy_budget": 0}  # the fit reads S, never the budget
+    config = replace(base, tier="vlasov", lam=lam, dt=dt, output=output)
     member_draw = SampleDraw(cloud=replace(draw.cloud, lam=lam), ensemble=None, report=draw.report)
     sub = None if out_dir is None else Path(out_dir) / f"lam_{lam:g}"
     record = run(config, out_dir=sub, draw=member_draw)
@@ -328,7 +329,6 @@ class MeanfieldReport:
     reference_record: RunRecord
     growth_spread: float
     spread_ok: bool
-    fitted_growth_constant: float
     h4_ok: bool
     dmin_ok: bool
 
@@ -388,7 +388,7 @@ def sweep_meanfield(base, n_values, out_dir=None):
     ref_draw = sample_initial(
         base.initial, n_ref, base.seed, base.lam, grid=grid, want_ensemble=False
     )
-    ref_config = replace(base, tier="vlasov", n=n_ref)
+    ref_config = replace(base, tier="vlasov", n=n_ref, output={**base.output, "energy_budget": 0})
     ref_record = run(
         ref_config,
         out_dir=None if out_dir is None else Path(out_dir) / "reference",
@@ -438,7 +438,6 @@ def sweep_meanfield(base, n_values, out_dir=None):
         reference_record=ref_record,
         growth_spread=spread,
         spread_ok=bool(spread <= SPREAD_GATE),
-        fitted_growth_constant=float(np.log(growths.max()) / base.t_final),
         h4_ok=bool(all(m.v_moment9_max <= c_v for m in members)),
         dmin_ok=bool(
             all(np.isfinite(m.dmin_constant) and m.dmin_above_contact for m in members)

@@ -20,7 +20,8 @@ and targets, a force supported in a small part of the grid can be solved
 on a `Window`: the smallest cube of cells that holds its support, side a
 multiple of 8 (`support_window`).  `brinkman_solve` iterates there and
 measures its stop rule there, and the steady transport field at a cloud's
-own samples is solved there (`transport.steady_velocities`).
+own samples is solved there (`transport.steady_velocities`).  The Brinkman
+field off the window costs one whole-grid apply, made only if read.
 
 Fields live on cell centers (i + 1/2) h of a cube [0, L)^3.  Energy
 integrals over the box omit the O(h/L) far-field tail outside it;
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
@@ -166,18 +167,14 @@ class VectorGrid:
         if self.values.shape != (n, n, n, 3):
             raise ValueError(f"vector grid shape {self.values.shape} != {(n, n, n, 3)}")
 
-    @property
-    def box_length(self) -> float:
-        return self.spec.box_length
 
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-
-@dataclass
 class FluidState:
     """Result of a grid solve: velocity plus convergence diagnostics.
+
+    A Brinkman solve on a `Window` holds its field there and its last force.
+    One whole-grid apply of that force fills in the field off the window, on
+    the first read of `velocity`, `grad_sup_norm` or `dirichlet_energy`;
+    `at` and `warm_start` read only what is already computed.
 
     The finite-difference velocity gradient behind `grad_sup_norm` and
     `dirichlet_energy` is built on first use of either, once; solves whose
@@ -186,10 +183,40 @@ class FluidState:
     is never held.
     """
 
-    velocity: VectorGrid
-    residual: float
-    iterations: int
-    _gradient_norms: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, velocity: VectorGrid, residual: float, iterations: int,
+                 window: Window | None = None, force: np.ndarray | None = None):
+        # with a window short of the grid: `velocity` on it, and its last force until the fill
+        self.residual = residual
+        self.iterations = iterations
+        self._field, self._window = velocity, window
+        self._force = None if window is None or window.full else force
+        self._gradient_norms = None
+
+    @property
+    def velocity(self) -> VectorGrid:
+        """The field on the whole grid."""
+        if self._force is not None:
+            w = self._window
+            whole = get_operator(w.grid).apply(w.embed(self._force))
+            whole[w.cells] = self._field.values
+            self._field, self._force = VectorGrid(w.grid, whole), None
+        return self._field
+
+    @property
+    def warm_start(self) -> VectorGrid:
+        """The field as far as it is computed, zero off the window until the fill: the next `u0`."""
+        if self._force is None:
+            return self._field
+        return VectorGrid(self._window.grid, self._window.embed(self._field.values))
+
+    def at(self, positions: np.ndarray) -> np.ndarray:
+        """`interpolate(self.velocity, positions)`, with no fill while every stencil corner is in the window."""
+        if self._force is not None:
+            i0, _ = _cic_corners(self._window.grid, positions, "interpolate")
+            i0 -= self._window.origin
+            if np.all((i0 >= 0) & (i0 <= self._window.spec.n - 2)):
+                return interpolate(self.warm_start, positions)
+        return interpolate(self.velocity, positions)
 
     def _norms(self) -> tuple:
         if self._gradient_norms is None:
@@ -221,8 +248,8 @@ class FluidState:
 # deposit / interpolate (trilinear cloud-in-cell, adjoint pair)
 
 
-def _cic_stencil(spec: GridSpec, positions: np.ndarray, what: str):
-    """Yield (flat cell index, weight) for each of the eight trilinear corners.
+def _cic_corners(spec: GridSpec, positions: np.ndarray, what: str):
+    """(lowest corner cell, fractions) of each position's trilinear stencil.
 
     Positions must stay a half cell away from the box faces; anything
     outside raises DomainExhaustedError rather than wrapping silently.
@@ -238,6 +265,12 @@ def _cic_stencil(spec: GridSpec, positions: np.ndarray, what: str):
             f"{what}: {int(bad.any(axis=1).sum())} position(s) outside the usable box "
             f"(first offender index {k} at {pos[k]}); box side {spec.box_length}"
         )
+    return i0, frac
+
+
+def _cic_stencil(spec: GridSpec, positions: np.ndarray, what: str):
+    """Yield (flat cell index, weight) for each of the eight trilinear corners."""
+    i0, frac = _cic_corners(spec, positions, what)
     n = spec.n
     for corner in range(8):
         dx, dy, dz = corner & 1, (corner >> 1) & 1, (corner >> 2) & 1
@@ -547,11 +580,11 @@ def brinkman_solve(
 
     The force j - rho u vanishes off the support of rho and j, so the loop
     runs on its window (`support_window`) and measures the defect and the
-    residual there; a support that spans the grid runs on the grid.  On
-    convergence one whole-grid apply of the last force fills in the field
-    off the window.  With theta = 1 that is the whole-grid iterate itself;
-    after damping it differs from it off the window by the order of the
-    defect.
+    residual there; a support that spans the grid runs on the grid.  One
+    whole-grid apply of the last force fills in the field off the window
+    when something first reads it there (see `FluidState`).  With theta = 1
+    that is the whole-grid iterate itself; after damping it differs from it
+    off the window by the order of the defect.
     """
     if rho.spec != j.spec:
         raise ValueError("rho and j live on different grids")
@@ -572,7 +605,8 @@ def brinkman_solve(
     tiny = 1e-300
     defect = prev_defect = np.inf
     for it in range(1, max_iter + 1):
-        image = op.apply(jw - rhov * u)
+        force = jw - rhov * u
+        image = op.apply(force)
         defect = _norm(image - u) / max(_norm(image), u_norm, tiny)
         if defect > prev_defect and theta > 0.125:
             theta *= 0.5
@@ -581,11 +615,7 @@ def brinkman_solve(
         step = _norm(u_next - u)
         u_norm = _norm(u_next)
         if defect <= tol:
-            if not window.full:
-                whole = get_operator(rho.spec).apply(window.embed(jw - rhov * u))
-                whole[cells] = u_next
-                u_next = whole
-            return FluidState(VectorGrid(rho.spec, u_next), residual=step / max(u_norm, tiny), iterations=it)
+            return FluidState(VectorGrid(window.spec, u_next), step / max(u_norm, tiny), it, window, force)
         u = u_next
     raise ConvergenceError(
         f"Brinkman iteration left defect {defect:.3e} > tol {tol:.3e} after {max_iter} applications",

@@ -153,30 +153,27 @@ def relaxation_push(x, v, drift, lam, dt):
     return x + dt * drift + (1.0 - decay) / lam * deviation, drift + decay * deviation
 
 
-def _zero_fluid(grid):
-    zero = VectorGrid(grid, np.zeros((grid.n, grid.n, grid.n, 3)))
-    return FluidState(velocity=zero, residual=0.0, iterations=0)
-
-
-def vlasov_step(cloud, grid, dt, coupling=True, tol=1e-9, u0=None):
+def vlasov_step(cloud, grid, dt, coupling=True, tol=1e-9, u0=None, budget=True):
     """Advance the cloud one step; returns (new cloud, fluid, start-of-step budget).
 
     coupling=False forces u to zero, leaving the pure relaxation toward g;
     u0 warm-starts the Brinkman fixed point with the previous step's field.
+    budget=False leaves the budget slot None, and with it the gradient and
+    the whole-grid fill that the budget reads (see `kernels.FluidState`).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if coupling:
         rho, j = deposit(cloud, grid)
         fluid = brinkman_solve(rho, j, tol=tol, u0=u0)
-        u_at = interpolate(fluid.velocity, cloud.x)
+        u_at = fluid.at(cloud.x)
     else:
-        fluid = _zero_fluid(grid)
+        fluid = FluidState(VectorGrid(grid, np.zeros((grid.n, grid.n, grid.n, 3))), residual=0.0, iterations=0)
         u_at = np.zeros_like(cloud.v)
-    budget = energy_budget(cloud, fluid)
+    terms = energy_budget(cloud, fluid) if budget else None
     x_new, v_new = relaxation_push(cloud.x, cloud.v, cloud.gravity[None, :] + u_at, cloud.lam, dt)
     new_cloud = replace(cloud, x=x_new, v=v_new, time=cloud.time + dt)
-    return new_cloud, fluid, budget
+    return new_cloud, fluid, terms
 
 
 @dataclass
@@ -278,7 +275,7 @@ def jacobian_check(cloud0, history, probes=4, delta=1e-4, seed=0):
 
 def save_cloud_csv(cloud, path):
     table = np.hstack([cloud.x, cloud.v, cloud.w[:, None]])
-    write_csv(path, ["id", "x", "y", "z", "vx", "vy", "vz", "w"], ([i, *r] for i, r in enumerate(table)))
+    write_csv(path, ["id", "x", "y", "z", "vx", "vy", "vz", "w"], ([i, *r.tolist()] for i, r in enumerate(table)))
 
 
 def save_budget_csv(budgets, path):

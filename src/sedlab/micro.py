@@ -21,7 +21,6 @@ lubrication regime and a contact means the configuration left the regime
 the closure is valid in.
 """
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -350,32 +349,4 @@ def check_assumptions(ens, c_v=10.0, rho_w2=None):
 
 def save_ensemble_csv(ens, path):
     table = np.hstack([ens.x, ens.v])
-    write_csv(path, ["id", "x", "y", "z", "vx", "vy", "vz"], ([i, *r] for i, r in enumerate(table)))
-
-
-_CHECKPOINT_HEADER = "<qdddq"  # N, R, lam, t, seed
-
-
-def save_checkpoint(ens, path, seed=0):
-    """Binary state dump: (N, R, lam, t, seed) header, then gravity, h1, X, V."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(_CHECKPOINT_HEADER, ens.n, ens.radius, ens.lam, ens.time, seed))
-        fh.write(np.asarray(ens.gravity, dtype="<f8").tobytes())
-        fh.write(struct.pack("<B", 1 if ens.h1 else 0))
-        fh.write(ens.x.astype("<f8").tobytes())
-        fh.write(ens.v.astype("<f8").tobytes())
-
-
-def load_checkpoint(path):
-    with open(path, "rb") as fh:
-        n, radius, lam, time, seed = struct.unpack(
-            _CHECKPOINT_HEADER, fh.read(struct.calcsize(_CHECKPOINT_HEADER))
-        )
-        gravity = np.frombuffer(fh.read(24), dtype="<f8").copy()
-        (h1,) = struct.unpack("<B", fh.read(1))
-        x = np.frombuffer(fh.read(24 * n), dtype="<f8").reshape(n, 3).copy()
-        v = np.frombuffer(fh.read(24 * n), dtype="<f8").reshape(n, 3).copy()
-    ens = ParticleEnsemble(
-        x=x, v=v, lam=lam, gravity=gravity, radius=radius, time=time, h1=bool(h1)
-    )
-    return ens, seed
+    write_csv(path, ["id", "x", "y", "z", "vx", "vy", "vz"], ([i, *r.tolist()] for i, r in enumerate(table)))

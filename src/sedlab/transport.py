@@ -102,4 +102,4 @@ def transport_step(cloud, grid, dt):
 
 def save_spatial_csv(cloud, path):
     table = np.hstack([cloud.x, cloud.w[:, None]])
-    write_csv(path, ["id", "x", "y", "z", "w"], ([i, *r] for i, r in enumerate(table)))
+    write_csv(path, ["id", "x", "y", "z", "w"], ([i, *r.tolist()] for i, r in enumerate(table)))

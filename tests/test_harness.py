@@ -94,6 +94,14 @@ class TestConfig:
             default_config({"run": {"lambda": -1.0}})
         with pytest.raises(ValueError, match="s_cadence"):
             default_config({"output": {"s_cadence": "steps"}})
+        with pytest.raises(ValueError, match="energy_budget"):
+            default_config({"output": {"energy_budget": 2}})
+
+    def test_energy_budget_switch_keeps_the_default_hash(self):
+        assert default_config({"output": {"energy_budget": 0}}).output["energy_budget"] == 0
+        assert "energy_budget" not in default_config().output
+        # the switch's default lives with its reader, so a default config hashes as before it
+        assert default_config().config_hash() == "11d26ecb7ac7331e"
 
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ValueError, match="line 2"):
@@ -536,6 +544,10 @@ class TestSweeps:
         assert w2 == sorted(w2, reverse=True)
         assert (tmp_path / "hydro_sweep.csv").exists()
         assert (tmp_path / "transport" / "summary.csv").exists()
+        # members read only S and the final state: no energy budget
+        assert (tmp_path / "lam_6" / "s_series.csv").exists()
+        assert not list(tmp_path.glob("lam_*/energy_budget.csv"))
+        assert all("budget_residual_max_rel" not in m.record.summary for m in report.members)
         # finer members take their own step sizes
         assert report.members[0].dt > report.members[-1].dt
 
@@ -555,6 +567,8 @@ class TestSweeps:
             assert np.isfinite(member.dmin_constant)
             assert member.energies, "paired energy series missing"
         assert (tmp_path / "meanfield_sweep.csv").exists()
+        assert not (tmp_path / "reference" / "energy_budget.csv").exists()
+        assert not list(tmp_path.glob("n_*/final_checkpoint.bin"))
 
     def test_meanfield_checks_each_member_once(self, monkeypatch):
         from sedlab import micro
@@ -714,6 +728,24 @@ class TestCli:
         cfg.write_text("tier = vlasov\nn = 64\n[output]\ns_cadence = steps\n")
         assert cli.main(["simulate", "--config", str(cfg)]) == 1
         assert "s_cadence" in capsys.readouterr().err
+
+    def test_energy_budget_off_writes_no_budget(self, tmp_path, capsys):
+        cfg = tmp_path / "nobudget.cfg"
+        cfg.write_text(
+            "tier = vlasov\nn = 200\nlambda = 10.0\nt_final = 0.05\ndt = 0.0125\n"
+            "[grid]\ncells = 16\n[initial]\nsigma_x = 1.2\nsigma_v = 0.1\n[output]\nenergy_budget = 0\n"
+        )
+        out_dir = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        assert (out_dir / "final_state.csv").exists() and (out_dir / "s_series.csv").exists()
+        assert not (out_dir / "energy_budget.csv").exists()
+        assert "budget_residual_max_rel" not in capsys.readouterr().out
+
+    def test_misspelt_output_key_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("tier = vlasov\nn = 64\n[output]\nenergy_budgets = 0\n")
+        assert cli.main(["simulate", "--config", str(cfg)]) == 1
+        assert "energy_budgets" in capsys.readouterr().err
 
     def test_oracle_rejects_malformed_params(self, capsys):
         assert cli.main(["oracle", "--params", "C"]) == 1

@@ -587,3 +587,73 @@ class TestWindow:
         assert record.ok and len(record.s_series) == 5
         assert built and self.spec.n not in built
         assert sorted(built) == sorted(set(built))
+
+    def _count_applies(self, monkeypatch):
+        """Sides of the Stokes applies made from now on, in call order."""
+        sides = []
+        apply = K.StokesOperator.apply
+        monkeypatch.setattr(K.StokesOperator, "apply",
+                            lambda op, *args: sides.append(op.spec.n) or apply(op, *args))
+        return sides
+
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_whole_grid_applies_only_for_the_budget(self, monkeypatch, budget):
+        from sedlab import harness
+
+        config = harness.default_config(
+            {
+                "run": {"tier": "vlasov", "n": 2000, "lambda": 20.0, "dt": 0.0125, "t_final": 0.05, "seed": 3},
+                "grid": {"box": 16.0, "cells": 32},
+                "output": {"energy_budget": budget},
+            }
+        )
+        draw = harness.sample_initial(config.initial, config.n, config.seed, config.lam, grid=self.spec,
+                                     want_ensemble=False)
+        sides = self._count_applies(monkeypatch)
+        record = harness.run(config, draw=draw)
+        assert record.ok and len(record.budgets) == budget * config.steps
+        assert sides.count(self.spec.n) == budget * config.steps
+        assert len(sides) > config.steps  # the window iterations and the S solves
+
+    def test_lazy_fill_is_bitwise_the_eager_fill(self, monkeypatch):
+        rho, j = _cloud_density(self.spec, 2000, seed=44)
+        window = K.support_window(self.spec, rho.values, j.values)
+        assert not window.full
+        # the loop with theta = 1 and the whole-grid fill made at convergence, written out
+        op = K.get_operator(window.spec)
+        jw, rhov = j.values[window.cells], rho.values[window.cells][..., None]
+        u, u_norm = np.zeros_like(jw), 0.0
+        for it in range(1, 200):
+            force = jw - rhov * u
+            image = op.apply(force)
+            defect = K._norm(image - u) / max(K._norm(image), u_norm, 1e-300)
+            u, u_norm = image, K._norm(image)
+            if defect <= 1e-9:
+                break
+        eager = K.get_operator(self.spec).apply(window.embed(force))
+        eager[window.cells] = u
+        sides = self._count_applies(monkeypatch)
+        fluid = K.brinkman_solve(rho, j)
+        assert fluid.iterations == it and set(sides) == {window.spec.n}
+        energy = fluid.dirichlet_energy
+        assert sides.count(self.spec.n) == 1
+        assert fluid.velocity.values.tobytes() == eager.tobytes()
+        assert energy == K.FluidState(K.VectorGrid(self.spec, eager), 0.0, it).dirichlet_energy
+        assert fluid.velocity is fluid.velocity and sides.count(self.spec.n) == 1  # filled once
+
+    def test_interpolation_at_the_cloud_needs_no_fill(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        cloud = _Cloud(8.0 + 1.2 * rng.standard_normal((2000, 3)), np.full(2000, 1.0 / 2000),
+                       np.array([0.0, 0.0, -1.0]) + 0.1 * rng.standard_normal((2000, 3)))
+        fluid = K.brinkman_solve(*K.deposit(cloud, self.spec))
+        sides = self._count_applies(monkeypatch)
+        before = fluid.at(cloud.x)
+        warm = fluid.warm_start.values
+        assert sides == []
+        off = np.array([1.0, 1.0, 1.0])  # a stencil outside the window builds the fill
+        assert fluid.at(off).tobytes() == K.interpolate(fluid.velocity, off).tobytes()
+        assert sides == [self.spec.n]
+        assert before.tobytes() == fluid.at(cloud.x).tobytes() == K.interpolate(fluid.velocity, cloud.x).tobytes()
+        window = K.support_window(self.spec, *[g.values for g in K.deposit(cloud, self.spec)])
+        assert np.array_equal(warm, window.embed(fluid.velocity.values[window.cells]))
+        assert fluid.warm_start is fluid.velocity

@@ -11,9 +11,7 @@ from sedlab.micro import (
     check_assumptions,
     forces,
     implicit_velocities,
-    load_checkpoint,
     pairwise_min_distance,
-    save_checkpoint,
     save_ensemble_csv,
     stats,
     step,
@@ -373,18 +371,3 @@ class TestSerialization:
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert float(first[1]) == ens.x[0, 0]
-
-    def test_checkpoint_roundtrip(self, tmp_path):
-        ens = random_ensemble(np.random.default_rng(16), 9, lam=3.5)
-        ens = step(ens, 0.01)
-        path = tmp_path / "state.bin"
-        save_checkpoint(ens, path, seed=42)
-        loaded, seed = load_checkpoint(path)
-        assert seed == 42
-        assert loaded.n == ens.n
-        assert loaded.lam == ens.lam
-        assert loaded.radius == ens.radius
-        assert loaded.time == ens.time
-        assert loaded.h1 == ens.h1
-        assert np.array_equal(loaded.x, ens.x)
-        assert np.array_equal(loaded.v, ens.v)
