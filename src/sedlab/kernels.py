@@ -5,14 +5,12 @@ The long-range hydrodynamic interaction is the Oseen tensor
     Phi(x) = (1/8pi) (I/|x| + x xT / |x|^3),
 
 the velocity field of a unit point force in unbounded Stokes flow.
-Grid solves tabulate a regularized version of Phi on a zero-padded
-box (twice the side length), so the FFT convolution is the exact
-linear convolution for sources and targets inside the box: there are
-no periodic images.  The origin cell is handled by `oseen_regularized`
-with a smoothing length of one grid spacing.  The convolution is pruned
-and blocked (see `StokesOperator`): it transforms only the rows of the
-padded cube that can be nonzero or are kept, and it works through the
-spectrum a few ky columns at a time.  A force of the form rho g (a
+Grid solves convolve a regularized version of Phi (`oseen_regularized`,
+smoothing length one grid spacing) on a zero-padded box of twice the side
+length, so the FFT convolution is the exact linear convolution for sources
+and targets inside the box: there are no periodic images.  The kernel's
+transform is built from one octant by parity, and the convolution is
+pruned and blocked (see `StokesOperator`).  A force of the form rho g (a
 density times one direction) needs a single forward transform.
 
 Because the padded convolution is exact for any box that holds sources
@@ -20,8 +18,8 @@ and targets, a force supported in a small part of the grid can be solved
 on a `Window`: the smallest cube of cells that holds its support, side a
 multiple of 8 (`support_window`).  `brinkman_solve` iterates there and
 measures its stop rule there, and the steady transport field at a cloud's
-own samples is solved there (`transport.steady_velocities`).  The Brinkman
-field off the window costs one whole-grid apply, made only if read.
+own samples on the window of their stencils (`stencil_window`).  The
+Brinkman field off the window costs one whole-grid apply, made only if read.
 
 Fields live on cell centers (i + 1/2) h of a cube [0, L)^3.  Energy
 integrals over the box omit the O(h/L) far-field tail outside it;
@@ -332,7 +330,6 @@ def interpolate(field: VectorGrid, positions: np.ndarray) -> np.ndarray:
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _ROW_COMPONENTS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 _BLOCK_MODES = 4096  # (ky, kx, kz) modes per pass through the x transforms and the product
-_TABLE_SLAB = 16  # x rows of the padded box per evaluation of the kernel's generator
 
 
 class StokesOperator:
@@ -341,9 +338,11 @@ class StokesOperator:
     The regularized Oseen tensor (eps = one grid spacing) is tabulated on
     the doubled box and transformed once.  Zero padding makes the circular
     convolution equal the exact linear convolution for sources and targets
-    inside the box.  Tabulation is even in x, hence the transform is real;
-    the six independent tensor components are kept in one ky-major table
-    of shape (2n, 6, 2n, n + 1), indexed [ky, component, kx, kz].
+    inside the box.  Component (a, a) is even in every axis and (a, b),
+    a != b, odd in a and b, so the table is built from the (n + 1)^3 octant
+    of nonnegative offsets by type-1 DCTs and DSTs.  It keeps the rows
+    ky <= n, shape (n + 1, 6, 2n, n + 1), indexed [ky, component, kx, kz];
+    row ky > n is D T(2n - ky) D, D = diag(1, -1, 1), signs in `_product`.
 
     `apply` never forms the padded (2n)^3 force or the full spectrum of
     all three components.  Seven eighths of the padded cube is zero on the
@@ -352,9 +351,9 @@ class StokesOperator:
 
     1. rfft along z, padded to 2n, on the n x n input rows;
     2. fft along y, padded to 2n, on the n x-rows of that half spectrum;
-    3. for each block of ky columns: fft along x (padded), the symmetric
-       3x3 real-by-complex product with the table, inverse fft along x,
-       keeping the first n rows;
+    3. for each block of ky columns, ky < n or ky >= n: fft along x
+       (padded), the symmetric 3x3 real-by-complex product with the table,
+       inverse fft along x, keeping the first n rows;
     4. inverse fft along y, keeping n;
     5. irfft along z, keeping n.
 
@@ -373,21 +372,20 @@ class StokesOperator:
     def __init__(self, spec: GridSpec):
         self.spec = spec
         n = spec.n
-        m = 2 * n
-        k = np.arange(m)
-        xi = np.where(k <= n, k, k - m) * spec.h  # min-image offsets
-        iso, aniso = np.empty((m, m, m)), np.empty((m, m, m))
-        for x0 in range(0, m, _TABLE_SLAB):  # slabs of x rows bound the generator's temporaries
-            r2 = xi[x0 : x0 + _TABLE_SLAB, None, None] ** 2 + xi[None, :, None] ** 2 + xi[None, None, :] ** 2
-            iso[x0 : x0 + _TABLE_SLAB], aniso[x0 : x0 + _TABLE_SLAB] = _oseen_generator(r2, spec.h)
-        table = np.empty((m, 6, m, n + 1))
+        axes = np.meshgrid(*3 * [np.arange(n + 1) * spec.h], indexing="ij", sparse=True)  # octant offsets
+        iso, aniso = _oseen_generator(axes[0] ** 2 + axes[1] ** 2 + axes[2] ** 2, spec.h)
+        self._table = table = np.empty((n + 1, 6, 2 * n, n + 1))
         for c, (a, b) in enumerate(_PAIRS):
-            comp = aniso * _axis_coord(xi, a) * _axis_coord(xi, b)
-            if a == b:
-                comp += iso
-            # even tabulation -> real transform; stored ky-major
-            table[:, c] = fft.rfftn(comp).real.transpose(1, 0, 2)
-        self._table = table
+            if a == b:  # even in every axis: the transform is a DCT-I
+                octant = fft.dctn(aniso * axes[a] ** 2 + iso, type=1)
+            else:  # odd in a and b: -DST-I along a and b (offset n, read by no pair, as 0), DCT-I along the third
+                inner = tuple(slice(1, n) if axis in (a, b) else slice(None) for axis in range(3))
+                octant = np.zeros((n + 1, n + 1, n + 1))
+                odd = fft.dstn((aniso * axes[a] * axes[b])[inner], type=1, axes=(a, b))
+                octant[inner] = -fft.dct(odd, type=1, axis=3 - a - b)
+            table[:, c, : n + 1] = octant.transpose(1, 0, 2)
+            # kx > n mirrors kx < n, negated where the component is odd in x
+            np.multiply(table[:, c, n - 1 : 0 : -1], -1.0 if a == 0 and b != 0 else 1.0, out=table[:, c, n + 1 :])
 
     def apply(self, force: np.ndarray, direction: np.ndarray | None = None) -> np.ndarray:
         """Convolve a force density with the kernel; returns (n, n, n, 3).
@@ -416,44 +414,40 @@ class StokesOperator:
         # [ky, a, x, kz]; a vector force writes each block over the spectrum rows it has consumed
         kept = spectrum if direction is None else np.empty((m, 3, n, n + 1), dtype=complex)
         block = max(1, _BLOCK_MODES // (m * (n + 1)))
-        for k0 in range(0, m, block):
-            f = fft.fft(spectrum[k0 : k0 + block], n=m, axis=2)  # [ky, component, kx, kz]
-            u = self._product(k0, f, direction, along)
-            kept[k0 : k0 + block] = fft.ifft(u, axis=2, overwrite_x=True)[:, :, :n]
+        for h, table, sign in ((0, self._table, (1, 1, 1)), (n, self._table[n:0:-1], (1, -1, 1))):
+            for k0 in range(h, h + n, block):  # ky >= n reads row 2n - ky; no block crosses ky = n
+                k1 = min(k0 + block, h + n)
+                f = fft.fft(spectrum[k0:k1], n=m, axis=2)  # [ky, component, kx, kz]
+                u = self._product(table[k0 - h : k1 - h], f, direction, along, sign)
+                kept[k0:k1] = fft.ifft(u, axis=2, overwrite_x=True)[:, :, :n]
         del spectrum
         u = fft.irfft(fft.ifft(kept, axis=0, overwrite_x=True)[:n], n=m, axis=3)
         out = np.empty((n, n, n, 3))
         np.multiply(u[..., :n].transpose(2, 0, 3, 1), self.spec.cell_volume, out=out)
         return out
 
-    def _product(self, k0, f, direction, along):
-        """Table rows ky = k0, k0 + 1, ... times the x-transformed block f.
+    @staticmethod
+    def _product(table, f, direction, along, sign):
+        """Table rows times the x-transformed block f, as D T D with D = diag(sign).
 
         f is [ky, component, kx, kz] and the result [ky, a, kx, kz]: the
         symmetric 3x3 product, or for a rho (x) direction force the table
         contracted with the direction times the one density spectrum.
         """
-        table = self._table[k0 : k0 + f.shape[0]]
         if direction is None:
             u = np.empty_like(f)
             term = np.empty_like(f[:, 0])
             for a, comps in enumerate(_ROW_COMPONENTS):
-                np.multiply(table[:, comps[0]], f[:, 0], out=u[:, a])
-                for b in (1, 2):
+                np.multiply(table[:, comps[a]], f[:, a], out=u[:, a])
+                for b in ((a + 1) % 3, (a + 2) % 3):
                     np.multiply(table[:, comps[b]], f[:, b], out=term)
-                    u[:, a] += term
+                    (np.add if sign[a] == sign[b] else np.subtract)(u[:, a], term, out=u[:, a])
             return u
         kg = np.zeros(f.shape[:1] + (3,) + f.shape[2:])  # table rows contracted with direction
         for a, comps in enumerate(_ROW_COMPONENTS):
             for b in along:
-                kg[:, a] += direction[b] * table[:, comps[b]]
+                kg[:, a] += sign[a] * sign[b] * direction[b] * table[:, comps[b]]
         return kg * f
-
-
-def _axis_coord(xi: np.ndarray, axis: int) -> np.ndarray:
-    shape = [1, 1, 1]
-    shape[axis] = -1
-    return xi.reshape(shape)
 
 
 def stokes_direct_sum(spec: GridSpec, force_values: np.ndarray) -> np.ndarray:
@@ -542,6 +536,14 @@ def support_window(spec: GridSpec, rho: np.ndarray, j: np.ndarray | None = None)
         return Window(spec, (0, 0, 0), spec)
     origin = tuple(min(int(e[0]), n - side) if e.size else 0 for e in extents)
     return Window(spec, origin, GridSpec(side * spec.h, side))
+
+
+def stencil_window(spec: GridSpec, positions: np.ndarray) -> Window:
+    """The `support_window` of every cell that the trilinear stencils of `positions` read."""
+    i0, _ = _cic_corners(spec, positions, "interpolate")
+    corners = np.zeros((spec.n,) * 3, dtype=bool)  # the two extreme corners of the stencils' bounding box
+    corners[tuple(i0.min(axis=0))] = corners[tuple(i0.max(axis=0) + 1)] = True
+    return support_window(spec, corners)
 
 
 def stokes_solve(force, direction=None) -> FluidState:

@@ -102,11 +102,10 @@ class EnergyBudget:
         )
 
 
-def energy_budget(cloud, fluid, dm2_dt=np.nan):
-    """Instantaneous terms of the energy identity for a cloud and its field."""
+def energy_budget(cloud, fluid, u_at, dm2_dt=np.nan):
+    """Instantaneous terms of the energy identity; u_at is the field at the samples, `fluid.at(cloud.x)`."""
     m2 = float(cloud.w @ np.sum(cloud.v**2, axis=1))
     grad_term = cloud.lam * fluid.dirichlet_energy
-    u_at = interpolate(fluid.velocity, cloud.x)
     friction_term = cloud.lam * float(cloud.w @ np.sum((u_at - cloud.v) ** 2, axis=1))
     gravity_term = cloud.lam * float(cloud.w @ (cloud.v @ cloud.gravity))
     return EnergyBudget(
@@ -170,7 +169,7 @@ def vlasov_step(cloud, grid, dt, coupling=True, tol=1e-9, u0=None, budget=True):
     else:
         fluid = FluidState(VectorGrid(grid, np.zeros((grid.n, grid.n, grid.n, 3))), residual=0.0, iterations=0)
         u_at = np.zeros_like(cloud.v)
-    terms = energy_budget(cloud, fluid) if budget else None
+    terms = energy_budget(cloud, fluid, u_at) if budget else None
     x_new, v_new = relaxation_push(cloud.x, cloud.v, cloud.gravity[None, :] + u_at, cloud.lam, dt)
     new_cloud = replace(cloud, x=x_new, v=v_new, time=cloud.time + dt)
     return new_cloud, fluid, terms

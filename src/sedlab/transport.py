@@ -15,7 +15,7 @@ import numpy as np
 
 from .csvfile import write_csv
 from .errors import ConvergenceError
-from .kernels import ScalarGrid, VectorGrid, deposit, interpolate, stokes_solve, support_window
+from .kernels import ScalarGrid, VectorGrid, deposit, interpolate, stencil_window, stokes_solve
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,12 @@ def steady_velocity_field(cloud, grid):
 def steady_velocities(cloud, grid):
     """The field of `steady_velocity_field`, at the cloud's own samples only.
 
-    Interpolation at a sample reads only cells that its own deposit
-    touched, so the solve runs on the density's window
-    (`kernels.support_window`) and agrees with the whole-grid field there
-    to rounding; a density that spans the grid is solved on the grid.
+    The solve runs on the window of every sample's interpolation stencil
+    (`kernels.stencil_window`), zero-weight samples included, and agrees
+    with the whole-grid field there to rounding.
     """
     rho, _ = deposit(cloud, grid)
-    window = support_window(grid, rho.values)
+    window = stencil_window(grid, cloud.x)
     u = stokes_solve(ScalarGrid(window.spec, rho.values[window.cells]), cloud.gravity).velocity.values
     _require_finite(u)
     return interpolate(VectorGrid(grid, window.embed(u)), cloud.x)

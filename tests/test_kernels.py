@@ -292,23 +292,39 @@ class TestStokesOperator:
         ref = K.stokes_direct_sum(self.spec, f)
         assert np.abs(u - ref).max() < 1e-13 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("slab", [K._TABLE_SLAB, 7])
-    def test_table_is_bitwise_the_whole_array_build(self, monkeypatch, slab):
-        # 2n is a multiple of 16 for every grid, so a slab of 7 checks the ragged last slab
-        monkeypatch.setattr(K, "_TABLE_SLAB", slab)
-        n, m = 24, 48
-        spec = K.GridSpec(12.0, n)
+    @staticmethod
+    def _whole_array_apply(spec, force):
+        """Plain padded convolution with the kernel tabulated on the whole (2n)^3 cube and
+        transformed by rfftn, the table the octant build replaces."""
+        n, m = spec.n, 2 * spec.n
         k = np.arange(m)
-        xi = np.where(k <= n, k, k - m) * spec.h
-        r2 = xi[:, None, None] ** 2 + xi[None, :, None] ** 2 + xi[None, None, :] ** 2
-        iso, aniso = K._oseen_generator(r2, spec.h)
-        ref = np.empty((m, 6, m, n + 1))
-        for c, (a, b) in enumerate(K._PAIRS):
-            comp = aniso * K._axis_coord(xi, a) * K._axis_coord(xi, b)
-            if a == b:
-                comp += iso
-            ref[:, c] = K.fft.rfftn(comp).real.transpose(1, 0, 2)
-        assert K.StokesOperator(spec)._table.tobytes() == ref.tobytes()
+        xi = np.where(k <= n, k, k - m) * spec.h  # min-image offsets
+        x, y, z = np.meshgrid(xi, xi, xi, indexing="ij", sparse=True)
+        iso, aniso = K._oseen_generator(x**2 + y**2 + z**2, spec.h)
+        fk = np.fft.rfftn(force, s=(m, m, m), axes=(0, 1, 2))
+        uk = np.zeros_like(fk)
+        for a, b in K._PAIRS:
+            kernel = np.fft.rfftn(aniso * (x, y, z)[a] * (x, y, z)[b] + (iso if a == b else 0.0)).real
+            uk[..., a] += kernel * fk[..., b]
+            if a != b:
+                uk[..., b] += kernel * fk[..., a]
+        return np.fft.irfftn(uk, s=(m, m, m), axes=(0, 1, 2))[:n, :n, :n] * spec.cell_volume
+
+    @pytest.mark.parametrize("n", [8, 24, 40])
+    def test_applies_match_the_whole_array_table(self, n):
+        # 24 and 40 are window sides; at 24 a block holds three ky rows, and one ends at ky = n
+        spec = K.GridSpec(0.5 * n, n)
+        op = K.StokesOperator(spec)
+        rng = np.random.default_rng(35)
+        f, rho = rng.standard_normal((n, n, n, 3)), rng.random((n, n, n))
+        g = np.array([0.36, -0.48, 0.8])
+        for got, force in ((op.apply(f), f), (op.apply(rho, g), rho[..., None] * g)):
+            ref = self._whole_array_apply(spec, force)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_table_build_is_repeatable(self):
+        spec = K.GridSpec(12.0, 24)
+        assert K.StokesOperator(spec)._table.tobytes() == K.StokesOperator(spec)._table.tobytes()
 
     @pytest.mark.parametrize("g", [(0.0, 0.0, -1.0), (0.36, -0.48, 0.8)])
     def test_density_direction_form_matches_vector_form(self, g):
@@ -565,6 +581,19 @@ class TestWindow:
         whole = K.interpolate(steady_velocity_field(SimpleNamespace(x=cloud.x, w=cloud.w, gravity=g),
                                                     self.spec).velocity, cloud.x)
         assert self._rel(steady_field_velocities(cloud, self.spec, g), whole) <= 1e-13
+
+    def test_steady_velocities_at_a_zero_weight_sample_off_the_density(self):
+        from sedlab.transport import steady_velocities, steady_velocity_field
+
+        rng = np.random.default_rng(46)
+        x = 8.0 + 1.2 * rng.standard_normal((500, 3))
+        x[0] = 2.0  # weight 0: it deposits nothing, and its stencil lies off the density's window
+        cloud = SimpleNamespace(x=x, w=np.r_[0.0, np.full(499, 1 / 499)], gravity=np.array([0.0, 0.6, -0.8]))
+        rho, _ = K.deposit(cloud, self.spec)
+        assert min(K.support_window(self.spec, rho.values).origin) > 3  # the sample's stencil starts at cell 3
+        assert not K.stencil_window(self.spec, x).full
+        whole = K.interpolate(steady_velocity_field(cloud, self.spec).velocity, x)
+        assert self._rel(steady_velocities(cloud, self.spec), whole) <= 1e-13
 
     def test_vlasov_run_builds_each_window_table_once(self, monkeypatch):
         from collections import OrderedDict
