@@ -218,10 +218,6 @@ def run(config: SimConfig, out_dir=None, draw=None) -> RunRecord:
             )
         record.sample_report = draw.report
         record.assumptions = draw.assumptions
-        if draw.ensemble is not None and record.assumptions is None:
-            record.assumptions = micro.check_assumptions(
-                draw.ensemble, c_v=float(config.initial.get("c_v", 10.0))
-            )
         runner = {"micro": _run_micro, "vlasov": _run_vlasov, "transport": _run_transport}
         runner[config.tier](record, draw, config, grid)
     except SedlabError as err:

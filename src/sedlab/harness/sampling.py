@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 from ..errors import AssumptionError
 from ..kernels import interpolate
 from ..kinetic import PhaseCloud
-from ..micro import AssumptionReport, ParticleEnsemble, h3_ratio, h4_value, pairwise_min_distance
+from ..micro import AssumptionReport, ParticleEnsemble, check_assumptions, h4_value, pairwise_min_distance
 from ..transport import SpatialCloud, steady_velocity_field
 
 GRAVITY = np.array([0.0, 0.0, -1.0])
@@ -36,7 +36,7 @@ class SampleReport:
     resamples: int
     clipped_fraction: float
     d_min: float
-    h3_ratio: float
+    h3_ratio: float  # the ensemble's; NaN for a draw without one, which skips that O(N^2) scan
     h4_value: float
     s0: float  # well-prepared only, NaN otherwise
     field_lipschitz: float
@@ -47,7 +47,7 @@ class SampleDraw:
     cloud: PhaseCloud
     ensemble: ParticleEnsemble | None
     report: SampleReport
-    assumptions: AssumptionReport | None = None  # the ensemble's, when already checked
+    assumptions: AssumptionReport | None = None  # the ensemble's checks; runs record it as is
 
     def spatial_cloud(self) -> SpatialCloud:
         """The position marginal, for the transport tier."""
@@ -135,6 +135,7 @@ def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensem
     x_radius and v_radius.  The cloud is centred in the grid's box, or at
     (8, 8, 8) without a grid.  The well-prepared family needs grid to solve
     for its transport field, and its jitter has wavenumber 1 / sigma_x.
+    want_ensemble adds the ensemble and its checks, the draw's one h3 scan.
     """
     f0_spec = dict(f0_spec)
     family = f0_spec.get("family", "gaussian")
@@ -201,22 +202,21 @@ def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensem
 
         w = np.full(n, 1.0 / n)
         cloud = PhaseCloud(x=x, v=v, w=w, lam=lam, gravity=gravity)
-        ensemble = None
+        ensemble = checks = None
         if want_ensemble:
-            ensemble = ParticleEnsemble(
-                x=x.copy(), v=v.copy(), lam=lam, gravity=gravity, radius=radius
-            )
+            ensemble = ParticleEnsemble(x=x.copy(), v=v.copy(), lam=lam, gravity=gravity, radius=radius)
+            checks = check_assumptions(ensemble, c_v=c_v)
         report = SampleReport(
             family=family,
             resamples=attempt,
             clipped_fraction=clipped_fraction,
             d_min=d_min,
-            h3_ratio=h3_ratio(x, v, lam) if n <= 4096 else np.nan,
+            h3_ratio=np.nan if checks is None else checks.h3_ratio,
             h4_value=h4,
             s0=s0,
             field_lipschitz=field_lip,
         )
-        return SampleDraw(cloud=cloud, ensemble=ensemble, report=report)
+        return SampleDraw(cloud=cloud, ensemble=ensemble, report=report, assumptions=checks)
 
     raise AssumptionError(
         "initial sampling failed after "

@@ -5,9 +5,9 @@ solver for uniformly weighted clouds (the empirical measures all tiers
 produce) whose sizes divide, n | m, as for equal-size tiers or a member
 against a larger reference, and a debiased entropic solver for instances
 too large for the exact path.  On top of the distances,
-`modulated_energies` evaluates the quadratic functionals S, Z, E, H that
+`modulated_energies` evaluates the quadratic functionals S, E, H that
 track how far a kinetic run sits from its own steady transport field (S)
-and how far two coupled runs have drifted apart in position (Z, H) and
+and how far two coupled runs have drifted apart in position (H) and
 velocity (E).  All couplings in cross-tier comparisons are fixed at t = 0
 and pushed forward by the dynamics, so paired samples keep their indices
 for all time.
@@ -299,19 +299,18 @@ class ModulatedEnergies:
     """Quadratic mismatch functionals at one output time.
 
     S measures the kinetic cloud's velocity excess over gravity plus its own
-    steady transport field; Z and H are half the weighted squared position
+    steady transport field; H is half the weighted squared position
     gap between paired runs; E the matching velocity gap.  Entries that do
     not apply to the run at hand are NaN.
     """
 
     t: float
     S: float
-    Z: float
     E: float
     H: float
 
     def __post_init__(self):
-        for name in ("S", "Z", "E", "H"):
+        for name in ("S", "E", "H"):
             val = getattr(self, name)
             if not np.isnan(val) and val < 0.0:
                 raise ValueError(f"{name} must be nonnegative, got {val}")
@@ -354,9 +353,9 @@ def s_functional(snapshot, grid, gravity, weights):
 
 
 def modulated_energies(run):
-    """Evaluate S, Z, E, H along a coupled run.
+    """Evaluate S, E, H along a coupled run.
 
-    S needs a grid to solve for the snapshot's steady field; Z, H need a
+    S needs a grid to solve for the snapshot's steady field; H needs a
     paired second run; E additionally needs velocities on it.  Anything the
     run cannot support comes back NaN rather than silently zero.
     """
@@ -378,7 +377,7 @@ def modulated_energies(run):
         if run.grid is not None and v is not None and gravity is not None:
             S = s_functional(snap, run.grid, gravity, weights)
 
-        Z = E = H = np.nan
+        E = H = np.nan
         if paired:
             other = run.snapshots_b[k]
             xb, vb, _ = _cloud_arrays(other)
@@ -388,11 +387,10 @@ def modulated_energies(run):
                 idx = np.asarray(run.pairing, dtype=np.int64)
             dx = x - xb[idx]
             H = 0.5 * float(weights @ (dx * dx).sum(axis=1))
-            Z = H
             if v is not None and vb is not None:
                 dv = v - vb[idx]
                 E = 0.5 * float(weights @ (dv * dv).sum(axis=1))
-        out.append(ModulatedEnergies(t=float(t), S=S, Z=Z, E=E, H=H))
+        out.append(ModulatedEnergies(t=float(t), S=S, E=E, H=H))
     return out
 
 
@@ -437,7 +435,7 @@ def write_metrics_csv(path, run_id, rows):
 
 def energies_to_rows(series):
     for entry in series:
-        for name in ("S", "Z", "E", "H"):
+        for name in ("S", "E", "H"):
             value = getattr(entry, name)
             if not np.isnan(value):
                 yield entry.t, name, value

@@ -33,6 +33,11 @@ from .kernels import EIGHT_PI, oseen_tensor
 from .kinetic import relaxation_push
 
 DENSE_FALLBACK_CAP = 512
+PAIR_BLOCK_BYTES = 1 << 20  # the most a pair scan's block of cdist rows holds
+
+
+def _pair_rows(n):
+    return max(1, PAIR_BLOCK_BYTES // (8 * n))  # float64 rows against n points, at least one
 
 
 def pairwise_min_distance(x):
@@ -259,15 +264,15 @@ def stats(ens, force_values=None):
     """Configuration statistics: d_min, normalized interaction sums, moments.
 
     The sums S_beta are taken for beta = 1 and 9/4.  The row sums scan the
-    pairs in blocks of 1024 rows of `cdist`, so memory stays O(N); each row
-    counts its i = j entry at d_min.
+    pairs in blocks of `cdist` rows of at most PAIR_BLOCK_BYTES each, so
+    memory stays O(N); each row counts its i = j entry at d_min.
     """
     x = ens.x
     n = ens.n
     if n >= 2:
         d_min = pairwise_min_distance(x)
         row_max = {1.0: 0.0, 2.25: 0.0}
-        block = 1024
+        block = _pair_rows(n)
         for start in range(0, n, block):
             d = cdist(x[start : start + block], x)
             np.fill_diagonal(d[:, start:], d_min)  # i = j counts at d_min
@@ -287,14 +292,15 @@ def stats(ens, force_values=None):
     return EnsembleStats(d_min=d_min, s_beta=s_beta, v_moment9=v_moment9, force_moment9=force_moment9)
 
 
-def h3_ratio(x, v, lam, block=1024):
+def h3_ratio(x, v, lam, block=None):
     """Worst pairwise |V_i - V_j| / ((lam/2) |X_i - X_j|); h3 holds iff <= 1.
 
-    Scans the pairs in row blocks, so memory stays O(block N).
+    Scans the pairs in blocks of `block` rows, `_pair_rows(N)` by default.
     """
     n = x.shape[0]
     if n < 2:
         return 0.0
+    block = block or _pair_rows(n)
     worst = 0.0
     for start in range(0, n, block):
         cap = cdist(x[start : start + block], x)

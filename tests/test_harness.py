@@ -253,6 +253,27 @@ class TestRunner:
         assert np.array_equal(state.x, rec.final_state.x)
         assert np.array_equal(state.v, rec.final_state.v)
 
+    def test_micro_run_scans_h3_once(self, monkeypatch):
+        from sedlab import micro
+
+        cfg = default_config(
+            {
+                "run": {"tier": "micro", "n": 48, "lambda": 8.0, "t_final": 0.025, "dt": 0.0125, "seed": 5},
+                "grid": {"cells": 16},
+                "initial": {"family": "gaussian", "sigma_x": 1.2, "sigma_v": 0.1},
+            }
+        )
+        scan = micro.h3_ratio
+        scans = []
+        monkeypatch.setattr(micro, "h3_ratio", lambda *a, **k: scans.append(a[0].shape[0]) or scan(*a, **k))
+        rec = run(cfg)
+        assert rec.ok and scans == [48]  # the draw's check, which the run records
+        assert rec.sample_report.h3_ratio == rec.assumptions.h3_ratio
+        scans.clear()
+        draw = sample_initial(cfg.initial, cfg.n, cfg.seed, cfg.lam, want_ensemble=False)
+        assert scans == [] and np.isnan(draw.report.h3_ratio)
+        assert draw.ensemble is None and draw.assumptions is None
+
     def test_vlasov_budgets_finalized(self):
         cfg = default_config(
             {

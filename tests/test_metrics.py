@@ -308,7 +308,7 @@ class TestModulatedEnergies:
         ]
         run = CoupledRun(times=times, snapshots_a=snaps, snapshots_b=snaps, pairing="identity")
         for entry in modulated_energies(run):
-            assert entry.E == 0.0 and entry.H == 0.0 and entry.Z == 0.0
+            assert entry.E == 0.0 and entry.H == 0.0
             assert np.isnan(entry.S)
 
     def test_uncoupled_pair_rejected(self):
@@ -394,7 +394,7 @@ class TestModulatedEnergies:
 
     def test_nonnegativity_enforced(self):
         with pytest.raises(ValueError):
-            ModulatedEnergies(t=0.0, S=-1.0, Z=0.0, E=0.0, H=0.0)
+            ModulatedEnergies(t=0.0, S=-1.0, E=0.0, H=0.0)
 
 
 class TestRateFit:
@@ -432,8 +432,8 @@ class TestRateFit:
 class TestCsv:
     def test_tidy_output(self, tmp_path):
         series = [
-            ModulatedEnergies(t=0.0, S=0.5, Z=np.nan, E=0.1, H=0.2),
-            ModulatedEnergies(t=1.0, S=0.25, Z=np.nan, E=0.05, H=0.1),
+            ModulatedEnergies(t=0.0, S=0.5, E=0.1, H=0.2),
+            ModulatedEnergies(t=1.0, S=np.nan, E=0.05, H=0.1),
         ]
         path = tmp_path / "energies.csv"
         write_metrics_csv(path, "run7", energies_to_rows(series))
@@ -441,6 +441,6 @@ class TestCsv:
         assert "\r\n" in raw
         lines = raw.strip().split("\r\n")
         assert lines[0] == "run_id,t,metric,value"
-        # Z is NaN so each time contributes S, E, H
-        assert len(lines) == 1 + 6
+        # a NaN entry writes no row: S, E, H at t = 0, then E, H
+        assert len(lines) == 1 + 5
         assert lines[1].split(",") == ["run7", "0.0", "S", "0.5"]

@@ -1,15 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from sedlab import micro
 from sedlab.errors import CollisionError, ConvergenceError
 from sedlab.kernels import oseen_tensor
 from sedlab.micro import (
     DENSE_FALLBACK_CAP,
+    PAIR_BLOCK_BYTES,
     AssumptionReport,
     ParticleEnsemble,
     check_assumptions,
     forces,
+    h3_ratio,
     implicit_velocities,
     pairwise_min_distance,
     save_ensemble_csv,
@@ -303,8 +308,10 @@ class TestStats:
             np.mean((n * np.linalg.norm(f, axis=1)) ** 9), rel=1e-12
         )
 
-    @pytest.mark.parametrize("n", [300, 2100])  # one row block; two full blocks and a partial one
-    def test_row_blocks_match_full_matrix(self, n):
+    # with 1024-row blocks: one block at 300; two full blocks and a partial one at 2100
+    @pytest.mark.parametrize("n", [300, 2100])
+    def test_row_blocks_match_full_matrix(self, monkeypatch, n):
+        monkeypatch.setattr(micro, "PAIR_BLOCK_BYTES", 8 * 1024 * n)
         ens = random_ensemble(np.random.default_rng(19), n)
         d = cdist(ens.x, ens.x)
         d_min = float(d[~np.eye(n, dtype=bool)].min())
@@ -313,6 +320,27 @@ class TestStats:
         out = stats(ens)
         assert out.d_min == d_min
         assert out.s_beta == s_beta
+
+    def test_pair_scans_keep_to_the_block_budget(self, monkeypatch):
+        n = 3000
+        ens = random_ensemble(np.random.default_rng(23), n)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for scan in (lambda: h3_ratio(ens.x, ens.v, ens.lam), lambda: stats(ens)):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                peaks.append((scan(), tracemalloc.get_traced_memory()[1] - base))
+        finally:
+            tracemalloc.stop()
+        (ratio, ratio_peak), (out, stats_peak) = peaks
+        assert ratio_peak < 4 * PAIR_BLOCK_BYTES and stats_peak < 4 * PAIR_BLOCK_BYTES
+        # many blocks give bitwise the one-block result
+        assert n // micro._pair_rows(n) > 20
+        assert ratio == h3_ratio(ens.x, ens.v, ens.lam, block=n)
+        monkeypatch.setattr(micro, "PAIR_BLOCK_BYTES", 8 * n * n)
+        one_block = stats(ens)
+        assert out.d_min == one_block.d_min and out.s_beta == one_block.s_beta
 
     def test_missing_forces_reported_nan(self):
         ens = random_ensemble(np.random.default_rng(12), 4)
