@@ -144,6 +144,19 @@ def _run_transport(record, draw, config, grid):
     return cloud
 
 
+def _write_samples(state, path):
+    """One row per sample: id, x, y, z, then vx, vy, vz if the state has v, then w if it has w."""
+    header, columns = ["id", "x", "y", "z"], [state.x]
+    if hasattr(state, "v"):
+        header += ["vx", "vy", "vz"]
+        columns.append(state.v)
+    if hasattr(state, "w"):
+        header.append("w")
+        columns.append(state.w[:, None])
+    table = np.hstack(columns)
+    write_csv(path, header, ([i, *r.tolist()] for i, r in enumerate(table)))
+
+
 def _write_outputs(record, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -159,15 +172,9 @@ def _write_outputs(record, out_dir):
                 fh.write(f"{key} = {value}\n")
     record.csv_paths["config"] = str(echo)
 
-    final = record.snapshots[-1][1] if record.snapshots else None
-    if final is not None:
+    if record.snapshots:
         snap = out / "final_state.csv"
-        if config.tier == "micro":
-            micro.save_ensemble_csv(final, snap)
-        elif config.tier == "vlasov":
-            kinetic.save_cloud_csv(final, snap)
-        else:
-            transport.save_spatial_csv(final, snap)
+        _write_samples(record.final_state, snap)
         record.csv_paths["final_state"] = str(snap)
 
     if record.budgets:

@@ -311,6 +311,9 @@ def sweep_hydrodynamic(base, lambdas, out_dir=None):
 
 @dataclass
 class MeanfieldMember:
+    """One particle count: its W2 to the reference at both ends, their ratio
+    (growth) and its own contact and velocity-moment figures."""
+
     n: int
     lam: float
     w2_initial: float
@@ -319,7 +322,6 @@ class MeanfieldMember:
     dmin_constant: float
     dmin_above_contact: bool
     v_moment9_max: float
-    energies: list
     record: RunRecord
 
 
@@ -337,8 +339,8 @@ class MeanfieldReport:
         return self.spread_ok and self.h4_ok and self.dmin_ok
 
 
-def _meanfield_member(base, draws, ref_record, grid, out_dir, n):
-    """One N member: its micro run, W2 to the reference at both ends, E/H series.
+def _meanfield_member(base, draws, ref_record, out_dir, n):
+    """One N member: its micro run and its W2 to the reference at both ends.
 
     An aborted run comes back with NaN figures for the caller to raise.
     """
@@ -346,7 +348,7 @@ def _meanfield_member(base, draws, ref_record, grid, out_dir, n):
     sub = None if out_dir is None else Path(out_dir) / f"n_{n}"
     record = run(replace(base, tier="micro", n=n), out_dir=sub, draw=draws[n])
     if not record.ok:
-        return MeanfieldMember(n, base.lam, np.nan, np.nan, np.nan, np.nan, False, np.nan, [], record)
+        return MeanfieldMember(n, base.lam, np.nan, np.nan, np.nan, np.nan, False, np.nan, record)
 
     # phase-space distances against the larger reference cloud
     final_ens = record.final_state
@@ -361,7 +363,6 @@ def _meanfield_member(base, draws, ref_record, grid, out_dir, n):
         dmin_constant=float(record.summary.get("d_min_constant", np.inf)),
         dmin_above_contact=all(st.d_min > 2.0 * ensemble.radius for _, st in record.stats),
         v_moment9_max=float(record.summary.get("v_moment9_max", np.nan)),
-        energies=_prefix_energies(record, ref_record, n, grid),
         record=record,
     )
 
@@ -425,7 +426,7 @@ def sweep_meanfield(base, n_values, out_dir=None):
     if len(set(flag_sets)) > 1:
         raise AssumptionError(f"members disagree on assumption flags: {flag_sets}")
 
-    job = partial(_meanfield_member, base, draws, ref_record, grid, out_dir)
+    job = partial(_meanfield_member, base, draws, ref_record, out_dir)
     members = _map_members(job, n_values, "n={}")
     for m in members:
         if not m.record.ok:
@@ -453,31 +454,6 @@ def sweep_meanfield(base, n_values, out_dir=None):
     return report
 
 
-def _prefix_energies(member_record, ref_record, n, grid):
-    """E/H series between a micro run and the first n reference samples."""
-    times, snaps_a, snaps_b = [], [], []
-    ref_by_time = {round(t, 12): snap for t, snap in ref_record.snapshots}
-    for t, ens in member_record.snapshots:
-        ref_snap = ref_by_time.get(round(t, 12))
-        if ref_snap is None:
-            continue
-        times.append(t)
-        snaps_a.append(_uniform_view(ens.x, ens.v))
-        snaps_b.append(_uniform_view(ref_snap.x[:n], ref_snap.v[:n]))
-    if not times:
-        return []
-    coupled = metrics.CoupledRun(
-        times=np.asarray(times),
-        snapshots_a=snaps_a,
-        snapshots_b=snaps_b,
-        pairing="identity",
-        gravity=ref_record.snapshots[0][1].gravity,
-        lam=member_record.config.lam,
-        grid=grid,
-    )
-    return metrics.modulated_energies(coupled)
-
-
 @dataclass
 class CompareReport:
     tiers: tuple
@@ -490,7 +466,8 @@ def compare_tiers(base, tiers=("vlasov", "transport"), out_dir=None):
     """Run two tiers from one draw and measure their terminal gap.
 
     vlasov/transport pairs compare position marginals; micro/vlasov pairs
-    share sample counts, so they also carry the paired energy series.
+    start from the same samples, so they also carry the paired energy
+    series at their common snapshot times.
     """
     tiers = tuple(tiers)
     if len(tiers) != 2 or len(set(tiers)) != 2:
@@ -520,9 +497,16 @@ def compare_tiers(base, tiers=("vlasov", "transport"), out_dir=None):
 
     energies = []
     if set(tiers) == {"micro", "vlasov"}:
-        micro_idx = tiers.index("micro")
-        micro_record, vlasov_record = records[micro_idx], records[1 - micro_idx]
-        energies = _prefix_energies(micro_record, vlasov_record, base.n, grid)
+        micro_record, vlasov_record = records if tiers[0] == "micro" else records[::-1]
+        if micro_record.times != vlasov_record.times:
+            raise ValueError("micro and vlasov runs must share snapshot times")
+        energies = metrics.modulated_energies(
+            micro_record.times,
+            [_uniform_view(ens.x, ens.v) for _, ens in micro_record.snapshots],
+            [cloud for _, cloud in vlasov_record.snapshots],
+            grid,
+            draw.cloud.gravity,
+        )
 
     report = CompareReport(tiers=tiers, w2_final=float(w2), energies=energies, records=tuple(records))
     if out_dir is not None:

@@ -272,11 +272,6 @@ def jacobian_check(cloud0, history, probes=4, delta=1e-4, seed=0):
     )
 
 
-def save_cloud_csv(cloud, path):
-    table = np.hstack([cloud.x, cloud.v, cloud.w[:, None]])
-    write_csv(path, ["id", "x", "y", "z", "vx", "vy", "vz", "w"], ([i, *r.tolist()] for i, r in enumerate(table)))
-
-
 def save_budget_csv(budgets, path):
     write_csv(
         path,

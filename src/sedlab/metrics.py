@@ -8,9 +8,9 @@ too large for the exact path.  On top of the distances,
 `modulated_energies` evaluates the quadratic functionals S, E, H that
 track how far a kinetic run sits from its own steady transport field (S)
 and how far two coupled runs have drifted apart in position (H) and
-velocity (E).  All couplings in cross-tier comparisons are fixed at t = 0
-and pushed forward by the dynamics, so paired samples keep their indices
-for all time.
+velocity (E).  The coupling of a cross-tier comparison is fixed at t = 0
+by drawing both runs from one sample and pushed forward by the dynamics,
+so paired samples keep their indices for all time.
 """
 
 from dataclasses import dataclass
@@ -298,10 +298,9 @@ def wasserstein2_entropic(a, b, space="spatial", tol=1e-6, max_iter=20000):
 class ModulatedEnergies:
     """Quadratic mismatch functionals at one output time.
 
-    S measures the kinetic cloud's velocity excess over gravity plus its own
-    steady transport field; H is half the weighted squared position
-    gap between paired runs; E the matching velocity gap.  Entries that do
-    not apply to the run at hand are NaN.
+    S measures the first run's velocity excess over gravity plus its own
+    steady transport field; H is half the weighted squared position gap
+    between paired samples of the two runs; E the matching velocity gap.
     """
 
     t: float
@@ -312,28 +311,8 @@ class ModulatedEnergies:
     def __post_init__(self):
         for name in ("S", "E", "H"):
             val = getattr(self, name)
-            if not np.isnan(val) and val < 0.0:
+            if val < 0.0:
                 raise ValueError(f"{name} must be nonnegative, got {val}")
-
-
-@dataclass
-class CoupledRun:
-    """Snapshot series of one run, optionally paired with a second.
-
-    `pairing` records how samples of the two runs were coupled at t = 0:
-    "identity" when both were drawn from one seed stream (sample i pairs
-    with sample i), or an index array mapping run-a samples to run-b
-    samples.  None means the runs were never coupled, which rules out the
-    paired energies.
-    """
-
-    times: np.ndarray
-    snapshots_a: list
-    snapshots_b: list = None
-    pairing: object = None
-    gravity: np.ndarray = None
-    lam: float = 1.0
-    grid: object = None
 
 
 def steady_field_velocities(snapshot, grid, gravity):
@@ -352,45 +331,31 @@ def s_functional(snapshot, grid, gravity, weights):
     return 0.5 * float(weights @ (excess * excess).sum(axis=1))
 
 
-def modulated_energies(run):
-    """Evaluate S, E, H along a coupled run.
+def modulated_energies(times, snapshots_a, snapshots_b, grid, gravity):
+    """S, E, H at each output time of two runs coupled at t = 0.
 
-    S needs a grid to solve for the snapshot's steady field; H needs a
-    paired second run; E additionally needs velocities on it.  Anything the
-    run cannot support comes back NaN rather than silently zero.
+    Both runs start from one draw, so sample i of snapshots_a[k] pairs with
+    sample i of snapshots_b[k] for all time.  The second run may hold more
+    samples than the first; only its first n enter.  S is the first run's,
+    solved on `grid`.  The three series must have equal lengths.
     """
-    times = np.asarray(run.times, dtype=float)
-    paired = run.snapshots_b is not None
-    if paired and run.pairing is None:
-        raise ValueError("runs are not coupled: no pairing metadata")
-    if paired and len(run.snapshots_b) != len(run.snapshots_a):
-        raise ValueError("paired runs must share output times")
-    gravity = None if run.gravity is None else np.asarray(run.gravity, dtype=float)
-
+    gravity = np.asarray(gravity, dtype=float)
     out = []
-    for k, t in enumerate(times):
-        snap = run.snapshots_a[k]
+    for t, snap, other in zip(times, snapshots_a, snapshots_b, strict=True):
         x, v, w = _cloud_arrays(snap)
-        weights = _normalized_weights(w, x.shape[0])
-
-        S = np.nan
-        if run.grid is not None and v is not None and gravity is not None:
-            S = s_functional(snap, run.grid, gravity, weights)
-
-        E = H = np.nan
-        if paired:
-            other = run.snapshots_b[k]
-            xb, vb, _ = _cloud_arrays(other)
-            if isinstance(run.pairing, str) and run.pairing == "identity":
-                idx = slice(None)
-            else:
-                idx = np.asarray(run.pairing, dtype=np.int64)
-            dx = x - xb[idx]
-            H = 0.5 * float(weights @ (dx * dx).sum(axis=1))
-            if v is not None and vb is not None:
-                dv = v - vb[idx]
-                E = 0.5 * float(weights @ (dv * dv).sum(axis=1))
-        out.append(ModulatedEnergies(t=float(t), S=S, E=E, H=H))
+        n = x.shape[0]
+        weights = _normalized_weights(w, n)
+        xb, vb, _ = _cloud_arrays(other)
+        dx = x - xb[:n]
+        dv = v - vb[:n]
+        out.append(
+            ModulatedEnergies(
+                t=float(t),
+                S=s_functional(snap, grid, gravity, weights),
+                E=0.5 * float(weights @ (dv * dv).sum(axis=1)),
+                H=0.5 * float(weights @ (dx * dx).sum(axis=1)),
+            )
+        )
     return out
 
 

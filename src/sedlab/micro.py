@@ -27,7 +27,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .csvfile import write_csv
 from .errors import CollisionError, ConvergenceError
 from .kernels import EIGHT_PI, oseen_tensor
 from .kinetic import relaxation_push
@@ -320,7 +319,7 @@ def h4_value(v, lam):
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Initial-data checks; h2_w2 is a measured distance, not a verdict.
+    """Initial-data checks.
 
     h3_ratio and h4_value are the module functions of the same names on the
     ensemble; h3 holds iff h3_ratio <= 1, h4 iff h4_value <= c_v.
@@ -329,17 +328,15 @@ class AssumptionReport:
     h1: bool
     h3: bool
     h4: bool
-    h2_w2: float
     h3_ratio: float
     h4_value: float
 
 
-def check_assumptions(ens, c_v=10.0, rho_w2=None):
-    """Report the verifiable assumptions on an initial ensemble.
+def check_assumptions(ens, c_v=10.0):
+    """Report the verifiable assumptions h1, h3 and h4 on an initial ensemble.
 
-    The density-proximity check (h2) needs a reference density the ensemble
-    does not carry; the caller measures that distance and passes it through,
-    and this report simply records it.
+    The density-proximity assumption (h2) is not checked here: it needs a
+    reference density that the ensemble does not carry.
     """
     ratio = h3_ratio(ens.x, ens.v, ens.lam)
     value = h4_value(ens.v, ens.lam)
@@ -347,12 +344,6 @@ def check_assumptions(ens, c_v=10.0, rho_w2=None):
         h1=abs(ens.radius * 6.0 * np.pi * ens.n - 1.0) <= 1e-9,
         h3=ratio <= 1.0,
         h4=value <= c_v,
-        h2_w2=np.nan if rho_w2 is None else float(rho_w2),
         h3_ratio=ratio,
         h4_value=value,
     )
-
-
-def save_ensemble_csv(ens, path):
-    table = np.hstack([ens.x, ens.v])
-    write_csv(path, ["id", "x", "y", "z", "vx", "vy", "vz"], ([i, *r.tolist()] for i, r in enumerate(table)))

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .csvfile import write_csv
 from .errors import ConvergenceError
 from .kernels import ScalarGrid, VectorGrid, deposit, interpolate, stencil_window, stokes_solve
 
@@ -97,8 +96,3 @@ def transport_step(cloud, grid, dt):
     half = replace(cloud, x=cloud.x + 0.5 * dt * drift, time=cloud.time + 0.5 * dt)
     drift_half = cloud.gravity[None, :] + steady_velocities(half, grid)
     return replace(cloud, x=cloud.x + dt * drift_half, time=cloud.time + dt)
-
-
-def save_spatial_csv(cloud, path):
-    table = np.hstack([cloud.x, cloud.w[:, None]])
-    write_csv(path, ["id", "x", "y", "z", "w"], ([i, *r.tolist()] for i, r in enumerate(table)))

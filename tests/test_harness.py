@@ -17,10 +17,15 @@ from sedlab.errors import AssumptionError, ConvergenceError, DomainExhaustedErro
 from sedlab.harness import sweeps
 from sedlab.harness import cli
 from sedlab.harness.config import build_config, default_config, load_config, parse_config_text
-from sedlab.harness.runner import fit_dmin_constant, run
+from sedlab.harness.runner import _write_samples, fit_dmin_constant, run
 from sedlab.harness.sampling import sample_initial
 from sedlab.harness.sweeps import compare_tiers, fit_s_relaxation, sweep_hydrodynamic, sweep_meanfield
 from sedlab.kernels import GridSpec
+from sedlab.kinetic import PhaseCloud
+from sedlab.micro import ParticleEnsemble
+from sedlab.transport import SpatialCloud
+
+GRAVITY = np.array([0.0, 0.0, -1.0])
 
 
 class TestConfig:
@@ -354,6 +359,26 @@ class TestRunner:
         echoed = (tmp_path / "config.txt").read_text()
         assert "[run]" in echoed and "lambda = 10.0" in echoed
 
+    @pytest.mark.parametrize("tier", ["micro", "vlasov", "transport"])
+    def test_final_state_columns(self, tmp_path, tier):
+        rng = np.random.default_rng(15)
+        n = 5
+        x, v, w = 8.0 + rng.normal(size=(n, 3)), rng.normal(size=(n, 3)), np.full(n, 1.0 / n)
+        state, header = {
+            "micro": (ParticleEnsemble(x=x, v=v, lam=2.0, gravity=GRAVITY), "id,x,y,z,vx,vy,vz"),
+            "vlasov": (PhaseCloud(x=x, v=v, w=w, lam=2.0, gravity=GRAVITY), "id,x,y,z,vx,vy,vz,w"),
+            "transport": (SpatialCloud(x=x, w=w, gravity=GRAVITY), "id,x,y,z,w"),
+        }[tier]
+        path = tmp_path / "final_state.csv"
+        _write_samples(state, path)
+        lines = path.read_bytes().decode().split("\r\n")
+        assert lines[0] == header
+        assert len([ln for ln in lines if ln]) == n + 1
+        first = lines[1].split(",")
+        assert int(first[0]) == 0 and float(first[1]) == x[0, 0]
+        if tier != "micro":
+            assert float(first[-1]) == pytest.approx(1.0 / n)
+
     def test_fit_dmin_constant_minimal_feasible(self):
         times = np.linspace(0.0, 2.0, 40)
         d = 0.5 * np.exp(-3.0 * times)
@@ -387,6 +412,16 @@ def meanfield_base_config(**initial_extra):
         "initial": {"family": "well_prepared", "sigma_x": 1.2, "sigma_v": 0.1, **initial_extra},
     }
     return default_config(sections)
+
+
+def compare_base_config():
+    return default_config(
+        {
+            "run": {"tier": "micro", "n": 128, "lambda": 8.0, "t_final": 0.2, "dt": 1 / 32, "seed": 4},
+            "grid": {"cells": 16},
+            "initial": {"family": "well_prepared", "sigma_x": 1.2, "sigma_v": 0.1},
+        }
+    )
 
 
 def use_cpus(monkeypatch, count):
@@ -586,7 +621,6 @@ class TestSweeps:
         for member in report.members:
             assert member.dmin_above_contact
             assert np.isfinite(member.dmin_constant)
-            assert member.energies, "paired energy series missing"
         assert (tmp_path / "meanfield_sweep.csv").exists()
         assert not (tmp_path / "reference" / "energy_budget.csv").exists()
         assert not list(tmp_path.glob("n_*/final_checkpoint.bin"))
@@ -615,7 +649,7 @@ class TestSweeps:
         report = sweep_meanfield(meanfield_base_config(), [32, 64, 128])
         assert [ens.n for ens, _ in checked] == [32, 64, 128]
         for member, (_, result) in zip(report.members, checked):
-            assert_bitwise_equal(member.record.assumptions, result)  # h2_w2 is NaN
+            assert_bitwise_equal(member.record.assumptions, result)
 
     def test_meanfield_members_are_prefixes(self):
         base = meanfield_base_config()
@@ -661,17 +695,23 @@ class TestSweeps:
             sweep_meanfield(cfg, [32, 64, 128])
 
     def test_compare_micro_vlasov(self):
-        base = default_config(
-            {
-                "run": {"tier": "micro", "n": 128, "lambda": 8.0, "t_final": 0.2, "dt": 1 / 32, "seed": 4},
-                "grid": {"cells": 16},
-                "initial": {"family": "well_prepared", "sigma_x": 1.2, "sigma_v": 0.1},
-            }
-        )
-        report = compare_tiers(base, ("micro", "vlasov"))
+        report = compare_tiers(compare_base_config(), ("micro", "vlasov"))
         assert report.w2_final < 0.05
-        assert report.energies
+        assert [e.t for e in report.energies] == report.records[0].times
         assert report.energies[0].t == 0.0
+        assert report.energies[0].E == report.energies[0].H == 0.0
+
+    def test_compare_rejects_unmatched_snapshot_times(self, monkeypatch):
+        def thinned_run(config, **kwargs):
+            record = sweeps_run(config, **kwargs)
+            if config.tier == "vlasov":
+                del record.snapshots[1]
+            return record
+
+        sweeps_run = sweeps.run
+        monkeypatch.setattr(sweeps, "run", thinned_run)
+        with pytest.raises(ValueError, match="snapshot times"):
+            compare_tiers(compare_base_config(), ("micro", "vlasov"))
 
     def test_member_abort_reraises_the_run_error(self, monkeypatch):
         records = []

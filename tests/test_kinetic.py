@@ -12,7 +12,6 @@ from sedlab.kinetic import (
     jacobian_check,
     replay_flow,
     save_budget_csv,
-    save_cloud_csv,
     vlasov_step,
 )
 
@@ -345,16 +344,6 @@ class TestJacobian:
 
 
 class TestCsv:
-    def test_cloud_snapshot(self, tmp_path):
-        cloud = gaussian_cloud(5, 1.0, seed=0)
-        path = tmp_path / "cloud.csv"
-        save_cloud_csv(cloud, path)
-        lines = path.read_bytes().decode().split("\r\n")
-        assert lines[0] == "id,x,y,z,vx,vy,vz,w"
-        assert len([ln for ln in lines if ln]) == 6
-        first = lines[1].split(",")
-        assert float(first[7]) == pytest.approx(0.2)
-
     def test_budget_series(self, tmp_path):
         budgets = [
             EnergyBudget(t=0.0, m2=1.0, grad_term=0.1, friction_term=0.2, gravity_term=0.3, dm2_dt=0.4),

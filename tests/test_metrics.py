@@ -12,7 +12,6 @@ from sedlab import metrics
 from sedlab.errors import ConvergenceError
 from sedlab.kernels import GridSpec, VectorGrid, deposit, interpolate, stokes_solve
 from sedlab.metrics import (
-    CoupledRun,
     ModulatedEnergies,
     energies_to_rows,
     modulated_energies,
@@ -294,59 +293,56 @@ def relaxed_snapshots(rng, spec, n, lam, gravity, times):
     x = center + rng.normal(scale=1.0, size=(n, 3))
     w = np.full(n, 1.0 / n)
     return [
-        SimpleNamespace(x=x, v=gravity * (1.0 - np.exp(-lam * t)), w=w) for t in times
+        SimpleNamespace(x=x, v=np.tile(gravity * (1.0 - np.exp(-lam * t)), (n, 1)), w=w)
+        for t in times
     ]
+
+
+SPEC = GridSpec(16.0, 32)
+GRAVITY = np.array([0.0, 0.0, -1.0])
+
+
+def phase_snapshot(rng, n):
+    x = SPEC.box_length / 2 + rng.normal(scale=1.2, size=(n, 3))
+    return SimpleNamespace(x=x, v=rng.normal(size=(n, 3)), w=np.full(n, 1.0 / n))
 
 
 class TestModulatedEnergies:
     def test_identical_paired_runs(self):
         rng = np.random.default_rng(10)
         times = np.array([0.0, 0.5, 1.0])
-        snaps = [
-            SimpleNamespace(x=rng.normal(size=(32, 3)), v=rng.normal(size=(32, 3)))
-            for _ in times
-        ]
-        run = CoupledRun(times=times, snapshots_a=snaps, snapshots_b=snaps, pairing="identity")
-        for entry in modulated_energies(run):
+        snaps = [phase_snapshot(rng, 32) for _ in times]
+        for entry in modulated_energies(times, snaps, snaps, SPEC, GRAVITY):
             assert entry.E == 0.0 and entry.H == 0.0
-            assert np.isnan(entry.S)
+            assert np.isfinite(entry.S) and entry.S > 0.0
 
-    def test_uncoupled_pair_rejected(self):
-        snap = SimpleNamespace(x=np.zeros((4, 3)), v=np.zeros((4, 3)))
-        run = CoupledRun(times=np.array([0.0]), snapshots_a=[snap], snapshots_b=[snap])
-        with pytest.raises(ValueError):
-            modulated_energies(run)
-
-    def test_permutation_pairing(self):
+    def test_second_run_enters_by_its_first_n_samples(self):
         rng = np.random.default_rng(11)
-        x = rng.normal(size=(16, 3))
-        v = rng.normal(size=(16, 3))
-        perm = rng.permutation(16)
-        shuffled = SimpleNamespace(x=np.empty_like(x), v=np.empty_like(v))
-        shuffled.x[perm] = x
-        shuffled.v[perm] = v
-        run = CoupledRun(
-            times=np.array([0.0]),
-            snapshots_a=[SimpleNamespace(x=x, v=v)],
-            snapshots_b=[shuffled],
-            pairing=perm,
-        )
-        entry = modulated_energies(run)[0]
-        assert entry.H == pytest.approx(0.0, abs=1e-30)
-        assert entry.E == pytest.approx(0.0, abs=1e-30)
+        times = np.array([0.0, 0.5])
+        snaps_a = [phase_snapshot(rng, 16) for _ in times]
+        longer = [phase_snapshot(rng, 32) for _ in times]
+        prefix = [SimpleNamespace(x=s.x[:16], v=s.v[:16]) for s in longer]
+        got = modulated_energies(times, snaps_a, longer, SPEC, GRAVITY)
+        assert got == modulated_energies(times, snaps_a, prefix, SPEC, GRAVITY)
+        assert all(entry.E > 0.0 and entry.H > 0.0 for entry in got)
+
+    def test_series_of_unequal_length_rejected(self):
+        rng = np.random.default_rng(11)
+        snaps = [phase_snapshot(rng, 8) for _ in range(2)]
+        with pytest.raises(ValueError):
+            modulated_energies(np.array([0.0, 0.5]), snaps, snaps[:1], SPEC, GRAVITY)
+        with pytest.raises(ValueError):
+            modulated_energies(np.array([0.0]), snaps, snaps, SPEC, GRAVITY)
 
     def test_decoupled_relaxation_matches_closed_form(self):
         # u forced to zero and V0 = 0 gives v(t) = g (1 - e^{-lam t}); with a
         # weak ambient field S(t) tracks (1/2) e^{-2 lam t} until the field
         # plateau takes over
         rng = np.random.default_rng(11)
-        spec = GridSpec(16.0, 32)
         lam = 4.0
-        gravity = np.array([0.0, 0.0, -1.0])
         times = np.array([0.0, 0.05, 0.1, 0.2])
-        snaps = relaxed_snapshots(rng, spec, 512, lam, gravity, times)
-        run = CoupledRun(times=times, snapshots_a=snaps, gravity=gravity, lam=lam, grid=spec)
-        series = modulated_energies(run)
+        snaps = relaxed_snapshots(rng, SPEC, 512, lam, GRAVITY, times)
+        series = modulated_energies(times, snaps, snaps, SPEC, GRAVITY)
         for entry in series:
             ratio = entry.S / (0.5 * np.exp(-2.0 * lam * entry.t))
             assert 1.0 < ratio < 1.2
@@ -354,42 +350,26 @@ class TestModulatedEnergies:
 
     def test_s_wiring_against_direct_computation(self):
         rng = np.random.default_rng(12)
-        spec = GridSpec(16.0, 32)
-        gravity = np.array([0.0, 0.0, -1.0])
-        n = 128
-        snap = SimpleNamespace(
-            x=spec.box_length / 2 + rng.normal(scale=1.2, size=(n, 3)),
-            v=rng.normal(size=(n, 3)),
-            w=np.full(n, 1.0 / n),
-        )
-        run = CoupledRun(
-            times=np.array([0.0]), snapshots_a=[snap], gravity=gravity, lam=1.0, grid=spec
-        )
-        entry = modulated_energies(run)[0]
-        rho, _ = deposit(snap, spec)
-        fluid = stokes_solve(VectorGrid(spec, rho.values[..., None] * gravity))
+        snap = phase_snapshot(rng, 128)
+        entry = modulated_energies(np.array([0.0]), [snap], [snap], SPEC, GRAVITY)[0]
+        rho, _ = deposit(snap, SPEC)
+        fluid = stokes_solve(VectorGrid(SPEC, rho.values[..., None] * GRAVITY))
         field_v = interpolate(fluid.velocity, snap.x)
-        expected = 0.5 * np.mean(np.sum((snap.v - gravity - field_v) ** 2, axis=1))
+        expected = 0.5 * np.mean(np.sum((snap.v - GRAVITY - field_v) ** 2, axis=1))
         assert entry.S == pytest.approx(expected, rel=1e-12)
 
     def test_product_coupling_dominates_w2(self):
         # any fixed pairing is a feasible coupling, so W2^2 <= 2E + 2H
         rng = np.random.default_rng(13)
         for _ in range(5):
-            xa, va = rng.normal(size=(2, 24, 3))
+            xa, va = SPEC.box_length / 2 + rng.normal(size=(2, 24, 3))
             xb, vb = xa + rng.normal(scale=0.3, size=(24, 3)), va + rng.normal(
                 scale=0.3, size=(24, 3)
             )
-            run = CoupledRun(
-                times=np.array([0.0]),
-                snapshots_a=[SimpleNamespace(x=xa, v=va)],
-                snapshots_b=[SimpleNamespace(x=xb, v=vb)],
-                pairing="identity",
-            )
-            entry = modulated_energies(run)[0]
-            w2 = wasserstein2_exact(
-                SimpleNamespace(x=xa, v=va), SimpleNamespace(x=xb, v=vb), space="phase"
-            )
+            w = np.full(24, 1.0 / 24)
+            a, b = SimpleNamespace(x=xa, v=va, w=w), SimpleNamespace(x=xb, v=vb, w=w)
+            entry = modulated_energies(np.array([0.0]), [a], [b], SPEC, GRAVITY)[0]
+            w2 = wasserstein2_exact(a, b, space="phase")
             assert w2.cost <= 2.0 * entry.E + 2.0 * entry.H + 1e-12
 
     def test_nonnegativity_enforced(self):

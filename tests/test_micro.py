@@ -17,7 +17,6 @@ from sedlab.micro import (
     h3_ratio,
     implicit_velocities,
     pairwise_min_distance,
-    save_ensemble_csv,
     stats,
     step,
     _interaction_matrix,
@@ -375,27 +374,9 @@ class TestAssumptions:
         fast = ParticleEnsemble(x=x, v=np.full((2, 3), 5.0), lam=2.0, gravity=GRAVITY)
         assert not check_assumptions(fast, c_v=10.0).h4
 
-    def test_h2_passthrough(self):
-        ens = random_ensemble(np.random.default_rng(14), 4)
-        assert np.isnan(check_assumptions(ens).h2_w2)
-        assert check_assumptions(ens, rho_w2=0.125).h2_w2 == 0.125
-
     def test_h1_reported_false_for_decoupled_radius(self):
         x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         ens = ParticleEnsemble(
             x=x, v=np.zeros((2, 3)), lam=1.0, gravity=GRAVITY, radius=0.05, h1=False
         )
         assert not check_assumptions(ens).h1
-
-
-class TestSerialization:
-    def test_csv_snapshot(self, tmp_path):
-        ens = random_ensemble(np.random.default_rng(15), 3)
-        path = tmp_path / "snap.csv"
-        save_ensemble_csv(ens, path)
-        lines = path.read_bytes().decode().strip().split("\r\n")
-        assert lines[0] == "id,x,y,z,vx,vy,vz"
-        assert len(lines) == 4
-        first = lines[1].split(",")
-        assert int(first[0]) == 0
-        assert float(first[1]) == ens.x[0, 0]

@@ -7,7 +7,6 @@ from sedlab.kernels import GridSpec, deposit, interpolate
 from sedlab.metrics import wasserstein2_exact
 from sedlab.transport import (
     SpatialCloud,
-    save_spatial_csv,
     steady_velocity_field,
     transport_step,
 )
@@ -180,14 +179,3 @@ class TestTransportStep:
         e1 = np.abs(x1 - x2).max()
         e2 = np.abs(x2 - x4).max()
         assert 3.2 <= e1 / e2 <= 4.8
-
-
-class TestCsv:
-    def test_snapshot_format(self, tmp_path):
-        cloud = gaussian_cloud(3, seed=1)
-        path = tmp_path / "rho.csv"
-        save_spatial_csv(cloud, path)
-        lines = path.read_bytes().decode().split("\r\n")
-        assert lines[0] == "id,x,y,z,w"
-        assert len([ln for ln in lines if ln]) == 4
-        assert float(lines[1].split(",")[4]) == pytest.approx(1.0 / 3.0)
