@@ -574,11 +574,12 @@ def brinkman_solve(
     loadings this box sees the map is strongly contractive and theta = 1
     converges in a handful of applications; if the defect ever grows the
     damping halves (down to 1/8), which restores convergence for heavily
-    loaded densities at the usual damped-Jacobi cost.  The stop rule is the
-    undamped defect ||St(j - rho u) - u|| / ||u|| <= tol, which dominates the
-    reported step residual ||u_{k+1} - u_k|| / ||u_k||.  A defect still
-    above tol after max_iter applications raises ConvergenceError carrying
-    that defect and the iteration count.
+    loaded densities at the usual damped-Jacobi cost.  It returns u_{k+1} once
+    the undamped defect d_k = ||St(j - rho u_k) - u_k|| / ||u_k||, which
+    dominates the reported step residual, is at most tol or, at theta = 1,
+    once d_{k-1} and d_k put u_{k+1} within tol of the fixed point
+    (`contraction_stop`).  A defect above tol after max_iter applications
+    raises ConvergenceError with that defect and the iteration count.
 
     The force j - rho u vanishes off the support of rho and j, so the loop
     runs on its window (`support_window`) and measures the defect and the
@@ -603,8 +604,7 @@ def brinkman_solve(
     jw = j.values[cells]
     rhov = rho.values[cells][..., None]
     u = np.zeros_like(jw) if u0 is None else u0.values[cells].copy()
-    u_norm = _norm(u)
-    tiny = 1e-300
+    u_norm, tiny = _norm(u), 1e-300
     defect = prev_defect = np.inf
     for it in range(1, max_iter + 1):
         force = jw - rhov * u
@@ -612,18 +612,25 @@ def brinkman_solve(
         defect = _norm(image - u) / max(_norm(image), u_norm, tiny)
         if defect > prev_defect and theta > 0.125:
             theta *= 0.5
-        prev_defect = defect
         u_next = (1.0 - theta) * u + theta * image
         step = _norm(u_next - u)
         u_norm = _norm(u_next)
-        if defect <= tol:
+        if defect <= tol or (theta == 1.0 and contraction_stop(defect, prev_defect, tol)):
             return FluidState(VectorGrid(window.spec, u_next), step / max(u_norm, tiny), it, window, force)
-        u = u_next
+        u, prev_defect = u_next, defect
     raise ConvergenceError(
         f"Brinkman iteration left defect {defect:.3e} > tol {tol:.3e} after {max_iter} applications",
         residual=float(defect),
         iterations=max_iter,
     )
+
+
+def contraction_stop(defect: float, prev_defect: float, tol: float) -> bool:
+    """Whether F(u) is within tol of the fixed point of F, judged from the last two defects
+    ||F(u) - u||: if their ratio q < 1/2 bounds F's contraction, that distance is at most
+    q / (1 - q) defect <= 2 q defect.  An infinite (first), zero or non-finite prev_defect gives no q."""
+    q = defect / prev_defect if 0.0 < prev_defect < math.inf else 1.0
+    return q < 0.5 and 2.0 * q * defect <= tol
 
 
 def _norm(x: np.ndarray) -> float:

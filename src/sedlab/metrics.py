@@ -49,7 +49,6 @@ class TransportCoupling:
     pairing: np.ndarray
     cost: float
     mode: str
-    eps_final: float = 0.0
     marginal_violation: float = 0.0
     stage_costs: tuple = ()
 
@@ -258,9 +257,7 @@ def wasserstein2_entropic(a, b, space="spatial", tol=1e-6, max_iter=20000):
     scale = float(np.median(cost_ab))
     if scale <= 0.0:
         # all cross costs vanish: the clouds sit on one common point
-        return TransportCoupling(
-            pairing=np.outer(wa, wb), cost=0.0, mode="entropic", eps_final=0.0
-        )
+        return TransportCoupling(pairing=np.outer(wa, wb), cost=0.0, mode="entropic")
     eps_schedule = np.geomspace(10.0 * scale, ENTROPIC_FLOOR * scale, ENTROPIC_STAGES)
     log_wa = np.log(wa)
     log_wb = np.log(wb)
@@ -288,7 +285,6 @@ def wasserstein2_entropic(a, b, space="spatial", tol=1e-6, max_iter=20000):
         pairing=pi_ab,
         cost=float(stage_costs[-1]),
         mode="entropic",
-        eps_final=float(eps_schedule[-1]),
         marginal_violation=float(violation),
         stage_costs=tuple(stage_costs),
     )
@@ -309,9 +305,8 @@ class ModulatedEnergies:
     H: float
 
     def __post_init__(self):
-        for name in ("S", "E", "H"):
-            val = getattr(self, name)
-            if val < 0.0:
+        for name, val in (("S", self.S), ("E", self.E), ("H", self.H)):
+            if not val >= 0.0:  # NaN too
                 raise ValueError(f"{name} must be nonnegative, got {val}")
 
 
@@ -399,8 +394,4 @@ def write_metrics_csv(path, run_id, rows):
 
 
 def energies_to_rows(series):
-    for entry in series:
-        for name in ("S", "E", "H"):
-            value = getattr(entry, name)
-            if not np.isnan(value):
-                yield entry.t, name, value
+    return ((entry.t, name, getattr(entry, name)) for entry in series for name in ("S", "E", "H"))

@@ -28,7 +28,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import CollisionError, ConvergenceError
-from .kernels import EIGHT_PI, oseen_tensor
+from .kernels import EIGHT_PI, contraction_stop, oseen_tensor
 from .kinetic import relaxation_push
 
 DENSE_FALLBACK_CAP = 512
@@ -192,7 +192,9 @@ def implicit_velocities(ens, tol=1e-12, max_iter=200):
     each sweep is two GEMMs against them.  The off-diagonal coupling is
     O(S_1 / N), so the map is strongly contractive for configurations the
     assumptions admit and theta = 1 converges in a handful of sweeps;
-    whenever the residual grows the damping halves (down to 1/8).
+    whenever the residual grows the damping halves (down to 1/8).  A sweep
+    y = F(w) returns w once max_i |w_i - y_i| <= tol * scale, or, at theta = 1,
+    y once the last two residuals put y that near (`kernels.contraction_stop`).
     Falls back to a dense direct solve of (I + M/N) w = (M/N) V for
     N <= DENSE_FALLBACK_CAP before giving up; above it, a miss raises
     ConvergenceError with the last residual and iterations = max_iter.
@@ -207,14 +209,14 @@ def implicit_velocities(ens, tol=1e-12, max_iter=200):
     kernel = _PairKernel(ens.x)
     scale = 1.0 + float(np.max(np.linalg.norm(ens.v, axis=1)))
     w = np.zeros((n, 3))
-    theta = 1.0
-    residual = np.inf
-    prev_residual = np.inf
+    theta, residual, prev_residual = 1.0, np.inf, np.inf
     for _ in range(max_iter):
         y = kernel.apply(ens.v - w) / n
         residual = float(np.max(np.linalg.norm(w - y, axis=1)))
         if residual <= tol * scale:
             return w
+        if theta == 1.0 and contraction_stop(residual, prev_residual, tol * scale):
+            return y
         if residual > prev_residual and theta > 0.125:
             theta *= 0.5
         prev_residual = residual

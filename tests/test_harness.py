@@ -559,6 +559,28 @@ class TestSweepWorkers:
             sweep_meanfield(meanfield_base_config(), [32, 64, 128])
         assert multiprocessing.active_children() == []
 
+    def test_forked_sweep_writes_nothing_to_stdout(self, capfd, monkeypatch):
+        # a benchmark reads its result from the last line of a stdout that the
+        # forked workers share: they write nothing there, and every figure is
+        # finite, so that a strict JSON line of them parses
+        def stamped_run(*args, **kwargs):
+            record = plain_run(*args, **kwargs)
+            record.summary["pid"] = os.getpid()
+            return record
+
+        plain_run = sweeps.run
+        monkeypatch.setattr(sweeps, "run", stamped_run)
+        use_cpus(monkeypatch, 2)
+        report = sweep_meanfield(meanfield_base_config(), [32, 64, 128])
+        out, _ = capfd.readouterr()
+        assert out == ""
+        assert os.getpid() not in {m.record.summary["pid"] for m in report.members}
+        figures = [report.growth_spread] + [
+            getattr(m, name) for m in report.members
+            for name in ("w2_initial", "w2_final", "growth", "dmin_constant", "v_moment9_max")
+        ]
+        assert np.all(np.isfinite(figures))  # json.dumps would write a bare NaN
+
     def test_unguarded_script_runs_a_parallel_sweep(self, tmp_path):
         # a forked worker does not re-import the caller's script, so a sweep
         # at a script's top level, with no __main__ guard, runs once

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -557,14 +558,16 @@ class TestWindow:
         got = K.brinkman_solve(rho, j, tol=1e-11)
         op = K.get_operator(self.spec)
         u = np.zeros_like(j.values)
-        u_norm, rhov = 0.0, rho.values[..., None]
+        u_norm, prev, rhov = 0.0, np.inf, rho.values[..., None]
         for it in range(1, 200):
             image = op.apply(j.values - rhov * u)
             defect = K._norm(image - u) / max(K._norm(image), u_norm, 1e-300)
             step = K._norm(image - u)
             u, u_norm = image, K._norm(image)
-            if defect <= 1e-11:
+            q = defect / prev if it > 1 else 1.0  # the contraction over the last two defects
+            if defect <= 1e-11 or (q < 0.5 and 2.0 * q * defect <= 1e-11):
                 break
+            prev = defect
         assert (got.iterations, got.residual) == (it, step / u_norm)
         assert got.velocity.values.tobytes() == u.tobytes()
 
@@ -651,14 +654,16 @@ class TestWindow:
         # the loop with theta = 1 and the whole-grid fill made at convergence, written out
         op = K.get_operator(window.spec)
         jw, rhov = j.values[window.cells], rho.values[window.cells][..., None]
-        u, u_norm = np.zeros_like(jw), 0.0
+        u, u_norm, prev = np.zeros_like(jw), 0.0, np.inf
         for it in range(1, 200):
             force = jw - rhov * u
             image = op.apply(force)
             defect = K._norm(image - u) / max(K._norm(image), u_norm, 1e-300)
             u, u_norm = image, K._norm(image)
-            if defect <= 1e-9:
+            q = defect / prev if it > 1 else 1.0  # the contraction over the last two defects
+            if defect <= 1e-9 or (q < 0.5 and 2.0 * q * defect <= 1e-9):
                 break
+            prev = defect
         eager = K.get_operator(self.spec).apply(window.embed(force))
         eager[window.cells] = u
         sides = self._count_applies(monkeypatch)
@@ -686,3 +691,101 @@ class TestWindow:
         window = K.support_window(self.spec, *[g.values for g in K.deposit(cloud, self.spec)])
         assert np.array_equal(warm, window.embed(fluid.velocity.values[window.cells]))
         assert fluid.warm_start is fluid.velocity
+
+
+def _returned_defect(rho, j, fluid):
+    """Measured defect of the field a Brinkman solve returned, by one more apply on its window."""
+    window = K.support_window(rho.spec, rho.values, j.values)
+    u = fluid.warm_start.values[window.cells]
+    image = K.get_operator(window.spec).apply(j.values[window.cells] - rho.values[window.cells][..., None] * u)
+    return K._norm(image - u) / max(K._norm(image), K._norm(u), 1e-300)
+
+
+class TestStopRule:
+    """A solve stops on the contraction it measured; the field it returns still meets tol."""
+
+    spec = K.GridSpec(16.0, 32)
+
+    def _check_solves(self, monkeypatch):
+        """Defect / tol of each field the vlasov step's solves return, and the count of contraction stops."""
+        from sedlab import kinetic
+
+        ratios, stops = [], []
+        solve, stop = K.brinkman_solve, K.contraction_stop
+
+        def checked(rho, j, tol=1e-9, **kwargs):
+            fluid = solve(rho, j, tol=tol, **kwargs)
+            ratios.append(_returned_defect(rho, j, fluid) / tol)
+            return fluid
+
+        monkeypatch.setattr(kinetic, "brinkman_solve", checked)
+        monkeypatch.setattr(K, "contraction_stop", lambda *args: stops.append(stop(*args)) or stops[-1])
+        return ratios, stops
+
+    def test_contraction_stop_needs_two_finite_defects(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert K.contraction_stop(1e-10, 1e-8, 1e-9)  # q = 0.01: within 2e-12
+            assert not K.contraction_stop(4e-9, 1e-8, 1e-9)  # q = 0.4: only within 3.2e-9
+            assert not K.contraction_stop(1e-12, 1.5e-12, 1.0)  # q > 1/2
+            for prev in (np.inf, 0.0, np.nan):
+                assert not K.contraction_stop(0.0, prev, 1e-9)
+            assert not K.contraction_stop(np.nan, 1e-8, 1e-9)
+
+    def test_vlasov_run_returns_fields_within_tol(self, monkeypatch):
+        from sedlab import harness
+
+        ratios, stops = self._check_solves(monkeypatch)
+        config = harness.default_config(
+            {
+                "run": {"tier": "vlasov", "n": 2000, "lambda": 20.0, "dt": 0.0125, "t_final": 0.1, "seed": 3},
+                "grid": {"box": 16.0, "cells": 32},
+            }
+        )
+        assert harness.run(config).ok
+        assert len(ratios) == config.steps and any(stops)
+        assert max(ratios) <= 1.0
+
+    def test_hydro_member_returns_fields_within_tol(self, monkeypatch):
+        from sedlab import harness
+        from sedlab.harness import sweeps
+
+        base = harness.default_config(
+            {
+                "run": {"tier": "vlasov", "n": 2000, "lambda": 10.0, "t_final": 0.25, "dt": 0.0125, "seed": 1},
+                "grid": {"box": 16.0, "cells": 32},
+            }
+        )
+        draw = harness.sample_initial(base.initial, base.n, base.seed, base.lam, grid=self.spec, want_ensemble=False)
+        ratios, stops = self._check_solves(monkeypatch)
+        member = sweeps._hydro_member(base, draw, draw.cloud, 4.0, None, 80.0)  # the stiffest hydro-32 member
+        assert member.record.ok and len(ratios) == 80 and any(stops)
+        assert max(ratios) <= 1.0
+
+    def test_damped_solve_keeps_the_defect_rule(self):
+        rho = gaussian_density(self.spec, 1.5)
+        j = K.VectorGrid(self.spec, rho.values[..., None] * np.array([0.2, 0.1, -1.0]))
+        assert K.support_window(self.spec, rho.values, j.values).full
+        got = K.brinkman_solve(rho, j, tol=1e-11, theta=0.75)
+        # the damped loop written out: it stops on its own defect only
+        op, rhov = K.get_operator(self.spec), rho.values[..., None]
+        u, defects = np.zeros_like(j.values), [np.inf]
+        for it in range(1, 200):
+            image = op.apply(j.values - rhov * u)
+            defects.append(K._norm(image - u) / max(K._norm(image), K._norm(u), 1e-300))
+            u = 0.25 * u + 0.75 * image
+            if defects[-1] <= 1e-11:
+                break
+        assert got.iterations == it and got.velocity.values.tobytes() == u.tobytes()
+        # the contraction rule would have stopped it sooner
+        assert any(K.contraction_stop(d, p, 1e-11) for p, d in zip(defects[:-2], defects[1:-1]))
+
+    def test_converged_start_returns_at_once(self):
+        rho, j = _cloud_density(self.spec, 2000, seed=47)
+        cold = K.brinkman_solve(rho, j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warm = K.brinkman_solve(rho, j, u0=cold.velocity)
+        assert warm.iterations == 1 and np.isfinite(warm.residual)
+        assert np.all(np.isfinite(warm.velocity.values))
+        assert _returned_defect(rho, j, warm) <= 1e-9

@@ -413,14 +413,17 @@ class TestCsv:
     def test_tidy_output(self, tmp_path):
         series = [
             ModulatedEnergies(t=0.0, S=0.5, E=0.1, H=0.2),
-            ModulatedEnergies(t=1.0, S=np.nan, E=0.05, H=0.1),
+            ModulatedEnergies(t=1.0, S=0.25, E=0.05, H=0.1),
         ]
+        with pytest.raises(ValueError):  # a NaN energy never reaches the file
+            ModulatedEnergies(t=1.0, S=np.nan, E=0.05, H=0.1)
         path = tmp_path / "energies.csv"
         write_metrics_csv(path, "run7", energies_to_rows(series))
         raw = path.read_bytes().decode()
         assert "\r\n" in raw
         lines = raw.strip().split("\r\n")
         assert lines[0] == "run_id,t,metric,value"
-        # a NaN entry writes no row: S, E, H at t = 0, then E, H
-        assert len(lines) == 1 + 5
+        # S, E, H at t = 0, then at t = 1
+        assert len(lines) == 1 + 6
         assert lines[1].split(",") == ["run7", "0.0", "S", "0.5"]
+        assert lines[4].split(",") == ["run7", "1.0", "S", "0.25"]
