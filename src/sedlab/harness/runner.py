@@ -22,10 +22,12 @@ from .sampling import sample_initial
 
 @dataclass
 class RunRecord:
+    """One run's series: every snapshot time, and the first and latest states (all with `every_state`)."""
     config: SimConfig
     config_hash: str
-    grid: GridSpec
-    snapshots: list = field(default_factory=list)  # (t, cloud/ensemble) at cadence
+    every_state: bool = False
+    times: list = field(default_factory=list)  # every snapshot time, t = 0 first
+    snapshots: list = field(default_factory=list)  # (t, cloud/ensemble): first and latest, or all
     budgets: list = field(default_factory=list)  # vlasov: filled EnergyBudget series
     stats: list = field(default_factory=list)  # micro: (t, EnsembleStats)
     s_series: list = field(default_factory=list)  # (t, S) for kinetic runs
@@ -41,12 +43,13 @@ class RunRecord:
         return not self.abort
 
     @property
-    def times(self) -> list:
-        return [t for t, _ in self.snapshots]
-
-    @property
     def final_state(self):
         return self.snapshots[-1][1]
+
+    def keep(self, t, state):
+        """Record a snapshot at t; its state replaces the latest unless every state is kept."""
+        self.times.append(t)
+        self.snapshots[len(self.snapshots) if self.every_state else 1 :] = [(t, state)]
 
 
 def fit_dmin_constant(times, d_series):
@@ -91,7 +94,7 @@ def _run_micro(record, draw, config, grid):
         w = micro.implicit_velocities(e, tol=tol)
         st = micro.stats(e, force_values=micro.forces(e, w))
         record.stats.append((e.time, st))
-        record.snapshots.append((e.time, e))
+        record.keep(e.time, e)
         return w
 
     # one closure solve per state: a snapshot's w drives the step from it
@@ -115,7 +118,7 @@ def _run_vlasov(record, draw, config, grid):
     def record_s(c):
         record.s_series.append((c.time, metrics.s_functional(c, grid, c.gravity, c.w)))
 
-    record.snapshots.append((cloud.time, cloud))
+    record.keep(cloud.time, cloud)
     record_s(cloud)
     warm = None
     for step_index in range(config.steps):
@@ -127,7 +130,7 @@ def _run_vlasov(record, draw, config, grid):
         if s_every_step or (step_index + 1) % every == 0 or last:
             record_s(cloud)
         if (step_index + 1) % every == 0 or last:
-            record.snapshots.append((cloud.time, cloud))
+            record.keep(cloud.time, cloud)
     final_m2 = float(cloud.w @ np.sum(cloud.v**2, axis=1))
     record.budgets = kinetic.finalize_budgets(record.budgets, final_m2, dt)
     return cloud
@@ -136,11 +139,11 @@ def _run_vlasov(record, draw, config, grid):
 def _run_transport(record, draw, config, grid):
     cloud = draw.spatial_cloud()
     every = _cadence(config.steps, config.output.get("snapshots", 50))
-    record.snapshots.append((cloud.time, cloud))
+    record.keep(cloud.time, cloud)
     for step_index in range(config.steps):
         cloud = transport.transport_step(cloud, grid, config.dt)
         if (step_index + 1) % every == 0 or step_index + 1 == config.steps:
-            record.snapshots.append((cloud.time, cloud))
+            record.keep(cloud.time, cloud)
     return cloud
 
 
@@ -204,14 +207,15 @@ def _write_outputs(record, out_dir):
     record.csv_paths["summary"] = str(path)
 
 
-def run(config: SimConfig, out_dir=None, draw=None) -> RunRecord:
-    """Execute one run to T (or to its abort), returning the full record.
+def run(config: SimConfig, out_dir=None, draw=None, every_state=False) -> RunRecord:
+    """Execute one run to T (or to its abort), returning its record.
 
-    A pre-built draw bypasses sampling; sweeps use this to start every
-    member from the same initial data.
+    The record keeps the initial and latest states, or with `every_state`
+    the state at every snapshot time.  A pre-built draw bypasses sampling;
+    sweeps use this to start every member from the same initial data.
     """
     grid = GridSpec(float(config.box), int(config.cells))
-    record = RunRecord(config=config, config_hash=config.config_hash(), grid=grid)
+    record = RunRecord(config=config, config_hash=config.config_hash(), every_state=every_state)
     started = _time.perf_counter()
     try:
         if draw is None:
@@ -240,10 +244,9 @@ def run(config: SimConfig, out_dir=None, draw=None) -> RunRecord:
     record.summary["tier"] = config.tier
     record.summary["steps"] = config.steps
     if record.stats:
-        times = [t for t, _ in record.stats]
-        dmins = [st.d_min for _, st in record.stats]
+        dmins = [st.d_min for _, st in record.stats]  # one per snapshot time
         record.summary["d_min_final"] = dmins[-1]
-        record.summary["d_min_constant"] = float(fit_dmin_constant(times, dmins))
+        record.summary["d_min_constant"] = float(fit_dmin_constant(record.times, dmins))
         record.summary["v_moment9_max"] = max(st.v_moment9 for _, st in record.stats)
     if record.budgets:
         rel = [abs(b.residual) / b.term_scale for b in record.budgets if b.term_scale > 0]

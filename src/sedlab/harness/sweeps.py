@@ -267,11 +267,8 @@ def sweep_hydrodynamic(base, lambdas, out_dir=None):
         lam=lambdas[0],
         dt=t_final / max(1, round(t_final / transport_dt)),
     )
-    transport_record = run(
-        transport_config,
-        out_dir=None if out_dir is None else Path(out_dir) / "transport",
-        draw=draw,
-    )
+    sub = None if out_dir is None else Path(out_dir) / "transport"
+    transport_record = run(transport_config, out_dir=sub, draw=draw)
     if not transport_record.ok:
         _raise_member_abort("transport", transport_record)
     job = partial(_hydro_member, base, draw, transport_record.final_state, steps_per_relax, out_dir)
@@ -390,11 +387,8 @@ def sweep_meanfield(base, n_values, out_dir=None):
         base.initial, n_ref, base.seed, base.lam, grid=grid, want_ensemble=False
     )
     ref_config = replace(base, tier="vlasov", n=n_ref, output={**base.output, "energy_budget": 0})
-    ref_record = run(
-        ref_config,
-        out_dir=None if out_dir is None else Path(out_dir) / "reference",
-        draw=ref_draw,
-    )
+    sub = None if out_dir is None else Path(out_dir) / "reference"
+    ref_record = run(ref_config, out_dir=sub, draw=ref_draw)
     if not ref_record.ok:
         _raise_member_abort("reference", ref_record)
 
@@ -473,18 +467,14 @@ def compare_tiers(base, tiers=("vlasov", "transport"), out_dir=None):
     if len(tiers) != 2 or len(set(tiers)) != 2:
         raise ValueError("compare needs two distinct tiers")
     grid = GridSpec(float(base.box), int(base.cells))
-    want_ensemble = "micro" in tiers
+    paired = set(tiers) == {"micro", "vlasov"}  # the energies read every snapshot state
     draw = sample_initial(
-        base.initial, base.n, base.seed, base.lam, grid=grid, want_ensemble=want_ensemble
+        base.initial, base.n, base.seed, base.lam, grid=grid, want_ensemble="micro" in tiers
     )
     records = []
     for tier in tiers:
-        config = replace(base, tier=tier)
-        record = run(
-            config,
-            out_dir=None if out_dir is None else Path(out_dir) / tier,
-            draw=draw,
-        )
+        sub = None if out_dir is None else Path(out_dir) / tier
+        record = run(replace(base, tier=tier), out_dir=sub, draw=draw, every_state=paired)
         if not record.ok:
             _raise_member_abort(tier, record)
         records.append(record)
@@ -496,7 +486,7 @@ def compare_tiers(base, tiers=("vlasov", "transport"), out_dir=None):
     w2 = _w2(views[0], views[1], space)
 
     energies = []
-    if set(tiers) == {"micro", "vlasov"}:
+    if paired:
         micro_record, vlasov_record = records if tiers[0] == "micro" else records[::-1]
         if micro_record.times != vlasov_record.times:
             raise ValueError("micro and vlasov runs must share snapshot times")

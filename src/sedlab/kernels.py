@@ -609,12 +609,14 @@ def brinkman_solve(
     for it in range(1, max_iter + 1):
         force = jw - rhov * u
         image = op.apply(force)
-        defect = _norm(image - u) / max(_norm(image), u_norm, tiny)
+        step, image_norm = _norm(image - u), _norm(image)
+        defect = step / max(image_norm, u_norm, tiny)
         if defect > prev_defect and theta > 0.125:
             theta *= 0.5
-        u_next = (1.0 - theta) * u + theta * image
-        step = _norm(u_next - u)
-        u_norm = _norm(u_next)
+        u_next, u_norm = image, image_norm  # at theta = 1 the step and its norms are the defect's
+        if theta != 1.0:
+            u_next = (1.0 - theta) * u + theta * image
+            step, u_norm = _norm(u_next - u), _norm(u_next)
         if defect <= tol or (theta == 1.0 and contraction_stop(defect, prev_defect, tol)):
             return FluidState(VectorGrid(window.spec, u_next), step / max(u_norm, tiny), it, window, force)
         u, prev_defect = u_next, defect

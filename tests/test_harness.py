@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -250,7 +251,7 @@ class TestRunner:
 
         monkeypatch.setattr(micro, "implicit_velocities", counted)
         rec = run(cfg)
-        assert rec.ok and len(rec.snapshots) == cfg.steps + 1  # a snapshot every step
+        assert rec.ok and len(rec.times) == cfg.steps + 1  # a snapshot every step
         assert len(calls) == cfg.steps + 1
         state = rec.snapshots[0][1]
         for _ in range(cfg.steps):
@@ -279,6 +280,24 @@ class TestRunner:
         assert scans == [] and np.isnan(draw.report.h3_ratio)
         assert draw.ensemble is None and draw.assumptions is None
 
+    def test_run_keeps_first_and_latest_states(self):
+        cfg = default_config(
+            {
+                "run": {"tier": "vlasov", "n": 300, "lambda": 10.0, "t_final": 0.25, "dt": 0.0125, "seed": 3},
+                "grid": {"cells": 16},
+                "initial": {"sigma_x": 1.2, "sigma_v": 0.1},
+                "output": {"energy_budget": 0},
+            }
+        )
+        rec, every = run(cfg), run(cfg, every_state=True)
+        assert rec.ok and every.ok and cfg.steps == 20
+        assert len(rec.times) == 21 and len(rec.snapshots) == 2
+        assert rec.times == every.times == [t for t, _ in every.snapshots]
+        assert [t for t, _ in rec.snapshots] == [0.0, rec.times[-1]]
+        for mine, full in ((rec.snapshots[0][1], every.snapshots[0][1]), (rec.final_state, every.final_state)):
+            for name in ("x", "v", "w"):
+                assert getattr(mine, name).tobytes() == getattr(full, name).tobytes()
+
     def test_vlasov_budgets_finalized(self):
         cfg = default_config(
             {
@@ -304,7 +323,7 @@ class TestRunner:
         )
         rec = run(cfg)
         assert rec.ok
-        assert len(rec.snapshots) == 6  # t = 0 plus five cadence hits
+        assert len(rec.times) == 6  # t = 0 plus five cadence hits
         assert rec.times[-1] == pytest.approx(0.1)
 
     def test_abort_recorded_with_outputs(self, tmp_path):
@@ -488,6 +507,22 @@ class TestSweepWorkers:
                 del record.summary["pid"], record.summary["walltime_s"]
         assert [getattr(m, key) for m in parallel.members] == values
         assert_bitwise_equal(serial, parallel)
+
+    def test_hydro_member_sends_back_two_states(self):
+        # the stiffest member of the benchmark's hydro sweep: a worker pickles
+        # its result back, and the sweep reads only its S series and final state
+        base = default_config(
+            {
+                "run": {"tier": "vlasov", "n": 2000, "lambda": 10.0, "t_final": 0.25, "dt": 1 / 80, "seed": 1},
+                "grid": {"box": 16.0, "cells": 32},
+                "hydro": {"steps_per_relaxation": 4.0, "transport_dt": 0.02},
+            }
+        )
+        grid = GridSpec(float(base.box), int(base.cells))
+        draw = sample_initial(base.initial, base.n, base.seed, base.lam, grid=grid, want_ensemble=False)
+        member = sweeps._hydro_member(base, draw, draw.spatial_cloud(), 4.0, None, 80.0)
+        assert len(pickle.dumps(member)) < 0.5e6  # 7.8 MB while a record kept all 81 states
+        assert member.record.ok and len(member.record.times) == 81 and len(member.record.snapshots) == 2
 
     def test_workers_run_one_blas_thread(self, monkeypatch):
         use_cpus(monkeypatch, 2)
@@ -720,6 +755,9 @@ class TestSweeps:
         report = compare_tiers(compare_base_config(), ("micro", "vlasov"))
         assert report.w2_final < 0.05
         assert [e.t for e in report.energies] == report.records[0].times
+        # the energies read every state of both runs
+        assert all([t for t, _ in r.snapshots] == r.times for r in report.records)
+        assert len(report.energies) == len(report.records[1].times) > 2
         assert report.energies[0].t == 0.0
         assert report.energies[0].E == report.energies[0].H == 0.0
 
@@ -727,7 +765,7 @@ class TestSweeps:
         def thinned_run(config, **kwargs):
             record = sweeps_run(config, **kwargs)
             if config.tier == "vlasov":
-                del record.snapshots[1]
+                del record.times[1]
             return record
 
         sweeps_run = sweeps.run
