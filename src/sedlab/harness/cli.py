@@ -16,7 +16,7 @@ from .. import bounds, kinetic, metrics, micro
 from ..csvfile import write_csv
 from ..errors import SedlabError
 from ..kernels import GridSpec, StokesOperator, oseen_tensor, stokes_direct_sum, support_window
-from .config import default_config, load_config
+from .config import load_config
 from .runner import run
 from .sweeps import compare_tiers, sweep_hydrodynamic, sweep_meanfield
 
@@ -30,19 +30,13 @@ def _add_common(parser):
     parser.add_argument("--tier", choices=("micro", "vlasov", "transport"), default=None)
 
 
+# the [run] key that each common flag (by its argparse dest) overrides
+_RUN_FLAGS = {"seed": "seed", "lam": "lambda", "n": "n", "tier": "tier"}
+
+
 def _build_config(args):
-    overrides = {"run": {}}
-    if args.seed is not None:
-        overrides["run"]["seed"] = args.seed
-    if args.lam is not None:
-        overrides["run"]["lambda"] = args.lam
-    if args.n is not None:
-        overrides["run"]["n"] = args.n
-    if getattr(args, "tier", None) is not None:
-        overrides["run"]["tier"] = args.tier
-    if args.config is not None:
-        return load_config(args.config, overrides)
-    return default_config(overrides)
+    run = {key: getattr(args, dest) for dest, key in _RUN_FLAGS.items() if getattr(args, dest) is not None}
+    return load_config(args.config, {"run": run})
 
 
 def _cmd_simulate(args):

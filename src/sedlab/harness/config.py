@@ -12,7 +12,7 @@ those, then left as strings.  Keys outside any section land in the
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..kernels import GridSpec
 
@@ -49,6 +49,13 @@ KNOWN_KEYS = {
     "hydro": frozenset({"steps_per_relaxation", "transport_dt"}),
     "meanfield": frozenset({"n_ref"}),
 }
+
+# (section, key, SimConfig field, type) of each scalar run and grid setting
+SCALARS = tuple(
+    (section, key, "lam" if key == "lambda" else key, type(value))
+    for section in ("run", "grid")
+    for key, value in DEFAULTS[section].items()
+)
 
 
 def _parse_scalar(text):
@@ -94,20 +101,20 @@ def parse_config_text(text):
 
 @dataclass
 class SimConfig:
-    """Resolved settings for one run; see DEFAULTS for the full key set."""
+    """Resolved settings for one run, built by build_config; see DEFAULTS for the full key set."""
 
-    tier: str = "vlasov"
-    n: int = 1000
-    lam: float = 20.0
-    t_final: float = 0.5
-    dt: float = 0.00625
-    seed: int = 1
-    box: float = 16.0
-    cells: int = 32
-    initial: dict = field(default_factory=lambda: dict(DEFAULTS["initial"]))
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULTS["tolerances"]))
-    output: dict = field(default_factory=lambda: dict(DEFAULTS["output"]))
-    extra: dict = field(default_factory=dict)
+    tier: str
+    n: int
+    lam: float
+    t_final: float
+    dt: float
+    seed: int
+    box: float
+    cells: int
+    initial: dict
+    tolerances: dict
+    output: dict
+    extra: dict
 
     def __post_init__(self):
         if self.tier not in TIERS:
@@ -125,10 +132,9 @@ class SimConfig:
             raise ValueError(f"[output] s_cadence must be one of {S_CADENCES}, got {cadence!r}")
         if self.output.get("energy_budget", 1) not in (0, 1):
             raise ValueError(f"[output] energy_budget must be 0 or 1, got {self.output['energy_budget']!r}")
-        cells = int(self.cells)
-        if cells < 8 or cells & (cells - 1):
-            raise ValueError(f"grid resolution must be a power of two >= 8, got {cells}")
-        GridSpec(float(self.box), cells)  # rejects a bad box
+        if self.cells < 8 or self.cells & (self.cells - 1):
+            raise ValueError(f"grid resolution must be a power of two >= 8, got {self.cells}")
+        GridSpec(self.box, self.cells)  # rejects a bad box
 
     @property
     def steps(self) -> int:
@@ -136,20 +142,10 @@ class SimConfig:
 
     def sections(self):
         """Canonical section -> key -> value view used for hashing and echo."""
-        out = {
-            "run": {
-                "tier": self.tier,
-                "n": self.n,
-                "lambda": self.lam,
-                "t_final": self.t_final,
-                "dt": self.dt,
-                "seed": self.seed,
-            },
-            "grid": {"box": self.box, "cells": self.cells},
-            "initial": dict(self.initial),
-            "tolerances": dict(self.tolerances),
-            "output": dict(self.output),
-        }
+        out = {"run": {}, "grid": {}}
+        for section, key, name, _ in SCALARS:
+            out[section][key] = getattr(self, name)
+        out |= {name: dict(getattr(self, name)) for name in ("initial", "tolerances", "output")}
         for name, mapping in self.extra.items():
             out.setdefault(name, {}).update(mapping)
         return out
@@ -180,16 +176,8 @@ def build_config(sections):
             merged[name].update(mapping)
         else:
             extra[name] = dict(mapping)
-    run = merged["run"]
     return SimConfig(
-        tier=str(run["tier"]),
-        n=int(run["n"]),
-        lam=float(run["lambda"]),
-        t_final=float(run["t_final"]),
-        dt=float(run["dt"]),
-        seed=int(run["seed"]),
-        box=float(merged["grid"]["box"]),
-        cells=int(merged["grid"]["cells"]),
+        **{name: cast(merged[section][key]) for section, key, name, cast in SCALARS},
         initial=merged["initial"],
         tolerances=merged["tolerances"],
         output=merged["output"],
@@ -198,16 +186,15 @@ def build_config(sections):
 
 
 def load_config(path, overrides=None):
-    """Read a config file and apply {section: {key: value}} overrides."""
-    with open(path) as fh:
-        sections = parse_config_text(fh.read())
+    """Read a config file (None: DEFAULTS alone) and apply {section: {key: value}} overrides."""
+    sections = {}
+    if path is not None:
+        with open(path) as fh:
+            sections = parse_config_text(fh.read())
     for name, mapping in (overrides or {}).items():
         sections.setdefault(name, {}).update(mapping)
     return build_config(sections)
 
 
 def default_config(overrides=None):
-    sections = {}
-    for name, mapping in (overrides or {}).items():
-        sections.setdefault(name, {}).update(mapping)
-    return build_config(sections)
+    return load_config(None, overrides)

@@ -80,71 +80,67 @@ def fit_dmin_constant(times, d_series):
     return hi
 
 
-def _cadence(steps, snapshots_target):
-    return max(1, steps // max(1, int(snapshots_target)))
+def _march(record, config, state, advance, observe):
+    """Take config.steps steps of `advance`; observe, then keep, the initial
+    state, every cadence hit and the last state.
+
+    A step from an observed state gets what `observe` returned for it, any
+    other step None.  Returns the last state.
+    """
+    every = max(1, config.steps // max(1, int(config.output.get("snapshots", 50))))
+    seen = observe(state)
+    record.keep(state.time, state)
+    for k in range(1, config.steps + 1):
+        state, seen = advance(state, seen), None
+        if k % every == 0 or k == config.steps:
+            seen = observe(state)
+            record.keep(state.time, state)
+    return state
 
 
 def _run_micro(record, draw, config, grid):
-    ens = draw.ensemble
-    dt = config.dt
     tol = float(config.tolerances.get("closure", 1e-12))
-    every = _cadence(config.steps, config.output.get("snapshots", 50))
 
     def observe(e):
         w = micro.implicit_velocities(e, tol=tol)
-        st = micro.stats(e, force_values=micro.forces(e, w))
-        record.stats.append((e.time, st))
-        record.keep(e.time, e)
+        record.stats.append((e.time, micro.stats(e, force_values=micro.forces(e, w))))
         return w
 
     # one closure solve per state: a snapshot's w drives the step from it
-    w = observe(ens)
-    for step_index in range(config.steps):
-        ens = micro.step(ens, dt, w=w, tol=tol)
-        w = None
-        if (step_index + 1) % every == 0 or step_index + 1 == config.steps:
-            w = observe(ens)
-    return ens
+    _march(record, config, draw.ensemble, lambda e, w: micro.step(e, config.dt, w=w, tol=tol), observe)
 
 
 def _run_vlasov(record, draw, config, grid):
-    cloud = draw.cloud
-    dt = config.dt
     tol = float(config.tolerances.get("brinkman", 1e-9))
-    every = _cadence(config.steps, config.output.get("snapshots", 50))
     s_every_step = config.output.get("s_cadence", "snapshot") == "step"
     with_budget = bool(config.output.get("energy_budget", 1))
+    warm = None
 
     def record_s(c):
         record.s_series.append((c.time, metrics.s_functional(c, grid, c.gravity, c.w)))
 
-    record.keep(cloud.time, cloud)
-    record_s(cloud)
-    warm = None
-    for step_index in range(config.steps):
-        cloud, fluid, budget = kinetic.vlasov_step(cloud, grid, dt, tol=tol, u0=warm, budget=with_budget)
+    def step(c, _):
+        nonlocal warm
+        c, fluid, budget = kinetic.vlasov_step(c, grid, config.dt, tol=tol, u0=warm, budget=with_budget)
         warm = fluid.warm_start
         if budget is not None:
             record.budgets.append(budget)
-        last = step_index + 1 == config.steps
-        if s_every_step or (step_index + 1) % every == 0 or last:
-            record_s(cloud)
-        if (step_index + 1) % every == 0 or last:
-            record.keep(cloud.time, cloud)
+        if s_every_step:
+            record_s(c)
+        return c
+
+    def observe(c):
+        if not (s_every_step and record.s_series):  # every step after t = 0 took its own S
+            record_s(c)
+
+    cloud = _march(record, config, draw.cloud, step, observe)
     final_m2 = float(cloud.w @ np.sum(cloud.v**2, axis=1))
-    record.budgets = kinetic.finalize_budgets(record.budgets, final_m2, dt)
-    return cloud
+    record.budgets = kinetic.finalize_budgets(record.budgets, final_m2, config.dt)
 
 
 def _run_transport(record, draw, config, grid):
-    cloud = draw.spatial_cloud()
-    every = _cadence(config.steps, config.output.get("snapshots", 50))
-    record.keep(cloud.time, cloud)
-    for step_index in range(config.steps):
-        cloud = transport.transport_step(cloud, grid, config.dt)
-        if (step_index + 1) % every == 0 or step_index + 1 == config.steps:
-            record.keep(cloud.time, cloud)
-    return cloud
+    _march(record, config, draw.spatial_cloud(),
+           lambda c, _: transport.transport_step(c, grid, config.dt), lambda c: None)
 
 
 def _write_samples(state, path):
@@ -163,48 +159,39 @@ def _write_samples(state, path):
 def _write_outputs(record, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config = record.config
 
-    echo = out / "config.txt"
-    with open(echo, "w") as fh:
-        for section, mapping in config.sections().items():
+    def path_of(name, suffix=".csv"):
+        record.csv_paths[name] = str(out / f"{name}{suffix}")
+        return record.csv_paths[name]
+
+    with open(path_of("config", ".txt"), "w") as fh:
+        for section, mapping in record.config.sections().items():
             fh.write(f"[{section}]\n")
             for key, value in mapping.items():
                 if isinstance(value, list):
                     value = ",".join(str(v) for v in value)
                 fh.write(f"{key} = {value}\n")
-    record.csv_paths["config"] = str(echo)
 
     if record.snapshots:
-        snap = out / "final_state.csv"
-        _write_samples(record.final_state, snap)
-        record.csv_paths["final_state"] = str(snap)
+        _write_samples(record.final_state, path_of("final_state"))
 
     if record.budgets:
-        path = out / "energy_budget.csv"
-        kinetic.save_budget_csv(record.budgets, path)
-        record.csv_paths["energy_budget"] = str(path)
+        kinetic.save_budget_csv(record.budgets, path_of("energy_budget"))
 
     if record.stats:
-        path = out / "ensemble_stats.csv"
         rows = (
             (t, st.d_min, st.s_beta[1.0], st.s_beta[2.25], st.v_moment9, st.force_moment9)
             for t, st in record.stats
         )
-        write_csv(path, ["t", "d_min", "s_1", "s_94", "v_moment9", "force_moment9"], rows)
-        record.csv_paths["ensemble_stats"] = str(path)
+        write_csv(path_of("ensemble_stats"), ["t", "d_min", "s_1", "s_94", "v_moment9", "force_moment9"], rows)
 
     if record.s_series:
-        path = out / "s_series.csv"
         rows = [(t, "S", value) for t, value in record.s_series]
-        metrics.write_metrics_csv(path, record.config_hash, rows)
-        record.csv_paths["s_series"] = str(path)
+        metrics.write_metrics_csv(path_of("s_series"), record.config_hash, rows)
 
-    path = out / "summary.csv"
     rows = [("config_hash", record.config_hash), *sorted(record.summary.items())]
     rows += [(f"abort_{key}", value) for key, value in sorted(record.abort.items())]
-    write_csv(path, ["key", "value"], rows)
-    record.csv_paths["summary"] = str(path)
+    write_csv(path_of("summary"), ["key", "value"], rows)
 
 
 def run(config: SimConfig, out_dir=None, draw=None, every_state=False) -> RunRecord:

@@ -34,9 +34,8 @@ from .. import metrics, micro
 from ..csvfile import write_csv
 from ..errors import AssumptionError
 from ..kernels import GridSpec
-from ..kinetic import PhaseCloud
 from .runner import RunRecord, run
-from .sampling import SampleDraw, sample_initial
+from .sampling import sample_initial
 
 # gates: the hydro W2 slope must reach SLOPE_GATE with fit quality R2_GATE,
 # and the mean-field growth factors may differ by at most SPREAD_GATE
@@ -45,11 +44,12 @@ R2_GATE = 0.9
 SPREAD_GATE = 2.0
 
 
-def _raise_member_abort(label, record):
-    """Re-raise the member run's own exception, noting which member it was."""
-    err = record.error
-    err.add_note(f"sweep member {label} aborted")
-    raise err
+def _checked(record, label):
+    """The record of a completed run; else raise the run's own exception, noting the member."""
+    if not record.ok:
+        record.error.add_note(f"sweep member {label} aborted")
+        raise record.error
+    return record
 
 
 def _map_members(job, values, label):
@@ -222,9 +222,8 @@ def _hydro_member(base, draw, transport_final, steps_per_relax, out_dir, lam):
     dt = base.t_final / max(1, round(steps_per_relax * lam * base.t_final))
     output = {**base.output, "s_cadence": "step", "energy_budget": 0}  # the fit reads S, never the budget
     config = replace(base, tier="vlasov", lam=lam, dt=dt, output=output)
-    member_draw = SampleDraw(cloud=replace(draw.cloud, lam=lam), ensemble=None, report=draw.report)
     sub = None if out_dir is None else Path(out_dir) / f"lam_{lam:g}"
-    record = run(config, out_dir=sub, draw=member_draw)
+    record = run(config, out_dir=sub, draw=replace(draw, cloud=replace(draw.cloud, lam=lam)))
     if not record.ok:
         return HydroMember(lam, dt, np.nan, np.nan, np.nan, np.nan, record)
     rate, rate_r2, plateau = fit_s_relaxation(*zip(*record.s_series))
@@ -268,14 +267,11 @@ def sweep_hydrodynamic(base, lambdas, out_dir=None):
         dt=t_final / max(1, round(t_final / transport_dt)),
     )
     sub = None if out_dir is None else Path(out_dir) / "transport"
-    transport_record = run(transport_config, out_dir=sub, draw=draw)
-    if not transport_record.ok:
-        _raise_member_abort("transport", transport_record)
+    transport_record = _checked(run(transport_config, out_dir=sub, draw=draw), "transport")
     job = partial(_hydro_member, base, draw, transport_record.final_state, steps_per_relax, out_dir)
     members = _map_members(job, lambdas, "lam={:g}")
     for m in members:
-        if not m.record.ok:
-            _raise_member_abort(f"lam={m.lam:g}", m.record)
+        _checked(m.record, f"lam={m.lam:g}")
 
     slope, slope_r2 = metrics.rate_fit(
         [m.lam for m in members], [m.w2_final for m in members], model="powerlaw"
@@ -388,43 +384,24 @@ def sweep_meanfield(base, n_values, out_dir=None):
     )
     ref_config = replace(base, tier="vlasov", n=n_ref, output={**base.output, "energy_budget": 0})
     sub = None if out_dir is None else Path(out_dir) / "reference"
-    ref_record = run(ref_config, out_dir=sub, draw=ref_draw)
-    if not ref_record.ok:
-        _raise_member_abort("reference", ref_record)
+    ref_record = _checked(run(ref_config, out_dir=sub, draw=ref_draw), "reference")
 
-    draws, flag_sets = {}, []
+    # a micro run reads only the draw's ensemble, its checks and the reference's sampling report
+    cloud, draws, flag_sets = ref_draw.cloud, {}, []
     for n in n_values:
-        x0 = ref_draw.cloud.x[:n].copy()
-        v0 = ref_draw.cloud.v[:n].copy()
         ensemble = micro.ParticleEnsemble(
-            x=x0, v=v0, lam=base.lam, gravity=ref_draw.cloud.gravity
+            x=cloud.x[:n].copy(), v=cloud.v[:n].copy(), lam=base.lam, gravity=cloud.gravity
         )
         checks = micro.check_assumptions(ensemble, c_v=c_v)
         flag_sets.append((checks.h1, checks.h3, checks.h4))
-        prefix_cloud = PhaseCloud(
-            x=x0.copy(),
-            v=v0.copy(),
-            w=np.full(n, 1.0 / n),
-            lam=base.lam,
-            gravity=ref_draw.cloud.gravity,
-        )
-        member_report = replace(
-            ref_draw.report,
-            d_min=micro.pairwise_min_distance(x0),
-            h3_ratio=checks.h3_ratio,
-            h4_value=checks.h4_value,
-        )
-        draws[n] = SampleDraw(
-            cloud=prefix_cloud, ensemble=ensemble, report=member_report, assumptions=checks
-        )
+        draws[n] = replace(ref_draw, ensemble=ensemble, assumptions=checks)
     if len(set(flag_sets)) > 1:
         raise AssumptionError(f"members disagree on assumption flags: {flag_sets}")
 
     job = partial(_meanfield_member, base, draws, ref_record, out_dir)
     members = _map_members(job, n_values, "n={}")
     for m in members:
-        if not m.record.ok:
-            _raise_member_abort(f"n={m.n}", m.record)
+        _checked(m.record, f"n={m.n}")
 
     growths = np.array([m.growth for m in members])
     spread = float(growths.max() / growths.min())
@@ -475,9 +452,7 @@ def compare_tiers(base, tiers=("vlasov", "transport"), out_dir=None):
     for tier in tiers:
         sub = None if out_dir is None else Path(out_dir) / tier
         record = run(replace(base, tier=tier), out_dir=sub, draw=draw, every_state=paired)
-        if not record.ok:
-            _raise_member_abort(tier, record)
-        records.append(record)
+        records.append(_checked(record, tier))
 
     finals = [r.final_state for r in records]
     # transport states carry no velocities, so their view is spatial only

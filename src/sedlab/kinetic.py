@@ -31,6 +31,7 @@ from .kernels import (
     deposit,
     interpolate,
 )
+from .transport import admit_samples
 
 
 @dataclass(frozen=True)
@@ -45,28 +46,15 @@ class PhaseCloud:
     time: float = 0.0
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
+        admit_samples(self)
         v = np.asarray(self.v, dtype=float)
-        w = np.asarray(self.w, dtype=float)
-        if x.ndim != 2 or x.shape[1] != 3 or x.shape != v.shape:
+        if v.shape != self.x.shape:
             raise ValueError("x and v must be matching (N, 3) arrays")
-        if w.shape != (x.shape[0],):
-            raise ValueError("w must be an (N,) weight vector")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-            raise ValueError("positions and velocities must be finite")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("velocities must be finite")
         if self.lam <= 0.0:
             raise ValueError("lam must be positive")
-        gravity = np.asarray(self.gravity, dtype=float)
-        if gravity.shape != (3,) or abs(np.linalg.norm(gravity) - 1.0) > 1e-12:
-            raise ValueError("gravity must be a unit 3-vector")
-        object.__setattr__(self, "x", x)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "gravity", gravity)
 
     @property
     def n(self) -> int:

@@ -17,6 +17,30 @@ from .errors import ConvergenceError
 from .kernels import ScalarGrid, VectorGrid, deposit, interpolate, stencil_window, stokes_solve
 
 
+def admit_samples(cloud):
+    """Check a frozen cloud's x, w and gravity and store them as float arrays.
+
+    Every cloud needs finite (N, 3) positions, nonnegative weights that sum
+    to 1 and a unit gravity vector.
+    """
+    x, w, gravity = (np.asarray(a, dtype=float) for a in (cloud.x, cloud.w, cloud.gravity))
+    if x.ndim != 2 or x.shape[1] != 3:
+        raise ValueError("x must be an (N, 3) array")
+    if w.shape != (x.shape[0],):
+        raise ValueError("w must be an (N,) weight vector")
+    if np.any(w < 0.0):
+        raise ValueError("weights must be nonnegative")
+    if abs(w.sum() - 1.0) > 1e-12:
+        raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("positions must be finite")
+    if gravity.shape != (3,) or abs(np.linalg.norm(gravity) - 1.0) > 1e-12:
+        raise ValueError("gravity must be a unit 3-vector")
+    object.__setattr__(cloud, "x", x)
+    object.__setattr__(cloud, "w", w)
+    object.__setattr__(cloud, "gravity", gravity)
+
+
 @dataclass(frozen=True)
 class SpatialCloud:
     """Weighted spatial samples of a probability density."""
@@ -27,24 +51,7 @@ class SpatialCloud:
     time: float = 0.0
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        w = np.asarray(self.w, dtype=float)
-        if x.ndim != 2 or x.shape[1] != 3:
-            raise ValueError("x must be an (N, 3) array")
-        if w.shape != (x.shape[0],):
-            raise ValueError("w must be an (N,) weight vector")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("positions must be finite")
-        gravity = np.asarray(self.gravity, dtype=float)
-        if gravity.shape != (3,) or abs(np.linalg.norm(gravity) - 1.0) > 1e-12:
-            raise ValueError("gravity must be a unit 3-vector")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "gravity", gravity)
+        admit_samples(self)
 
     @property
     def n(self) -> int:

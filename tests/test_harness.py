@@ -312,19 +312,25 @@ class TestRunner:
         assert all(np.isfinite(b.dm2_dt) for b in rec.budgets)
         assert rec.summary["budget_residual_max_rel"] <= 0.02
 
-    def test_transport_snapshot_cadence(self):
+    @pytest.mark.parametrize("tier", ["micro", "vlasov", "transport"])
+    def test_snapshot_cadence(self, tier):
+        # 7 steps at a cadence of 7 // 3 = 2: t = 0, three cadence hits and the last step
         cfg = default_config(
             {
-                "run": {"tier": "transport", "n": 200, "lambda": 5.0, "t_final": 0.1, "dt": 0.01, "seed": 9},
+                "run": {"tier": tier, "n": 64, "lambda": 5.0, "t_final": 0.07, "dt": 0.01, "seed": 9},
                 "grid": {"cells": 16},
                 "initial": {"family": "gaussian", "sigma_x": 1.0, "sigma_v": 0.0},
-                "output": {"snapshots": 5},
+                "output": {"snapshots": 3},
             }
         )
         rec = run(cfg)
         assert rec.ok
-        assert len(rec.times) == 6  # t = 0 plus five cadence hits
-        assert rec.times[-1] == pytest.approx(0.1)
+        assert rec.times == pytest.approx([0.0, 0.02, 0.04, 0.06, 0.07], rel=1e-12)
+        # a snapshot's observations carry its own time
+        if tier == "vlasov":
+            assert [t for t, _ in rec.s_series] == rec.times
+        if tier == "micro":
+            assert [t for t, _ in rec.stats] == rec.times
 
     def test_abort_recorded_with_outputs(self, tmp_path):
         cfg = default_config(

@@ -14,6 +14,7 @@ from sedlab.kinetic import (
     save_budget_csv,
     vlasov_step,
 )
+from sedlab.transport import SpatialCloud
 
 GRAVITY = np.array([0.0, 0.0, -1.0])
 
@@ -27,58 +28,68 @@ def gaussian_cloud(n, lam, seed, sigma_x=1.5, sigma_v=0.3, box=16.0, v_mean=None
     return PhaseCloud(x=x, v=v, w=w, lam=lam, gravity=GRAVITY)
 
 
+CLOUDS = (PhaseCloud, SpatialCloud)
+
+
+def two_samples(kind, x=None, v=None, w=None, gravity=GRAVITY, lam=1.0):
+    """A two-sample cloud of `kind` at (8, 8, 8), with any of its arrays replaced."""
+    fields = {
+        "x": np.zeros((2, 3)) + 8.0 if x is None else x,
+        "w": np.full(2, 0.5) if w is None else w,
+        "gravity": gravity,
+    }
+    if kind is PhaseCloud:
+        fields.update(v=np.zeros((2, 3)) if v is None else v, lam=lam)
+    return kind(**fields)
+
+
 class TestPhaseCloud:
+    # each admissibility check is shared with SpatialCloud, so each runs on both types
+
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            PhaseCloud(
-                x=np.zeros((2, 3)) + 8.0,
-                v=np.zeros((2, 3)),
-                w=np.array([0.5, 0.6]),
-                lam=1.0,
-                gravity=GRAVITY,
-            )
+        for kind in CLOUDS:
+            with pytest.raises(ValueError, match="sum to 1"):
+                two_samples(kind, w=np.array([0.5, 0.6]))
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            PhaseCloud(
-                x=np.zeros((2, 3)) + 8.0,
-                v=np.zeros((2, 3)),
-                w=np.array([1.5, -0.5]),
-                lam=1.0,
-                gravity=GRAVITY,
-            )
+        for kind in CLOUDS:
+            with pytest.raises(ValueError, match="nonnegative"):
+                two_samples(kind, w=np.array([1.5, -0.5]))
 
     def test_shape_mismatch_rejected(self):
+        for kind in CLOUDS:
+            with pytest.raises(ValueError, match=r"\(N, 3\)"):
+                two_samples(kind, x=np.zeros((2, 2)) + 8.0)
+            with pytest.raises(ValueError, match="weight vector"):
+                two_samples(kind, w=np.full(3, 1.0 / 3.0))
         with pytest.raises(ValueError, match="matching"):
-            PhaseCloud(
-                x=np.zeros((2, 3)) + 8.0,
-                v=np.zeros((3, 3)),
-                w=np.full(2, 0.5),
-                lam=1.0,
-                gravity=GRAVITY,
-            )
+            two_samples(PhaseCloud, v=np.zeros((3, 3)))
 
     def test_gravity_must_be_unit(self):
-        with pytest.raises(ValueError, match="unit"):
-            PhaseCloud(
-                x=np.zeros((2, 3)) + 8.0,
-                v=np.zeros((2, 3)),
-                w=np.full(2, 0.5),
-                lam=1.0,
-                gravity=np.array([0.0, 0.0, -2.0]),
-            )
+        for kind in CLOUDS:
+            for gravity in (np.array([0.0, 0.0, -2.0]), np.zeros(3), np.array([0.0, -1.0])):
+                with pytest.raises(ValueError, match="unit"):
+                    two_samples(kind, gravity=gravity)
 
     def test_nonfinite_rejected(self):
+        x = np.zeros((2, 3)) + 8.0
+        x[1, 2] = np.inf
+        for kind in CLOUDS:
+            with pytest.raises(ValueError, match="positions must be finite"):
+                two_samples(kind, x=x)
         v = np.zeros((2, 3))
         v[0, 0] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            PhaseCloud(
-                x=np.zeros((2, 3)) + 8.0,
-                v=v,
-                w=np.full(2, 0.5),
-                lam=1.0,
-                gravity=GRAVITY,
-            )
+        with pytest.raises(ValueError, match="velocities must be finite"):
+            two_samples(PhaseCloud, v=v)
+
+    def test_lam_must_be_positive(self):
+        with pytest.raises(ValueError, match="lam"):
+            two_samples(PhaseCloud, lam=0.0)
+
+    def test_arrays_stored_as_float(self):
+        for kind in CLOUDS:
+            cloud = two_samples(kind, x=np.full((2, 3), 8), w=[0.5, 0.5], gravity=[0, 0, -1])
+            assert cloud.x.dtype == cloud.w.dtype == cloud.gravity.dtype == np.float64
 
 
 class TestStep:
