@@ -165,13 +165,7 @@ def _cmd_check_identities(args):
 
     xa = rng.standard_normal((6, 3))
     xb = rng.standard_normal((6, 3))
-    from types import SimpleNamespace
-
-    pair = metrics.wasserstein2_exact(
-        SimpleNamespace(x=xa, w=np.full(6, 1 / 6)),
-        SimpleNamespace(x=xb, w=np.full(6, 1 / 6)),
-        space="spatial",
-    )
+    pair = metrics.wasserstein2_exact(xa, xb, space="spatial")
     checks.append(
         ("assignment W2 vs brute force", abs(pair.distance - _brute_force_w2(xa, xb)), 1e-12)
     )

@@ -8,7 +8,8 @@ Grammar, one entry per line:
 Values are parsed as int, then float, then comma-separated lists of
 those, then left as strings.  Keys outside any section land in the
 "run" section.  CLI flags override file values.  A key that no run reads
-(see KNOWN_KEYS) is an error rather than a silent no-op.
+(see KNOWN_KEYS) is an error rather than a silent no-op.  A key of
+DEFAULTS has its default there alone: readers index it, with no fallback.
 """
 
 import hashlib
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from ..kernels import GridSpec
 
 TIERS = ("micro", "vlasov", "transport")
-S_CADENCES = ("step", "snapshot")  # record S after every step, or at snapshots only
 
 DEFAULTS = {
     "run": {
@@ -37,7 +37,7 @@ DEFAULTS = {
         "max_resamples": 20,
     },
     "tolerances": {"brinkman": 1e-9, "closure": 1e-12},
-    "output": {"snapshots": 50, "s_cadence": "snapshot"},
+    "output": {"snapshots": 50, "energy_budget": 1},  # energy_budget: 1 (on) or 0
 }
 
 # Every key a run reads, by section: those of DEFAULTS plus those whose
@@ -45,7 +45,6 @@ DEFAULTS = {
 KNOWN_KEYS = {
     **{name: frozenset(keys) for name, keys in DEFAULTS.items()},
     "initial": frozenset(DEFAULTS["initial"]) | {"x_radius", "v_radius"},
-    "output": frozenset(DEFAULTS["output"]) | {"energy_budget"},  # 1 (on) or 0
     "hydro": frozenset({"steps_per_relaxation", "transport_dt"}),
     "meanfield": frozenset({"n_ref"}),
 }
@@ -127,10 +126,7 @@ class SimConfig:
             raise ValueError("lambda must be positive")
         if self.n < 1:
             raise ValueError("n must be positive")
-        cadence = self.output.get("s_cadence", "snapshot")
-        if cadence not in S_CADENCES:
-            raise ValueError(f"[output] s_cadence must be one of {S_CADENCES}, got {cadence!r}")
-        if self.output.get("energy_budget", 1) not in (0, 1):
+        if self.output["energy_budget"] not in (0, 1):
             raise ValueError(f"[output] energy_budget must be 0 or 1, got {self.output['energy_budget']!r}")
         if self.cells < 8 or self.cells & (self.cells - 1):
             raise ValueError(f"grid resolution must be a power of two >= 8, got {self.cells}")

@@ -87,7 +87,7 @@ def _march(record, config, state, advance, observe):
     A step from an observed state gets what `observe` returned for it, any
     other step None.  Returns the last state.
     """
-    every = max(1, config.steps // max(1, int(config.output.get("snapshots", 50))))
+    every = max(1, config.steps // max(1, int(config.output["snapshots"])))
     seen = observe(state)
     record.keep(state.time, state)
     for k in range(1, config.steps + 1):
@@ -99,7 +99,7 @@ def _march(record, config, state, advance, observe):
 
 
 def _run_micro(record, draw, config, grid):
-    tol = float(config.tolerances.get("closure", 1e-12))
+    tol = float(config.tolerances["closure"])
 
     def observe(e):
         w = micro.implicit_velocities(e, tol=tol)
@@ -111,13 +111,9 @@ def _run_micro(record, draw, config, grid):
 
 
 def _run_vlasov(record, draw, config, grid):
-    tol = float(config.tolerances.get("brinkman", 1e-9))
-    s_every_step = config.output.get("s_cadence", "snapshot") == "step"
-    with_budget = bool(config.output.get("energy_budget", 1))
+    tol = float(config.tolerances["brinkman"])
+    with_budget = bool(config.output["energy_budget"])
     warm = None
-
-    def record_s(c):
-        record.s_series.append((c.time, metrics.s_functional(c, grid, c.gravity, c.w)))
 
     def step(c, _):
         nonlocal warm
@@ -125,13 +121,10 @@ def _run_vlasov(record, draw, config, grid):
         warm = fluid.warm_start
         if budget is not None:
             record.budgets.append(budget)
-        if s_every_step:
-            record_s(c)
         return c
 
-    def observe(c):
-        if not (s_every_step and record.s_series):  # every step after t = 0 took its own S
-            record_s(c)
+    def observe(c):  # S at every snapshot time; snapshots = steps takes it at every step
+        record.s_series.append((c.time, metrics.s_functional(c, grid, c.gravity, c.w)))
 
     cloud = _march(record, config, draw.cloud, step, observe)
     final_m2 = float(cloud.w @ np.sum(cloud.v**2, axis=1))

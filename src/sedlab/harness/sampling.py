@@ -22,6 +22,7 @@ from ..kernels import interpolate
 from ..kinetic import PhaseCloud
 from ..micro import AssumptionReport, ParticleEnsemble, check_assumptions, h4_value, pairwise_min_distance
 from ..transport import SpatialCloud, steady_velocity_field
+from .config import DEFAULTS
 
 GRAVITY = np.array([0.0, 0.0, -1.0])
 
@@ -36,7 +37,6 @@ class SampleReport:
     resamples: int
     clipped_fraction: float
     d_min: float
-    h3_ratio: float  # the ensemble's; NaN for a draw without one, which skips that O(N^2) scan
     h4_value: float
     s0: float  # well-prepared only, NaN otherwise
     field_lipschitz: float
@@ -130,22 +130,22 @@ def _project_h3(x, v, lam, max_sweeps=64):
 def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensemble=True):
     """Draw matched initial data for the particle and kinetic tiers.
 
-    f0_spec is a mapping with at least "family"; see FAMILIES.  Common
-    keys: sigma_x, sigma_v, c_v, max_resamples; uniform_ball also reads
-    x_radius and v_radius.  The cloud is centred in the grid's box, or at
+    f0_spec maps the keys of DEFAULTS["initial"] (family: see FAMILIES),
+    and takes the defaults there for those it omits; uniform_ball also
+    reads x_radius and v_radius.  The cloud is centred in the grid's box, or at
     (8, 8, 8) without a grid.  The well-prepared family needs grid to solve
     for its transport field, and its jitter has wavenumber 1 / sigma_x.
     want_ensemble adds the ensemble and its checks, the draw's one h3 scan.
     """
-    f0_spec = dict(f0_spec)
-    family = f0_spec.get("family", "gaussian")
+    f0_spec = {**DEFAULTS["initial"], **f0_spec}
+    family = f0_spec["family"]
     if family not in FAMILIES:
         raise ValueError(f"unknown initial family {family!r}; pick one of {FAMILIES}")
     gravity = np.asarray(gravity, dtype=float)
-    sigma_x = float(f0_spec.get("sigma_x", 1.5))
-    sigma_v = float(f0_spec.get("sigma_v", 0.2))
-    c_v = float(f0_spec.get("c_v", 10.0))
-    max_resamples = int(f0_spec.get("max_resamples", 20))
+    sigma_x = float(f0_spec["sigma_x"])
+    sigma_v = float(f0_spec["sigma_v"])
+    c_v = float(f0_spec["c_v"])
+    max_resamples = int(f0_spec["max_resamples"])
     radius = 1.0 / (6.0 * np.pi * n)
     center = np.full(3, 8.0 if grid is None else grid.box_length / 2.0)
 
@@ -211,7 +211,6 @@ def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensem
             resamples=attempt,
             clipped_fraction=clipped_fraction,
             d_min=d_min,
-            h3_ratio=np.nan if checks is None else checks.h3_ratio,
             h4_value=h4,
             s0=s0,
             field_lipschitz=field_lip,

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 from multiprocessing.connection import wait
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -145,25 +144,6 @@ def _blas_threads(count):
     return None
 
 
-def _uniform_view(x, v=None):
-    n = x.shape[0]
-    if v is None:
-        return SimpleNamespace(x=x, w=np.full(n, 1.0 / n))
-    return SimpleNamespace(x=x, v=v, w=np.full(n, 1.0 / n))
-
-
-def _w2(a, b, space):
-    """W2 between a cloud of n samples and one of m >= n.
-
-    Exact when n divides m and m fits EXACT_CAP (`metrics.wasserstein2_exact`
-    splits each atom of `a` into m / n equal copies); entropic otherwise.
-    """
-    n, m = a.x.shape[0], b.x.shape[0]
-    if m % n == 0 and m <= metrics.EXACT_CAP:
-        return metrics.wasserstein2_exact(a, b, space=space).distance
-    return metrics.wasserstein2_entropic(a, b, space=space).distance
-
-
 def fit_s_relaxation(times, s_values):
     """(decay rate, r2, plateau) of an S series over its initial layer.
 
@@ -217,18 +197,20 @@ class HydroReport:
 def _hydro_member(base, draw, transport_final, steps_per_relax, out_dir, lam):
     """One lam member: its vlasov run, S relaxation fit and W2 to the transport state.
 
-    An aborted run comes back with NaN figures for the caller to raise.
+    The member takes a snapshot, and with it S, at every step, since the
+    fit needs the whole initial layer.  An aborted run comes back with NaN
+    figures for the caller to raise.
     """
-    dt = base.t_final / max(1, round(steps_per_relax * lam * base.t_final))
-    output = {**base.output, "s_cadence": "step", "energy_budget": 0}  # the fit reads S, never the budget
-    config = replace(base, tier="vlasov", lam=lam, dt=dt, output=output)
+    steps = max(1, round(steps_per_relax * lam * base.t_final))
+    output = {**base.output, "snapshots": steps, "energy_budget": 0}  # the fit reads S, never the budget
+    config = replace(base, tier="vlasov", lam=lam, dt=base.t_final / steps, output=output)
     sub = None if out_dir is None else Path(out_dir) / f"lam_{lam:g}"
     record = run(config, out_dir=sub, draw=replace(draw, cloud=replace(draw.cloud, lam=lam)))
     if not record.ok:
-        return HydroMember(lam, dt, np.nan, np.nan, np.nan, np.nan, record)
+        return HydroMember(lam, config.dt, np.nan, np.nan, np.nan, np.nan, record)
     rate, rate_r2, plateau = fit_s_relaxation(*zip(*record.s_series))
-    w2 = _w2(record.final_state, transport_final, "spatial")
-    return HydroMember(lam, dt, w2, rate, rate_r2, plateau, record)
+    w2 = metrics.wasserstein2(record.final_state, transport_final, "spatial")
+    return HydroMember(lam, config.dt, w2, rate, rate_r2, plateau, record)
 
 
 def sweep_hydrodynamic(base, lambdas, out_dir=None):
@@ -251,7 +233,7 @@ def sweep_hydrodynamic(base, lambdas, out_dir=None):
     )
 
     # assumption flags must agree across members before aggregation
-    c_v = float(base.initial.get("c_v", 10.0))
+    c_v = float(base.initial["c_v"])
     flags = [
         (draw.report.field_lipschitz <= 0.5 * lam, micro.h4_value(draw.cloud.v, lam) <= c_v)
         for lam in lambdas
@@ -344,9 +326,8 @@ def _meanfield_member(base, draws, ref_record, out_dir, n):
         return MeanfieldMember(n, base.lam, np.nan, np.nan, np.nan, np.nan, False, np.nan, record)
 
     # phase-space distances against the larger reference cloud
-    final_ens = record.final_state
-    w2_0 = _w2(_uniform_view(ensemble.x, ensemble.v), ref_record.snapshots[0][1], "phase")
-    w2_t = _w2(_uniform_view(final_ens.x, final_ens.v), ref_record.final_state, "phase")
+    w2_0 = metrics.wasserstein2(ensemble, ref_record.snapshots[0][1], "phase")
+    w2_t = metrics.wasserstein2(record.final_state, ref_record.final_state, "phase")
     return MeanfieldMember(
         n=n,
         lam=base.lam,
@@ -376,7 +357,7 @@ def sweep_meanfield(base, n_values, out_dir=None):
     n_ref = int(mf_opts.get("n_ref", 2 * max(n_values)))
     if n_ref <= max(n_values):
         raise ValueError("reference sample count must exceed every member")
-    c_v = float(base.initial.get("c_v", 10.0))
+    c_v = float(base.initial["c_v"])
     grid = GridSpec(float(base.box), int(base.cells))
 
     ref_draw = sample_initial(
@@ -455,10 +436,9 @@ def compare_tiers(base, tiers=("vlasov", "transport"), out_dir=None):
         records.append(_checked(record, tier))
 
     finals = [r.final_state for r in records]
-    # transport states carry no velocities, so their view is spatial only
-    views = [_uniform_view(state.x, getattr(state, "v", None)) for state in finals]
-    space = "phase" if all(hasattr(v, "v") for v in views) else "spatial"
-    w2 = _w2(views[0], views[1], space)
+    # transport states carry no velocities, so their gap is spatial only
+    space = "phase" if all(hasattr(state, "v") for state in finals) else "spatial"
+    w2 = metrics.wasserstein2(finals[0], finals[1], space)
 
     energies = []
     if paired:
@@ -467,7 +447,7 @@ def compare_tiers(base, tiers=("vlasov", "transport"), out_dir=None):
             raise ValueError("micro and vlasov runs must share snapshot times")
         energies = metrics.modulated_energies(
             micro_record.times,
-            [_uniform_view(ens.x, ens.v) for _, ens in micro_record.snapshots],
+            [ens for _, ens in micro_record.snapshots],
             [cloud for _, cloud in vlasov_record.snapshots],
             grid,
             draw.cloud.gravity,

@@ -89,7 +89,19 @@ def _require_uniform(w, n):
         raise ValueError("exact mode requires equal uniform weights")
 
 
-def wasserstein2_exact(a, b, space="spatial", cap=EXACT_CAP):
+def wasserstein2(a, b, space="spatial"):
+    """W2 distance between a cloud of n samples and one of m >= n.
+
+    Exact when n divides m and m fits EXACT_CAP, entropic otherwise.  A
+    cloud without weights `w` counts as uniformly weighted.
+    """
+    n, m = _cloud_arrays(a)[0].shape[0], _cloud_arrays(b)[0].shape[0]
+    if m % n == 0 and m <= EXACT_CAP:
+        return wasserstein2_exact(a, b, space=space).distance
+    return wasserstein2_entropic(a, b, space=space).distance
+
+
+def wasserstein2_exact(a, b, space="spatial"):
     """Optimal assignment between uniformly weighted clouds of n and m = k n samples.
 
     Squared Euclidean ground cost; in phase mode the cost of a pair is
@@ -108,8 +120,8 @@ def wasserstein2_exact(a, b, space="spatial", cap=EXACT_CAP):
             "exact mode requires equal dimensions and a second sample count that is a "
             f"multiple of the first, got {pa.shape} vs {pb.shape}"
         )
-    if m > cap:
-        raise ValueError(f"{m} samples exceeds the exact-mode cap {cap}; use wasserstein2_entropic")
+    if m > EXACT_CAP:
+        raise ValueError(f"{m} samples exceeds the exact-mode cap {EXACT_CAP}; use wasserstein2_entropic")
     _require_uniform(wa, n)
     _require_uniform(wb, m)
     if m > n:
@@ -310,18 +322,18 @@ class ModulatedEnergies:
                 raise ValueError(f"{name} must be nonnegative, got {val}")
 
 
-def steady_field_velocities(snapshot, grid, gravity):
-    """Velocity of the steady transport field of the snapshot's own density,
-    sampled at the snapshot's positions."""
+def steady_field_velocities(snapshot, grid, gravity, weights):
+    """Velocity of the steady transport field of the density that `weights`
+    put on the snapshot's positions, sampled at those positions."""
     # positions and weights only: the momentum deposit of a phase cloud is not needed
-    carrier = SimpleNamespace(x=np.asarray(snapshot.x, dtype=float), w=snapshot.w, gravity=gravity)
+    carrier = SimpleNamespace(x=np.asarray(snapshot.x, dtype=float), w=weights, gravity=gravity)
     return steady_velocities(carrier, grid)
 
 
 def s_functional(snapshot, grid, gravity, weights):
     """S = (1/2) sum_i weights_i |v_i - g - w[rho](x_i)|^2, with w[rho] the
     steady transport field of the snapshot's own density."""
-    field_v = steady_field_velocities(snapshot, grid, gravity)
+    field_v = steady_field_velocities(snapshot, grid, gravity, weights)
     excess = np.asarray(snapshot.v, dtype=float) - gravity[None, :] - field_v
     return 0.5 * float(weights @ (excess * excess).sum(axis=1))
 

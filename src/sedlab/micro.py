@@ -293,15 +293,15 @@ def stats(ens, force_values=None):
     return EnsembleStats(d_min=d_min, s_beta=s_beta, v_moment9=v_moment9, force_moment9=force_moment9)
 
 
-def h3_ratio(x, v, lam, block=None):
+def h3_ratio(x, v, lam):
     """Worst pairwise |V_i - V_j| / ((lam/2) |X_i - X_j|); h3 holds iff <= 1.
 
-    Scans the pairs in blocks of `block` rows, `_pair_rows(N)` by default.
+    Scans the pairs in blocks of `_pair_rows(N)` rows.
     """
     n = x.shape[0]
     if n < 2:
         return 0.0
-    block = block or _pair_rows(n)
+    block = _pair_rows(n)
     worst = 0.0
     for start in range(0, n, block):
         cap = cdist(x[start : start + block], x)

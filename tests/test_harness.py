@@ -103,11 +103,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="energy_budget"):
             default_config({"output": {"energy_budget": 2}})
 
-    def test_energy_budget_switch_keeps_the_default_hash(self):
+    def test_energy_budget_default_and_hash(self):
         assert default_config({"output": {"energy_budget": 0}}).output["energy_budget"] == 0
-        assert "energy_budget" not in default_config().output
-        # the switch's default lives with its reader, so a default config hashes as before it
-        assert default_config().config_hash() == "11d26ecb7ac7331e"
+        assert default_config().output == {"snapshots": 50, "energy_budget": 1}
+        # pinned since [output] lists energy_budget = 1 and no longer s_cadence (was 11d26ecb7ac7331e)
+        assert default_config().config_hash() == "6355f46c408d8c74"
 
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ValueError, match="line 2"):
@@ -141,7 +141,7 @@ class TestSampling:
 
     def test_monokinetic_makes_h3_vacuous(self):
         draw = sample_initial({"family": "gaussian", "sigma_x": 1.5, "sigma_v": 0.0}, 300, 5, 10.0)
-        assert draw.report.h3_ratio == 0.0
+        assert draw.assumptions.h3_ratio == 0.0
         assert draw.report.clipped_fraction == 0.0
 
     def test_uniform_ball_family(self):
@@ -152,16 +152,19 @@ class TestSampling:
         dev = draw.cloud.v - np.array([0.0, 0.0, -1.0])
         assert np.linalg.norm(dev, axis=1).max() <= 0.1 + 1e-12
 
-    def test_report_and_assumption_check_agree(self):
+    def test_report_and_assumption_check_agree(self, monkeypatch):
+        from sedlab import micro
         from sedlab.micro import check_assumptions, h3_ratio
 
         draw = sample_initial({"family": "gaussian", "sigma_x": 1.0, "sigma_v": 0.2}, 600, 4, 12.0)
         checks = check_assumptions(draw.ensemble)
-        assert checks.h3_ratio == draw.report.h3_ratio > 0.0
+        assert checks.h3_ratio == draw.assumptions.h3_ratio > 0.0
         assert checks.h4_value == draw.report.h4_value
         # the row blocks only split the scan
         x, v = draw.cloud.x, draw.cloud.v
-        assert h3_ratio(x, v, 12.0, block=7) == checks.h3_ratio
+        monkeypatch.setattr(micro, "PAIR_BLOCK_BYTES", 8 * 600 * 7)  # blocks of 7 rows
+        assert micro._pair_rows(600) == 7
+        assert h3_ratio(x, v, 12.0) == checks.h3_ratio
         dx = np.linalg.norm(x[:, None] - x[None], axis=2)
         dv = np.linalg.norm(v[:, None] - v[None], axis=2)
         np.fill_diagonal(dx, np.inf)
@@ -274,10 +277,10 @@ class TestRunner:
         monkeypatch.setattr(micro, "h3_ratio", lambda *a, **k: scans.append(a[0].shape[0]) or scan(*a, **k))
         rec = run(cfg)
         assert rec.ok and scans == [48]  # the draw's check, which the run records
-        assert rec.sample_report.h3_ratio == rec.assumptions.h3_ratio
+        assert rec.assumptions.h3_ratio == micro.check_assumptions(rec.snapshots[0][1]).h3_ratio
         scans.clear()
         draw = sample_initial(cfg.initial, cfg.n, cfg.seed, cfg.lam, want_ensemble=False)
-        assert scans == [] and np.isnan(draw.report.h3_ratio)
+        assert scans == []
         assert draw.ensemble is None and draw.assumptions is None
 
     def test_run_keeps_first_and_latest_states(self):
@@ -529,6 +532,23 @@ class TestSweepWorkers:
         member = sweeps._hydro_member(base, draw, draw.spatial_cloud(), 4.0, None, 80.0)
         assert len(pickle.dumps(member)) < 0.5e6  # 7.8 MB while a record kept all 81 states
         assert member.record.ok and len(member.record.times) == 81 and len(member.record.snapshots) == 2
+
+    def test_hydro_member_takes_s_at_every_step(self):
+        # 128 steps, over twice the 50 snapshots of the base: the member still takes a snapshot,
+        # and with it S, at every step
+        base = default_config(
+            {
+                "run": {"n": 200, "lambda": 20.0, "t_final": 0.4, "seed": 3},
+                "grid": {"cells": 16},
+                "initial": {"sigma_x": 1.2, "sigma_v": 0.1},
+            }
+        )
+        grid = GridSpec(float(base.box), int(base.cells))
+        draw = sample_initial(base.initial, base.n, base.seed, base.lam, grid=grid, want_ensemble=False)
+        member = sweeps._hydro_member(base, draw, draw.spatial_cloud(), 4.0, None, 80.0)
+        record = member.record
+        assert record.ok and record.config.steps == 128 and member.dt == 0.4 / 128
+        assert len(record.s_series) == 129 and [t for t, _ in record.s_series] == record.times
 
     def test_workers_run_one_blas_thread(self, monkeypatch):
         use_cpus(monkeypatch, 2)
@@ -850,11 +870,12 @@ class TestCli:
         assert cli.main(["simulate", "--config", str(cfg)]) == 1
         assert "lambda_coupling" in capsys.readouterr().err
 
-    def test_misspelt_s_cadence_exits_1(self, tmp_path, capsys):
+    def test_stale_s_cadence_key_exits_1(self, tmp_path, capsys):
+        # S follows the snapshots now; a file that still sets the removed key must not run
         cfg = tmp_path / "cadence.cfg"
-        cfg.write_text("tier = vlasov\nn = 64\n[output]\ns_cadence = steps\n")
+        cfg.write_text("tier = vlasov\nn = 64\n[output]\ns_cadence = step\n")
         assert cli.main(["simulate", "--config", str(cfg)]) == 1
-        assert "s_cadence" in capsys.readouterr().err
+        assert "unknown key(s) in [output]: s_cadence" in capsys.readouterr().err
 
     def test_energy_budget_off_writes_no_budget(self, tmp_path, capsys):
         cfg = tmp_path / "nobudget.cfg"

@@ -16,6 +16,7 @@ from sedlab.metrics import (
     energies_to_rows,
     modulated_energies,
     rate_fit,
+    wasserstein2,
     wasserstein2_entropic,
     wasserstein2_exact,
     write_metrics_csv,
@@ -94,13 +95,14 @@ class TestExact:
         # a permutation coupling has exact marginals by construction
         assert len(np.unique(out.pairing)) == 24
 
-    def test_input_validation(self):
+    def test_input_validation(self, monkeypatch):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(8, 3))
         with pytest.raises(ValueError):
             wasserstein2_exact(a, rng.normal(size=(9, 3)))
-        with pytest.raises(ValueError):
-            wasserstein2_exact(a, rng.normal(size=(8, 3)), cap=4)
+        with monkeypatch.context() as patch, pytest.raises(ValueError):
+            patch.setattr(metrics, "EXACT_CAP", 4)
+            wasserstein2_exact(a, rng.normal(size=(8, 3)))
         lopsided = SimpleNamespace(x=a, w=np.linspace(0.1, 0.9, 8) / np.sum(np.linspace(0.1, 0.9, 8)))
         with pytest.raises(ValueError):
             wasserstein2_exact(lopsided, a)
@@ -180,14 +182,15 @@ class TestDuplicatedAtoms:
             assert out.cost == float(cost[rows, cols].mean())
             assert np.array_equal(out.pairing[rows], cols)
 
-    def test_sizes_must_divide(self):
+    def test_sizes_must_divide(self, monkeypatch):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(8, 3))
         for m in (12, 20, 4):
             with pytest.raises(ValueError):
                 wasserstein2_exact(a, rng.normal(size=(m, 3)))
-        with pytest.raises(ValueError):
-            wasserstein2_exact(a, rng.normal(size=(32, 3)), cap=16)
+        with monkeypatch.context() as patch, pytest.raises(ValueError):
+            patch.setattr(metrics, "EXACT_CAP", 16)
+            wasserstein2_exact(a, rng.normal(size=(32, 3)))
         with pytest.raises(ValueError):
             wasserstein2_exact(a, rng.normal(size=(16, 2)))
 
@@ -213,6 +216,20 @@ class TestDuplicatedAtoms:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * 8 * m * m
+
+
+class TestSolverChoice:
+    def test_exact_when_sizes_divide_under_the_cap(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        a, b, c = rng.normal(size=(8, 3)), rng.normal(size=(16, 3)) + 0.2, rng.normal(size=(12, 3)) + 0.2
+        exact = wasserstein2_exact(a, b).distance
+        assert wasserstein2(a, b) == exact
+        # a cloud without weights counts as uniform
+        assert wasserstein2(SimpleNamespace(x=a, w=np.full(8, 1 / 8)), b) == exact
+        assert wasserstein2(a, c) == wasserstein2_entropic(a, c).distance  # 8 does not divide 12
+        monkeypatch.setattr(metrics, "EXACT_CAP", 8)
+        entropic = wasserstein2_entropic(a, b).distance
+        assert wasserstein2(a, b) == entropic != exact
 
 
 class TestEntropic:

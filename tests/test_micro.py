@@ -336,8 +336,8 @@ class TestStats:
         assert ratio_peak < 4 * PAIR_BLOCK_BYTES and stats_peak < 4 * PAIR_BLOCK_BYTES
         # many blocks give bitwise the one-block result
         assert n // micro._pair_rows(n) > 20
-        assert ratio == h3_ratio(ens.x, ens.v, ens.lam, block=n)
         monkeypatch.setattr(micro, "PAIR_BLOCK_BYTES", 8 * n * n)
+        assert ratio == h3_ratio(ens.x, ens.v, ens.lam)
         one_block = stats(ens)
         assert out.d_min == one_block.d_min and out.s_beta == one_block.s_beta
 
