@@ -18,13 +18,13 @@ and targets, a force supported in a small part of the grid can be solved
 on a `Window`: the smallest cube of cells that holds its support, side a
 multiple of 8 (`support_window`).  `brinkman_solve` iterates there and
 measures its stop rule there, and the steady transport field at a cloud's
-own samples on the window of their stencils (`stencil_window`).  The
-Brinkman field off the window costs one whole-grid apply, made only if read.
+own samples on the window of their stencils (`stencil_window`).  Fields
+are read on the window, and a Brinkman solve's Dirichlet energy pairs its
+field with its force there: no run applies the operator on the whole grid.
 
-Fields live on cell centers (i + 1/2) h of a cube [0, L)^3.  Energy
-integrals over the box omit the O(h/L) far-field tail outside it;
-callers that compare against whole-space identities should keep the
-cloud diameter well under L.
+Fields live on cell centers (i + 1/2) h of a cube [0, L)^3.  The box
+quadrature of |grad u|^2 (`FluidState.box_energy`) omits the O(h/L)
+far-field tail outside the box; `FluidState.dirichlet_energy` omits none.
 """
 
 from __future__ import annotations
@@ -169,52 +169,34 @@ class VectorGrid:
 class FluidState:
     """Result of a grid solve: velocity plus convergence diagnostics.
 
-    A Brinkman solve on a `Window` holds its field there and its last force.
-    One whole-grid apply of that force fills in the field off the window, on
-    the first read of `velocity`, `grad_sup_norm` or `dirichlet_energy`;
-    `at` and `warm_start` read only what is already computed.
+    A Brinkman solve holds its field on its `window` only (`velocity` is on
+    `window.spec`), and the last force f it applied there: u = St f at
+    theta = 1.  `at` reads the field at positions in the grid's coordinates,
+    `warm_start` embeds it in the grid, zero off the window, and
+    `dirichlet_energy` pairs it with f.  Nothing computes it off the window.
 
     The finite-difference velocity gradient behind `grad_sup_norm` and
-    `dirichlet_energy` is built on first use of either, once; solves whose
-    gradient nobody reads never build it.  Its nine components are squared
-    into one per-cell sum as they arrive, so the (n, n, n, 3, 3) gradient
-    is never held.
+    `box_energy` is built on first use of either, once, over the field's own
+    grid; solves whose gradient nobody reads never build it.  Its nine
+    components are squared into one per-cell sum as they arrive, so the
+    (n, n, n, 3, 3) gradient is never held.
     """
 
     def __init__(self, velocity: VectorGrid, residual: float, iterations: int,
                  window: Window | None = None, force: np.ndarray | None = None):
-        # with a window short of the grid: `velocity` on it, and its last force until the fill
-        self.residual = residual
-        self.iterations = iterations
-        self._field, self._window = velocity, window
-        self._force = None if window is None or window.full else force
+        self.velocity, self.residual, self.iterations = velocity, residual, iterations
+        self.window = window or Window(velocity.spec, (0, 0, 0), velocity.spec)
+        self.force = force  # (n, n, n, 3) on the window; Brinkman solves hold it
         self._gradient_norms = None
 
     @property
-    def velocity(self) -> VectorGrid:
-        """The field on the whole grid."""
-        if self._force is not None:
-            w = self._window
-            whole = get_operator(w.grid).apply(w.embed(self._force))
-            whole[w.cells] = self._field.values
-            self._field, self._force = VectorGrid(w.grid, whole), None
-        return self._field
-
-    @property
     def warm_start(self) -> VectorGrid:
-        """The field as far as it is computed, zero off the window until the fill: the next `u0`."""
-        if self._force is None:
-            return self._field
-        return VectorGrid(self._window.grid, self._window.embed(self._field.values))
+        """The field on the whole grid, zero off the window: the next solve's `u0`."""
+        return VectorGrid(self.window.grid, self.window.embed(self.velocity.values))
 
     def at(self, positions: np.ndarray) -> np.ndarray:
-        """`interpolate(self.velocity, positions)`, with no fill while every stencil corner is in the window."""
-        if self._force is not None:
-            i0, _ = _cic_corners(self._window.grid, positions, "interpolate")
-            i0 -= self._window.origin
-            if np.all((i0 >= 0) & (i0 <= self._window.spec.n - 2)):
-                return interpolate(self.warm_start, positions)
-        return interpolate(self.velocity, positions)
+        """The field at positions in the grid's coordinates, each stencil in the window (`interpolate`)."""
+        return interpolate(self.velocity, positions, self.window)
 
     def _norms(self) -> tuple:
         if self._gradient_norms is None:
@@ -237,39 +219,48 @@ class FluidState:
         return self._norms()[0]
 
     @property
-    def dirichlet_energy(self) -> float:
-        """Box quadrature of |grad u|^2; the far-field tail outside is dropped."""
+    def box_energy(self) -> float:
+        """Box quadrature of |grad u|^2 over the field's grid; the far-field tail outside is dropped."""
         return self._norms()[1]
+
+    @property
+    def dirichlet_energy(self) -> float:
+        """h^3 <u, f> over the window: the whole-space energy int |grad u|^2 of u = St f by the
+        weak form of the solve, with no tail dropped and no gradient built.  Needs the force."""
+        return _dot(self.velocity.values, self.force) * self.velocity.spec.cell_volume
 
 
 # ---------------------------------------------------------------------------
 # deposit / interpolate (trilinear cloud-in-cell, adjoint pair)
 
 
-def _cic_corners(spec: GridSpec, positions: np.ndarray, what: str):
-    """(lowest corner cell, fractions) of each position's trilinear stencil.
+def _cic_corners(spec: GridSpec, positions: np.ndarray, what: str, window: Window | None = None):
+    """(lowest corner cell, fractions) of each position's trilinear stencil, from the window's origin if given.
 
-    Positions must stay a half cell away from the box faces; anything
-    outside raises DomainExhaustedError rather than wrapping silently.
+    Every stencil must lie in the box (a half cell from its faces), or in the
+    window; anything outside raises DomainExhaustedError rather than wrapping.
     """
     pos = np.atleast_2d(positions)
     t = pos / spec.h - 0.5
     i0 = np.floor(t).astype(np.int64)
     frac = t - i0
+    if window is not None:
+        i0 -= window.origin
+        spec = window.spec
     bad = (i0 < 0) | (i0 > spec.n - 2)
     if np.any(bad):
-        k = int(np.argwhere(bad.any(axis=1))[0, 0])
+        k, where = int(np.argwhere(bad.any(axis=1))[0, 0]), "box" if window is None else "window"
         raise DomainExhaustedError(
-            f"{what}: {int(bad.any(axis=1).sum())} position(s) outside the usable box "
-            f"(first offender index {k} at {pos[k]}); box side {spec.box_length}"
+            f"{what}: {int(bad.any(axis=1).sum())} position(s) outside the usable {where} "
+            f"(first offender index {k} at {pos[k]}); {where} side {spec.box_length}"
         )
     return i0, frac
 
 
-def _cic_stencil(spec: GridSpec, positions: np.ndarray, what: str):
-    """Yield (flat cell index, weight) for each of the eight trilinear corners."""
-    i0, frac = _cic_corners(spec, positions, what)
-    n = spec.n
+def _cic_stencil(spec: GridSpec, positions: np.ndarray, what: str, window: Window | None = None):
+    """Yield (flat cell index, weight) for each of the eight trilinear corners, on the window if given."""
+    i0, frac = _cic_corners(spec, positions, what, window)
+    n = spec.n if window is None else window.spec.n
     for corner in range(8):
         dx, dy, dz = corner & 1, (corner >> 1) & 1, (corner >> 2) & 1
         wgt = (
@@ -309,15 +300,17 @@ def deposit(cloud, spec: GridSpec) -> tuple[ScalarGrid, VectorGrid]:
     return ScalarGrid(spec, rho.reshape(n, n, n)), VectorGrid(spec, j)
 
 
-def interpolate(field: VectorGrid, positions: np.ndarray) -> np.ndarray:
+def interpolate(field: VectorGrid, positions: np.ndarray, window: Window | None = None) -> np.ndarray:
     """Evaluate a grid field at off-grid points with the same trilinear
     stencil as `deposit`, making the pair adjoint: for any cloud and field,
-    sum_i w_i v_i . u(x_i) == sum_cells j . u * h^3."""
+    sum_i w_i v_i . u(x_i) == sum_cells j . u * h^3.  A field on a `window`
+    is read through its grid's stencils shifted by the window's origin:
+    bitwise the values of the field embedded in zeros on the grid."""
     pos = np.asarray(positions, dtype=float)
     n = field.spec.n
     vals = field.values.reshape(n * n * n, 3)
     out = np.zeros(np.atleast_2d(pos).shape)
-    for flat, wgt in _cic_stencil(field.spec, pos, "interpolate"):
+    for flat, wgt in _cic_stencil(field.spec if window is None else window.grid, pos, "interpolate", window):
         out += wgt[:, None] * vals[flat]
     return out[0] if pos.ndim == 1 else out
 
@@ -583,11 +576,10 @@ def brinkman_solve(
 
     The force j - rho u vanishes off the support of rho and j, so the loop
     runs on its window (`support_window`) and measures the defect and the
-    residual there; a support that spans the grid runs on the grid.  One
-    whole-grid apply of the last force fills in the field off the window
-    when something first reads it there (see `FluidState`).  With theta = 1
-    that is the whole-grid iterate itself; after damping it differs from it
-    off the window by the order of the defect.
+    residual there; a support that spans the grid runs on the grid.  The
+    returned `FluidState` holds the field and the last force on the window.
+    With theta = 1 the field is that force's image, so their pairing is its
+    Dirichlet energy; after damping it differs by the order of the defect.
     """
     if rho.spec != j.spec:
         raise ValueError("rho and j live on different grids")
@@ -597,7 +589,7 @@ def brinkman_solve(
         raise ValueError("non-finite input field")
     if rho.values.max(initial=0.0) == 0.0:
         # no drag: the equation is linear Stokes, one application is exact
-        return FluidState(VectorGrid(rho.spec, get_operator(rho.spec).apply(j.values)), residual=0.0, iterations=1)
+        return FluidState(VectorGrid(rho.spec, get_operator(rho.spec).apply(j.values)), 0.0, 1, force=j.values)
     window = support_window(rho.spec, rho.values, j.values)
     op = get_operator(window.spec)
     cells = window.cells
@@ -635,14 +627,14 @@ def contraction_stop(defect: float, prev_defect: float, tol: float) -> bool:
     return q < 0.5 and 2.0 * q * defect <= tol
 
 
-def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a contiguous array by numpy's own summation loop.
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of contiguous arrays by numpy's own summation loop: `np.dot` and `np.linalg.norm`
+    call BLAS, whose last bits change with its thread count, and so could a stop decision or an output."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
-    `np.linalg.norm` calls BLAS, whose last bits change with its thread
-    count, and a stop decision taken on them could differ between runs.
-    """
-    flat = x.ravel()
-    return math.sqrt(np.einsum("i,i->", flat, flat))
+
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(_dot(x, x))
 
 
 # ---------------------------------------------------------------------------
@@ -680,14 +672,16 @@ def dissipation_check(rho: ScalarGrid, bulk: VectorGrid, fluid: FluidState) -> D
     With u = Br^{-1}_rho[V] the identity
         int V . (V - u) drho = ||grad u||^2 + ||V - u||^2_{L2(rho)}
     holds in the continuum; the report carries the discrete residual,
-    relative to the largest term.
+    relative to the largest term.  ||grad u||^2 is the box quadrature of
+    the finite-difference gradient (`FluidState.box_energy`), so the field
+    must span rho's grid.
     """
     vol = rho.spec.cell_volume
     u = fluid.velocity.values
     V = bulk.values
     r = rho.values[..., None]
     lhs = float(np.sum(V * (V - u) * r) * vol)
-    grad = fluid.dirichlet_energy
+    grad = fluid.box_energy
     fric = float(np.sum((V - u) ** 2 * r) * vol)
     res = lhs - grad - fric
     scale = max(abs(lhs), grad, fric, 1e-300)

@@ -17,6 +17,8 @@ The energy budget tracks the identity
 
 term by term.  The derivative slot is filled by the caller from adjacent
 M2 samples (centered differences need neighbors a single step cannot see).
+|grad u|_2^2 is the weak form of the Brinkman solve, h^3 <u, f> with its
+force f = j - rho u: the budget closes only if the push reads that field.
 """
 
 from dataclasses import dataclass, replace
@@ -71,7 +73,7 @@ class EnergyBudget:
 
     t: float
     m2: float
-    grad_term: float
+    grad_term: float  # lam h^3 <u, f>: the whole-space Dirichlet energy of the solve, times lam
     friction_term: float
     gravity_term: float
     dm2_dt: float = np.nan
@@ -91,7 +93,8 @@ class EnergyBudget:
 
 
 def energy_budget(cloud, fluid, u_at, dm2_dt=np.nan):
-    """Instantaneous terms of the energy identity; u_at is the field at the samples, `fluid.at(cloud.x)`."""
+    """Instantaneous terms of the energy identity; u_at is the field at the samples, `fluid.at(cloud.x)`,
+    and grad_term pairs the solve's field with its force on its window (`FluidState.dirichlet_energy`)."""
     m2 = float(cloud.w @ np.sum(cloud.v**2, axis=1))
     grad_term = cloud.lam * fluid.dirichlet_energy
     friction_term = cloud.lam * float(cloud.w @ np.sum((u_at - cloud.v) ** 2, axis=1))
@@ -144,9 +147,9 @@ def vlasov_step(cloud, grid, dt, coupling=True, tol=1e-9, u0=None, budget=True):
     """Advance the cloud one step; returns (new cloud, fluid, start-of-step budget).
 
     coupling=False forces u to zero, leaving the pure relaxation toward g;
-    u0 warm-starts the Brinkman fixed point with the previous step's field.
-    budget=False leaves the budget slot None, and with it the gradient and
-    the whole-grid fill that the budget reads (see `kernels.FluidState`).
+    u0 warm-starts the Brinkman fixed point with the previous step's
+    `warm_start`.  Every Stokes apply is made on the solve's window, and
+    budget=False leaves the budget slot None.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -155,7 +158,8 @@ def vlasov_step(cloud, grid, dt, coupling=True, tol=1e-9, u0=None, budget=True):
         fluid = brinkman_solve(rho, j, tol=tol, u0=u0)
         u_at = fluid.at(cloud.x)
     else:
-        fluid = FluidState(VectorGrid(grid, np.zeros((grid.n, grid.n, grid.n, 3))), residual=0.0, iterations=0)
+        zero = np.zeros((grid.n, grid.n, grid.n, 3))
+        fluid = FluidState(VectorGrid(grid, zero), 0.0, 0, force=zero)
         u_at = np.zeros_like(cloud.v)
     terms = energy_budget(cloud, fluid, u_at) if budget else None
     x_new, v_new = relaxation_push(cloud.x, cloud.v, cloud.gravity[None, :] + u_at, cloud.lam, dt)

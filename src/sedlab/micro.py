@@ -334,8 +334,8 @@ class AssumptionReport:
     h4_value: float
 
 
-def check_assumptions(ens, c_v=10.0):
-    """Report the verifiable assumptions h1, h3 and h4 on an initial ensemble.
+def check_assumptions(ens, c_v):
+    """Report the verifiable assumptions h1, h3 and h4 <= c_v on an initial ensemble.
 
     The density-proximity assumption (h2) is not checked here: it needs a
     reference density that the ensemble does not carry.

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError
-from .kernels import ScalarGrid, VectorGrid, deposit, interpolate, stencil_window, stokes_solve
+from .kernels import ScalarGrid, deposit, interpolate, stencil_window, stokes_solve
 
 
 def admit_samples(cloud):
@@ -75,14 +75,14 @@ def steady_velocities(cloud, grid):
     """The field of `steady_velocity_field`, at the cloud's own samples only.
 
     The solve runs on the window of every sample's interpolation stencil
-    (`kernels.stencil_window`), zero-weight samples included, and agrees
-    with the whole-grid field there to rounding.
+    (`kernels.stencil_window`), zero-weight samples included, agrees with
+    the whole-grid field there to rounding, and is read there.
     """
     rho, _ = deposit(cloud, grid)
     window = stencil_window(grid, cloud.x)
-    u = stokes_solve(ScalarGrid(window.spec, rho.values[window.cells]), cloud.gravity).velocity.values
-    _require_finite(u)
-    return interpolate(VectorGrid(grid, window.embed(u)), cloud.x)
+    u = stokes_solve(ScalarGrid(window.spec, rho.values[window.cells]), cloud.gravity).velocity
+    _require_finite(u.values)
+    return interpolate(u, cloud.x, window)
 
 
 def _require_finite(u):

@@ -17,7 +17,7 @@ import pytest
 from sedlab.errors import AssumptionError, ConvergenceError, DomainExhaustedError
 from sedlab.harness import sweeps
 from sedlab.harness import cli
-from sedlab.harness.config import build_config, default_config, load_config, parse_config_text
+from sedlab.harness.config import DEFAULTS, build_config, default_config, load_config, parse_config_text
 from sedlab.harness.runner import _write_samples, fit_dmin_constant, run
 from sedlab.harness.sampling import sample_initial
 from sedlab.harness.sweeps import compare_tiers, fit_s_relaxation, sweep_hydrodynamic, sweep_meanfield
@@ -157,7 +157,7 @@ class TestSampling:
         from sedlab.micro import check_assumptions, h3_ratio
 
         draw = sample_initial({"family": "gaussian", "sigma_x": 1.0, "sigma_v": 0.2}, 600, 4, 12.0)
-        checks = check_assumptions(draw.ensemble)
+        checks = check_assumptions(draw.ensemble, DEFAULTS["initial"]["c_v"])
         assert checks.h3_ratio == draw.assumptions.h3_ratio > 0.0
         assert checks.h4_value == draw.report.h4_value
         # the row blocks only split the scan
@@ -277,7 +277,7 @@ class TestRunner:
         monkeypatch.setattr(micro, "h3_ratio", lambda *a, **k: scans.append(a[0].shape[0]) or scan(*a, **k))
         rec = run(cfg)
         assert rec.ok and scans == [48]  # the draw's check, which the run records
-        assert rec.assumptions.h3_ratio == micro.check_assumptions(rec.snapshots[0][1]).h3_ratio
+        assert rec.assumptions.h3_ratio == micro.check_assumptions(rec.snapshots[0][1], cfg.initial["c_v"]).h3_ratio
         scans.clear()
         draw = sample_initial(cfg.initial, cfg.n, cfg.seed, cfg.lam, want_ensemble=False)
         assert scans == []

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import whole_fluid
 from sedlab import kernels as K
 from sedlab.errors import ConvergenceError, DomainExhaustedError
 
@@ -371,9 +372,10 @@ class TestStokesOperator:
             lam=10.0,
             gravity=np.array([0.0, 0.0, -1.0]),
         )
-        for _ in range(2):
+        for k in range(2):
             cloud, fluid, budget = kinetic.vlasov_step(cloud, self.spec, 0.01)
-            assert fluid.grad_sup_norm > 0.0 and budget.grad_term > 0.0
+            assert budget.grad_term > 0.0 and len(builds) == k  # the budget's pairing builds none
+            assert fluid.grad_sup_norm > 0.0 and fluid.box_energy > 0.0  # one build serves both
         assert len(builds) == 2
 
 
@@ -542,14 +544,17 @@ class TestWindow:
         rho, j = _cloud_density(self.spec, 2000, seed=42)
         assert K.support_window(self.spec, rho.values, j.values).spec.n == 24
         windowed = K.brinkman_solve(rho, j)
-        warm = K.brinkman_solve(rho, j, u0=windowed.velocity)
+        warm = K.brinkman_solve(rho, j, u0=windowed.warm_start)
         monkeypatch.setattr(K, "support_window", _whole_grid_window)
         whole = K.brinkman_solve(rho, j)
+        cells = windowed.window.cells
         assert windowed.iterations == whole.iterations
-        assert self._rel(windowed.velocity.values, whole.velocity.values) <= 1e-13
+        assert self._rel(windowed.velocity.values, whole.velocity.values[cells]) <= 1e-13
+        # off the window, the held force's image is the whole-grid iterate
+        assert self._rel(whole_fluid(windowed).velocity.values, whole.velocity.values) <= 1e-13
         whole_warm = K.brinkman_solve(rho, j, u0=whole.velocity)
         assert warm.iterations == whole_warm.iterations
-        assert self._rel(warm.velocity.values, whole_warm.velocity.values) <= 1e-13
+        assert self._rel(warm.velocity.values, whole_warm.velocity.values[cells]) <= 1e-13
 
     def test_support_spanning_grid_is_bitwise_the_whole_grid_loop(self):
         rho = gaussian_density(self.spec, 1.5)
@@ -628,7 +633,7 @@ class TestWindow:
         return sides
 
     @pytest.mark.parametrize("budget", [0, 1])
-    def test_whole_grid_applies_only_for_the_budget(self, monkeypatch, budget):
+    def test_no_whole_grid_apply_in_a_windowed_run(self, monkeypatch, budget):
         from sedlab import harness
 
         config = harness.default_config(
@@ -643,14 +648,15 @@ class TestWindow:
         sides = self._count_applies(monkeypatch)
         record = harness.run(config, draw=draw)
         assert record.ok and len(record.budgets) == budget * config.steps
-        assert sides.count(self.spec.n) == budget * config.steps
+        assert all(b.grad_term > 0.0 for b in record.budgets)
+        assert self.spec.n not in sides
         assert len(sides) > config.steps  # the window iterations and the S solves
 
-    def test_lazy_fill_is_bitwise_the_eager_fill(self, monkeypatch):
+    def test_solve_holds_the_force_of_its_last_apply(self, monkeypatch):
         rho, j = _cloud_density(self.spec, 2000, seed=44)
         window = K.support_window(self.spec, rho.values, j.values)
         assert not window.full
-        # the loop with theta = 1 and the whole-grid fill made at convergence, written out
+        # the loop with theta = 1, written out
         op = K.get_operator(window.spec)
         jw, rhov = j.values[window.cells], rho.values[window.cells][..., None]
         u, u_norm, prev = np.zeros_like(jw), 0.0, np.inf
@@ -663,33 +669,29 @@ class TestWindow:
             if defect <= 1e-9 or (q < 0.5 and 2.0 * q * defect <= 1e-9):
                 break
             prev = defect
-        eager = K.get_operator(self.spec).apply(window.embed(force))
-        eager[window.cells] = u
         sides = self._count_applies(monkeypatch)
         fluid = K.brinkman_solve(rho, j)
-        assert fluid.iterations == it and set(sides) == {window.spec.n}
         energy = fluid.dirichlet_energy
-        assert sides.count(self.spec.n) == 1
-        assert fluid.velocity.values.tobytes() == eager.tobytes()
-        assert energy == K.FluidState(K.VectorGrid(self.spec, eager), 0.0, it).dirichlet_energy
-        assert fluid.velocity is fluid.velocity and sides.count(self.spec.n) == 1  # filled once
+        assert fluid.iterations == it and sides == [window.spec.n] * it
+        assert fluid.window == window and fluid.velocity.spec == window.spec
+        assert fluid.velocity.values.tobytes() == u.tobytes() and fluid.force.tobytes() == force.tobytes()
+        assert energy > 0.0 and energy == pytest.approx(float(np.sum(u * force)) * self.spec.cell_volume, rel=1e-12)
 
-    def test_interpolation_at_the_cloud_needs_no_fill(self, monkeypatch):
+    def test_interpolation_on_the_window_is_bitwise_the_embedded_field(self, monkeypatch):
         rng = np.random.default_rng(45)
         cloud = _Cloud(8.0 + 1.2 * rng.standard_normal((2000, 3)), np.full(2000, 1.0 / 2000),
                        np.array([0.0, 0.0, -1.0]) + 0.1 * rng.standard_normal((2000, 3)))
         fluid = K.brinkman_solve(*K.deposit(cloud, self.spec))
+        window = fluid.window
+        assert not window.full
         sides = self._count_applies(monkeypatch)
-        before = fluid.at(cloud.x)
-        warm = fluid.warm_start.values
+        warm = fluid.warm_start
+        assert warm.spec == self.spec and np.array_equal(warm.values, window.embed(fluid.velocity.values))
+        assert fluid.at(cloud.x).tobytes() == K.interpolate(warm, cloud.x).tobytes()
+        assert fluid.at(cloud.x[0]).tobytes() == K.interpolate(warm, cloud.x[0]).tobytes()
+        with pytest.raises(DomainExhaustedError, match="outside the usable window"):
+            fluid.at(np.array([1.0, 1.0, 1.0]))  # a stencil off the window
         assert sides == []
-        off = np.array([1.0, 1.0, 1.0])  # a stencil outside the window builds the fill
-        assert fluid.at(off).tobytes() == K.interpolate(fluid.velocity, off).tobytes()
-        assert sides == [self.spec.n]
-        assert before.tobytes() == fluid.at(cloud.x).tobytes() == K.interpolate(fluid.velocity, cloud.x).tobytes()
-        window = K.support_window(self.spec, *[g.values for g in K.deposit(cloud, self.spec)])
-        assert np.array_equal(warm, window.embed(fluid.velocity.values[window.cells]))
-        assert fluid.warm_start is fluid.velocity
 
 
 def _returned_defect(rho, j, fluid):
@@ -784,7 +786,7 @@ class TestStopRule:
         cold = K.brinkman_solve(rho, j)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            warm = K.brinkman_solve(rho, j, u0=cold.velocity)
+            warm = K.brinkman_solve(rho, j, u0=cold.warm_start)
         assert warm.iterations == 1 and np.isfinite(warm.residual)
         assert np.all(np.isfinite(warm.velocity.values))
         assert _returned_defect(rho, j, warm) <= 1e-9

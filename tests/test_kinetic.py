@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import whole_fluid
+from sedlab import kinetic
 from sedlab.errors import DomainExhaustedError
 from sedlab.kernels import GridSpec
 from sedlab.kinetic import (
@@ -17,6 +19,9 @@ from sedlab.kinetic import (
 from sedlab.transport import SpatialCloud
 
 GRAVITY = np.array([0.0, 0.0, -1.0])
+# interior |residual| / term scale of the coupled budget run below; measured there: the model
+# at most 3.8e-4, a push with g + 0.8 u at least 1.8e-3, and one with g alone at least 7.5e-3
+BUDGET_GATE = 1e-3
 
 
 def gaussian_cloud(n, lam, seed, sigma_x=1.5, sigma_v=0.3, box=16.0, v_mean=None):
@@ -246,9 +251,9 @@ class TestEnergyBudget:
         _, _, budget = vlasov_step(cloud, grid, 0.01)
         assert np.isnan(budget.dm2_dt) and np.isnan(budget.residual)
 
-    def test_budget_closes_along_a_coupled_run(self):
-        # the discrete energy identity: interior residuals stay below 2%
-        # of the summed term magnitudes
+    @staticmethod
+    def coupled_budgets():
+        """The finalized budget series of a 16-step coupled run at 32^3 with 2000 samples."""
         grid = GridSpec(16.0, 32)
         lam, dt, steps = 10.0, 1.0 / 160.0, 16
         cloud = gaussian_cloud(2000, lam, seed=33, sigma_v=0.4)
@@ -256,13 +261,61 @@ class TestEnergyBudget:
         warm = None
         for _ in range(steps):
             cloud, fluid, budget = vlasov_step(cloud, grid, dt, tol=1e-10, u0=warm)
-            warm = fluid.velocity
+            warm = fluid.warm_start
             budgets.append(budget)
         final_m2 = float(cloud.w @ np.sum(cloud.v**2, axis=1))
-        budgets = finalize_budgets(budgets, final_m2, dt)
+        return finalize_budgets(budgets, final_m2, dt)
+
+    def test_budget_closes_along_a_coupled_run(self):
+        # the discrete energy identity: interior residuals stay below 2%
+        # of the summed term magnitudes
+        budgets = self.coupled_budgets()
         assert all(np.isfinite(b.residual) for b in budgets)
         for b in budgets:
             assert abs(b.residual) <= 0.02 * b.term_scale, f"t={b.t}: {b.residual} vs {b.term_scale}"
+
+    @pytest.mark.parametrize("s", [1.0, 0.8, 0.0], ids=["model", "push-0.8u", "push-without-u"])
+    def test_interior_budget_fails_a_push_off_the_fluid(self, monkeypatch, s):
+        # the push reads g + s u.  grad_term pairs the solve's u with its force, which
+        # equals the sample-side lam int u . (v - u) df, so the identity closes only at s = 1;
+        # the first step is left out, its one-sided dM2/dt stencil reads 7.5e-4 on the model
+        push = kinetic.relaxation_push
+        monkeypatch.setattr(kinetic, "relaxation_push",
+                            lambda x, v, drift, lam, dt: push(x, v, GRAVITY + s * (drift - GRAVITY), lam, dt))
+        rels = [abs(b.residual) / b.term_scale for b in self.coupled_budgets()[1:]]
+        if s == 1.0:
+            assert max(rels) <= BUDGET_GATE
+        else:
+            assert min(rels) > BUDGET_GATE
+
+    def test_pairing_is_the_whole_space_dirichlet_energy(self, monkeypatch):
+        # one cloud at h = 1/2, centred in boxes of side 16, 32 and 48: the pairing h^3 <u, f>
+        # stays put, while the box quadrature of |grad u|^2 drops a far-field tail of order 1/L
+        from collections import OrderedDict
+
+        from sedlab import kernels as K
+
+        monkeypatch.setattr(K, "_OPERATOR_CACHE", OrderedDict())  # the tables go with the test
+        rng = np.random.default_rng(5)
+        z, v = 1.5 * rng.standard_normal((2000, 3)), GRAVITY + 0.2 * rng.standard_normal((2000, 3))
+        boxes = np.array([16.0, 32.0, 48.0])
+        pairs, quadratures = [], []
+        for box in boxes:
+            cloud = PhaseCloud(x=box / 2 + z, v=v, w=np.full(2000, 1 / 2000), lam=10.0, gravity=GRAVITY)
+            fluid = K.brinkman_solve(*K.deposit(cloud, GridSpec(box, int(2 * box))), tol=1e-12)
+            u = fluid.at(cloud.x)
+            sample_side = float(cloud.w @ np.sum(u * (cloud.v - u), axis=1))
+            assert fluid.dirichlet_energy == pytest.approx(sample_side, rel=1e-4)  # measured 4.8e-5
+            pairs.append(fluid.dirichlet_energy)
+            quadratures.append(whole_fluid(fluid).box_energy)
+        ratios = np.array(pairs) / quadratures
+        assert pairs == pytest.approx([pairs[0]] * 3, rel=1e-12)
+        assert ratios[0] > ratios[1] > ratios[2] > 1.0  # measured 1.515, 1.213, 1.134
+        # what the largest box leaves is the tail: the quadrature extrapolated in 1/L and 1/L^2
+        # meets the pairing (measured 3.4e-4 apart), so the blob term and the finite-difference
+        # gradient together move the energy by less than that
+        limit = np.linalg.solve(np.c_[np.ones(3), 1.0 / boxes, 1.0 / boxes**2], quadratures)[0]
+        assert limit == pytest.approx(pairs[0], rel=1e-3)
 
     def test_gravity_caps_the_energy_growth(self):
         # (1/2) dM2/dt <= lam sqrt(M2): the only source term is gravity
@@ -297,8 +350,8 @@ class TestJacobian:
         out = cloud
         for _ in range(steps):
             out, fluid, _ = vlasov_step(out, grid, dt, coupling=coupling, tol=1e-10)
-            field = fluid.velocity if coupling else None
-            history.append(dt, field, fluid.grad_sup_norm)
+            fluid = whole_fluid(fluid) if coupling else fluid  # the frozen field off the window too
+            history.append(dt, fluid.velocity if coupling else None, fluid.grad_sup_norm)
         return out, history
 
     def test_zero_field_determinant_is_exact(self):

@@ -6,6 +6,7 @@ from scipy.spatial.distance import cdist
 
 from sedlab import micro
 from sedlab.errors import CollisionError, ConvergenceError
+from sedlab.harness.config import DEFAULTS
 from sedlab.kernels import oseen_tensor
 from sedlab.micro import (
     DENSE_FALLBACK_CAP,
@@ -24,6 +25,7 @@ from sedlab.micro import (
 )
 
 GRAVITY = np.array([0.0, 0.0, -1.0])
+C_V = DEFAULTS["initial"]["c_v"]
 
 
 def dense_closure(ens):
@@ -352,7 +354,7 @@ class TestAssumptions:
         x = rng.uniform(0, 2, size=(16, 3))
         v = np.tile(np.array([0.1, 0.0, -0.9]), (16, 1))
         ens = ParticleEnsemble(x=x, v=v, lam=2.0, gravity=GRAVITY)
-        report = check_assumptions(ens)
+        report = check_assumptions(ens, C_V)
         assert report.h3 and report.h3_ratio == 0.0
         assert report.h1
 
@@ -360,7 +362,7 @@ class TestAssumptions:
         x = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         v = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 4.0]])
         ens = ParticleEnsemble(x=x, v=v, lam=2.0, gravity=GRAVITY)
-        report = check_assumptions(ens)
+        report = check_assumptions(ens, C_V)
         assert not report.h3
         assert report.h3_ratio == pytest.approx(4.0, rel=1e-12)
 
@@ -379,4 +381,4 @@ class TestAssumptions:
         ens = ParticleEnsemble(
             x=x, v=np.zeros((2, 3)), lam=1.0, gravity=GRAVITY, radius=0.05, h1=False
         )
-        assert not check_assumptions(ens).h1
+        assert not check_assumptions(ens, C_V).h1
