@@ -15,7 +15,7 @@ import numpy as np
 from .. import bounds, kinetic, metrics, micro
 from ..csvfile import write_csv
 from ..errors import SedlabError
-from ..kernels import GridSpec, StokesOperator, oseen_tensor, stokes_direct_sum, support_window
+from ..kernels import GridSpec, StokesOperator, Window, oseen_tensor, stokes_direct_sum
 from .config import load_config
 from .runner import run
 from .sweeps import compare_tiers, sweep_hydrodynamic, sweep_meanfield
@@ -130,7 +130,7 @@ def _cmd_check_identities(args):
     grid = GridSpec(8.0, 16)
     force = np.zeros((16, 16, 16, 3))
     force[3:11, 5:12, 10:16] = np.random.default_rng(3).standard_normal((8, 7, 6, 3))  # on the z = L face
-    window = support_window(grid, np.zeros((16, 16, 16)), force)
+    window = Window(grid, (3, 5, 8), GridSpec(4.0, 8))  # the force's cells, moved inward from the face
     whole = StokesOperator(grid).apply(force)[window.cells]
     err = float(np.abs(StokesOperator(window.spec).apply(force[window.cells]) - whole).max() / np.abs(whole).max())
     checks.append(("window Stokes vs whole grid", err, 1e-14))

@@ -118,7 +118,7 @@ def _run_vlasov(record, draw, config, grid):
     def step(c, _):
         nonlocal warm
         c, fluid, budget = kinetic.vlasov_step(c, grid, config.dt, tol=tol, u0=warm, budget=with_budget)
-        warm = fluid.warm_start
+        warm = fluid
         if budget is not None:
             record.budgets.append(budget)
         return c

@@ -18,10 +18,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ..errors import AssumptionError
-from ..kernels import interpolate
+from ..kernels import Window, deposit, stokes_solve
 from ..kinetic import PhaseCloud
 from ..micro import AssumptionReport, ParticleEnsemble, check_assumptions, h4_value, pairwise_min_distance
-from ..transport import SpatialCloud, steady_velocity_field
+from ..transport import SpatialCloud
 from .config import DEFAULTS
 
 GRAVITY = np.array([0.0, 0.0, -1.0])
@@ -166,8 +166,9 @@ def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensem
                 raise ValueError("well_prepared sampling needs a grid for its field")
             x = _truncated_gaussian(rng, n, center, sigma_x)
             carrier = SpatialCloud(x=x, w=np.full(n, 1.0 / n), gravity=gravity)
-            fluid = steady_velocity_field(carrier, grid)
-            u_at = interpolate(fluid.velocity, x)
+            whole = Window(grid, (0, 0, 0), grid)
+            fluid = stokes_solve(deposit(carrier, whole)[0], whole, gravity)
+            u_at = fluid.at(x)
             if sigma_v > 0.0:
                 phi, jitter_lip = _smooth_jitter(rng, x, center, 1.0 / sigma_x)
             else:

@@ -14,13 +14,14 @@ pruned and blocked (see `StokesOperator`).  A force of the form rho g (a
 density times one direction) needs a single forward transform.
 
 Because the padded convolution is exact for any box that holds sources
-and targets, a force supported in a small part of the grid can be solved
-on a `Window`: the smallest cube of cells that holds its support, side a
-multiple of 8 (`support_window`).  `brinkman_solve` iterates there and
-measures its stop rule there, and the steady transport field at a cloud's
-own samples on the window of their stencils (`stencil_window`).  Fields
-are read on the window, and a Brinkman solve's Dirichlet energy pairs its
-field with its force there: no run applies the operator on the whole grid.
+and targets, every grid field lives on a `Window`: the smallest cube of
+cells, side a multiple of 8, that holds the trilinear stencils of a
+cloud's samples (`stencil_window`).  A solve deposits onto the window,
+solves there and reads the field at the samples there (`FluidState.at`);
+`brinkman_solve` also measures its stop rule there, and its Dirichlet
+energy pairs its field with its force there.  The configured grid only
+bounds the box the samples must stay in; a whole-grid solve is a solve on
+the window that is the grid.
 
 Fields live on cell centers (i + 1/2) h of a cube [0, L)^3.  The box
 quadrature of |grad u|^2 (`FluidState.box_energy`) omits the O(h/L)
@@ -118,7 +119,7 @@ class GridSpec:
     """Cubic box [0, L)^3 with n cells per side, centers at (i + 1/2) h.
 
     n is a multiple of 8.  Configured grids are powers of two (`SimConfig`
-    checks that); the other multiples are the windows of `support_window`.
+    checks that); the other multiples are the windows of `stencil_window`.
     """
 
     box_length: float
@@ -169,30 +170,25 @@ class VectorGrid:
 class FluidState:
     """Result of a grid solve: velocity plus convergence diagnostics.
 
-    A Brinkman solve holds its field on its `window` only (`velocity` is on
-    `window.spec`), and the last force f it applied there: u = St f at
-    theta = 1.  `at` reads the field at positions in the grid's coordinates,
-    `warm_start` embeds it in the grid, zero off the window, and
-    `dirichlet_energy` pairs it with f.  Nothing computes it off the window.
+    A solve holds its field on its `window` only (`velocity` is on
+    `window.spec`); a Brinkman solve also holds the last force f it applied
+    there: u = St f at theta = 1.  `at` reads the field at positions in the
+    grid's coordinates, and `dirichlet_energy` pairs it with f.  Nothing
+    computes it off the window; the next Brinkman solve takes it as `u0`.
 
     The finite-difference velocity gradient behind `grad_sup_norm` and
-    `box_energy` is built on first use of either, once, over the field's own
-    grid; solves whose gradient nobody reads never build it.  Its nine
+    `box_energy` is built on first use of either, once, over the window;
+    solves whose gradient nobody reads never build it.  Its nine
     components are squared into one per-cell sum as they arrive, so the
     (n, n, n, 3, 3) gradient is never held.
     """
 
-    def __init__(self, velocity: VectorGrid, residual: float, iterations: int,
-                 window: Window | None = None, force: np.ndarray | None = None):
+    def __init__(self, velocity: VectorGrid, residual: float, iterations: int, window: Window,
+                 force: np.ndarray | None = None):
         self.velocity, self.residual, self.iterations = velocity, residual, iterations
-        self.window = window or Window(velocity.spec, (0, 0, 0), velocity.spec)
+        self.window = window
         self.force = force  # (n, n, n, 3) on the window; Brinkman solves hold it
         self._gradient_norms = None
-
-    @property
-    def warm_start(self) -> VectorGrid:
-        """The field on the whole grid, zero off the window: the next solve's `u0`."""
-        return VectorGrid(self.window.grid, self.window.embed(self.velocity.values))
 
     def at(self, positions: np.ndarray) -> np.ndarray:
         """The field at positions in the grid's coordinates, each stencil in the window (`interpolate`)."""
@@ -234,33 +230,32 @@ class FluidState:
 # deposit / interpolate (trilinear cloud-in-cell, adjoint pair)
 
 
-def _cic_corners(spec: GridSpec, positions: np.ndarray, what: str, window: Window | None = None):
-    """(lowest corner cell, fractions) of each position's trilinear stencil, from the window's origin if given.
+def _cic_corners(window: Window, positions: np.ndarray, what: str):
+    """(lowest corner cell from the window's origin, fractions) of each position's trilinear stencil.
 
-    Every stencil must lie in the box (a half cell from its faces), or in the
-    window; anything outside raises DomainExhaustedError rather than wrapping.
+    Every stencil must lie in the window, which lies in the box (a half cell
+    from its faces); anything outside raises DomainExhaustedError rather than
+    wrapping.
     """
     pos = np.atleast_2d(positions)
-    t = pos / spec.h - 0.5
+    t = pos / window.grid.h - 0.5
     i0 = np.floor(t).astype(np.int64)
     frac = t - i0
-    if window is not None:
-        i0 -= window.origin
-        spec = window.spec
-    bad = (i0 < 0) | (i0 > spec.n - 2)
+    i0 -= window.origin
+    bad = (i0 < 0) | (i0 > window.spec.n - 2)
     if np.any(bad):
-        k, where = int(np.argwhere(bad.any(axis=1))[0, 0]), "box" if window is None else "window"
+        k, where = int(np.argwhere(bad.any(axis=1))[0, 0]), "box" if window.full else "window"
         raise DomainExhaustedError(
             f"{what}: {int(bad.any(axis=1).sum())} position(s) outside the usable {where} "
-            f"(first offender index {k} at {pos[k]}); {where} side {spec.box_length}"
+            f"(first offender index {k} at {pos[k]}); {where} side {window.spec.box_length}"
         )
     return i0, frac
 
 
-def _cic_stencil(spec: GridSpec, positions: np.ndarray, what: str, window: Window | None = None):
-    """Yield (flat cell index, weight) for each of the eight trilinear corners, on the window if given."""
-    i0, frac = _cic_corners(spec, positions, what, window)
-    n = spec.n if window is None else window.spec.n
+def _cic_stencil(window: Window, positions: np.ndarray, what: str):
+    """Yield (flat cell index on the window, weight) for each of the eight trilinear corners."""
+    i0, frac = _cic_corners(window, positions, what)
+    n = window.spec.n
     for corner in range(8):
         dx, dy, dz = corner & 1, (corner >> 1) & 1, (corner >> 2) & 1
         wgt = (
@@ -271,24 +266,25 @@ def _cic_stencil(spec: GridSpec, positions: np.ndarray, what: str, window: Windo
         yield ((i0[:, 0] + dx) * n + (i0[:, 1] + dy)) * n + (i0[:, 2] + dz), wgt
 
 
-def deposit(cloud, spec: GridSpec) -> tuple[ScalarGrid, VectorGrid]:
-    """Deposit a weighted sample cloud onto the grid.
+def deposit(cloud, window: Window) -> tuple[ScalarGrid, VectorGrid]:
+    """Deposit a weighted sample cloud onto a window of the grid that holds every sample's stencil.
 
-    Returns number density rho and momentum density j as grid fields
-    (already divided by the cell volume), so sum(rho) * h^3 equals the
-    total weight exactly and sum(j) * h^3 equals the total momentum.
-    Clouds without velocities deposit j = 0.
+    Returns number density rho and momentum density j as fields on
+    `window.spec` (already divided by the cell volume), so sum(rho) * h^3
+    equals the total weight exactly and sum(j) * h^3 equals the total
+    momentum.  Clouds without velocities deposit j = 0.
     """
     w = np.asarray(cloud.w, dtype=float)
     v = getattr(cloud, "v", None)
+    spec = window.spec
     n = spec.n
     cells = n * n * n
     # one bincount per field over the eight corners in turn: the additions
     # into each cell come in the same order as eight sequential scatters
-    stencil = list(_cic_stencil(spec, np.asarray(cloud.x, dtype=float), "deposit"))
+    stencil = list(_cic_stencil(window, np.asarray(cloud.x, dtype=float), "deposit"))
     flat = np.concatenate([f for f, _ in stencil])
     mass = np.concatenate([w * wgt for _, wgt in stencil])
-    vol = spec.cell_volume
+    vol = window.grid.cell_volume
     rho = np.bincount(flat, weights=mass, minlength=cells) / vol
     if v is None:
         j = np.zeros((n, n, n, 3))
@@ -300,17 +296,17 @@ def deposit(cloud, spec: GridSpec) -> tuple[ScalarGrid, VectorGrid]:
     return ScalarGrid(spec, rho.reshape(n, n, n)), VectorGrid(spec, j)
 
 
-def interpolate(field: VectorGrid, positions: np.ndarray, window: Window | None = None) -> np.ndarray:
-    """Evaluate a grid field at off-grid points with the same trilinear
-    stencil as `deposit`, making the pair adjoint: for any cloud and field,
-    sum_i w_i v_i . u(x_i) == sum_cells j . u * h^3.  A field on a `window`
-    is read through its grid's stencils shifted by the window's origin:
-    bitwise the values of the field embedded in zeros on the grid."""
+def interpolate(field: VectorGrid, positions: np.ndarray, window: Window) -> np.ndarray:
+    """Evaluate a field on a window at off-grid points with the same
+    trilinear stencil as `deposit`, making the pair adjoint: for any cloud
+    and field, sum_i w_i v_i . u(x_i) == sum_cells j . u * h^3.  The
+    stencils are the grid's, shifted by the window's origin: bitwise the
+    values of the field embedded in zeros on the grid."""
     pos = np.asarray(positions, dtype=float)
     n = field.spec.n
     vals = field.values.reshape(n * n * n, 3)
     out = np.zeros(np.atleast_2d(pos).shape)
-    for flat, wgt in _cic_stencil(field.spec if window is None else window.grid, pos, "interpolate", window):
+    for flat, wgt in _cic_stencil(window, pos, "interpolate"):
         out += wgt[:, None] * vals[flat]
     return out[0] if pos.ndim == 1 else out
 
@@ -474,7 +470,7 @@ def get_operator(spec: GridSpec) -> StokesOperator:
 
 
 # ---------------------------------------------------------------------------
-# windows: solves sized to the force's support
+# windows: fields sized to the cloud's stencils
 
 
 @dataclass(frozen=True)
@@ -501,65 +497,46 @@ class Window:
         """Index of the window's cells in a whole-grid array."""
         return tuple(slice(o, o + self.spec.n) for o in self.origin)
 
-    def embed(self, values: np.ndarray) -> np.ndarray:
-        """Window values in a whole-grid field that is zero off the window."""
-        if self.full:
-            return values
-        n = self.grid.n
-        out = np.zeros((n, n, n) + values.shape[3:])
-        out[self.cells] = values
-        return out
 
-
-def support_window(spec: GridSpec, rho: np.ndarray, j: np.ndarray | None = None) -> Window:
-    """Smallest cube of cells that holds every cell where rho, or j, is nonzero.
+def stencil_window(grid: GridSpec, positions: np.ndarray) -> Window:
+    """Smallest cube of cells that holds every cell the trilinear stencils of `positions` read.
 
     The side is rounded up to a multiple of 8 and clipped to the grid, and
     a window that would cross a face is moved inward.  A window of side n
-    is the grid itself.
+    is the grid itself.  A stencil outside the grid's box raises
+    DomainExhaustedError: the grid is the box the samples must stay in.
     """
-    mask = rho != 0.0
-    if j is not None:
-        mask |= np.any(j != 0.0, axis=-1)
-    n = spec.n
-    extents = [np.flatnonzero(mask.any(axis=other)) for other in ((1, 2), (0, 2), (0, 1))]
-    span = max((int(e[-1] - e[0]) + 1 for e in extents if e.size), default=0)
-    side = min(n, max(8, -(-span // 8) * 8))
+    n = grid.n
+    i0, _ = _cic_corners(Window(grid, (0, 0, 0), grid), positions, "stencil window")
+    lo, end = i0.min(axis=0, initial=n), i0.max(axis=0, initial=-2) + 2  # the stencils' cells lo .. end - 1
+    side = min(n, max(8, -(-int((end - lo).max()) // 8) * 8))
     if side == n:
-        return Window(spec, (0, 0, 0), spec)
-    origin = tuple(min(int(e[0]), n - side) if e.size else 0 for e in extents)
-    return Window(spec, origin, GridSpec(side * spec.h, side))
+        return Window(grid, (0, 0, 0), grid)
+    return Window(grid, tuple(int(o) for o in np.minimum(lo, n - side)), GridSpec(side * grid.h, side))
 
 
-def stencil_window(spec: GridSpec, positions: np.ndarray) -> Window:
-    """The `support_window` of every cell that the trilinear stencils of `positions` read."""
-    i0, _ = _cic_corners(spec, positions, "interpolate")
-    corners = np.zeros((spec.n,) * 3, dtype=bool)  # the two extreme corners of the stencils' bounding box
-    corners[tuple(i0.min(axis=0))] = corners[tuple(i0.max(axis=0) + 1)] = True
-    return support_window(spec, corners)
+def stokes_solve(force, window: Window, direction=None) -> FluidState:
+    """Velocity field of a force density on a window, in free space.
 
-
-def stokes_solve(force, direction=None) -> FluidState:
-    """Velocity field of a force density in free space, on the force's grid.
-
-    `force` is a VectorGrid, or, with a `direction`, a ScalarGrid density
-    rho for the force rho (x) direction, which costs one forward transform
-    instead of three.
+    `force` is a VectorGrid on `window.spec`, or, with a `direction`, a
+    ScalarGrid density rho for the force rho (x) direction, which costs one
+    forward transform instead of three.  The field agrees with the
+    whole-grid solve on the window when the force vanishes off it.
     """
     if not np.all(np.isfinite(force.values)):
         raise ValueError("force density contains non-finite values")
-    op = get_operator(force.spec)
-    u = VectorGrid(force.spec, op.apply(force.values, direction))
-    return FluidState(u, residual=0.0, iterations=1)
+    u = VectorGrid(window.spec, get_operator(window.spec).apply(force.values, direction))
+    return FluidState(u, 0.0, 1, window)
 
 
 def brinkman_solve(
     rho: ScalarGrid,
     j: VectorGrid,
+    window: Window,
     tol: float = 1e-9,
     max_iter: int = 200,
     theta: float = 1.0,
-    u0: VectorGrid | None = None,
+    u0: FluidState | None = None,
 ) -> FluidState:
     """Solve -Lap u + grad p = j - rho u, div u = 0 by damped fixed point.
 
@@ -575,31 +552,35 @@ def brinkman_solve(
     raises ConvergenceError with that defect and the iteration count.
 
     The force j - rho u vanishes off the support of rho and j, so the loop
-    runs on its window (`support_window`) and measures the defect and the
-    residual there; a support that spans the grid runs on the grid.  The
-    returned `FluidState` holds the field and the last force on the window.
-    With theta = 1 the field is that force's image, so their pairing is its
+    runs on the window they were deposited on and measures the defect and
+    the residual there.  A previous solve `u0` starts it from its field
+    where the two windows overlap, zero elsewhere.  The returned
+    `FluidState` holds the field and the last force on the window.  With
+    theta = 1 the field is that force's image, so their pairing is its
     Dirichlet energy; after damping it differs by the order of the defect.
     """
-    if rho.spec != j.spec:
-        raise ValueError("rho and j live on different grids")
+    if not rho.spec == j.spec == window.spec:
+        raise ValueError("rho, j and the window have different grids")
     if np.any(rho.values < 0.0):
         raise ValueError("rho must be nonnegative")
     if not (np.all(np.isfinite(rho.values)) and np.all(np.isfinite(j.values))):
         raise ValueError("non-finite input field")
+    op = get_operator(window.spec)
     if rho.values.max(initial=0.0) == 0.0:
         # no drag: the equation is linear Stokes, one application is exact
-        return FluidState(VectorGrid(rho.spec, get_operator(rho.spec).apply(j.values)), 0.0, 1, force=j.values)
-    window = support_window(rho.spec, rho.values, j.values)
-    op = get_operator(window.spec)
-    cells = window.cells
-    jw = j.values[cells]
-    rhov = rho.values[cells][..., None]
-    u = np.zeros_like(jw) if u0 is None else u0.values[cells].copy()
+        return FluidState(VectorGrid(window.spec, op.apply(j.values)), 0.0, 1, window, j.values)
+    rhov = rho.values[..., None]
+    u = np.zeros_like(j.values)
+    if u0 is not None:
+        lo = np.maximum(window.origin, u0.window.origin)
+        end = np.minimum(np.add(window.origin, window.spec.n), np.add(u0.window.origin, u0.window.spec.n))
+        if np.all(lo < end):
+            u[tuple(map(slice, lo - window.origin, end - window.origin))] = \
+                u0.velocity.values[tuple(map(slice, lo - u0.window.origin, end - u0.window.origin))]
     u_norm, tiny = _norm(u), 1e-300
     defect = prev_defect = np.inf
     for it in range(1, max_iter + 1):
-        force = jw - rhov * u
+        force = j.values - rhov * u
         image = op.apply(force)
         step, image_norm = _norm(image - u), _norm(image)
         defect = step / max(image_norm, u_norm, tiny)

@@ -26,13 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .csvfile import write_csv
-from .kernels import (
-    FluidState,
-    VectorGrid,
-    brinkman_solve,
-    deposit,
-    interpolate,
-)
+from .kernels import FluidState, VectorGrid, brinkman_solve, deposit, stencil_window
 from .transport import admit_samples
 
 
@@ -146,21 +140,23 @@ def relaxation_push(x, v, drift, lam, dt):
 def vlasov_step(cloud, grid, dt, coupling=True, tol=1e-9, u0=None, budget=True):
     """Advance the cloud one step; returns (new cloud, fluid, start-of-step budget).
 
-    coupling=False forces u to zero, leaving the pure relaxation toward g;
-    u0 warm-starts the Brinkman fixed point with the previous step's
-    `warm_start`.  Every Stokes apply is made on the solve's window, and
-    budget=False leaves the budget slot None.
+    The fluid lives on the window of the samples' stencils in `grid`
+    (`kernels.stencil_window`): the step deposits there, solves there and
+    reads u at the samples there.  coupling=False forces u to zero on that
+    window, leaving the pure relaxation toward g; u0, the previous step's
+    fluid, warm-starts the Brinkman fixed point.  budget=False leaves the
+    budget slot None.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    window = stencil_window(grid, cloud.x)
     if coupling:
-        rho, j = deposit(cloud, grid)
-        fluid = brinkman_solve(rho, j, tol=tol, u0=u0)
-        u_at = fluid.at(cloud.x)
+        rho, j = deposit(cloud, window)
+        fluid = brinkman_solve(rho, j, window, tol=tol, u0=u0)
     else:
-        zero = np.zeros((grid.n, grid.n, grid.n, 3))
-        fluid = FluidState(VectorGrid(grid, zero), 0.0, 0, force=zero)
-        u_at = np.zeros_like(cloud.v)
+        zero = np.zeros((window.spec.n,) * 3 + (3,))
+        fluid = FluidState(VectorGrid(window.spec, zero), 0.0, 0, window, zero)
+    u_at = fluid.at(cloud.x)
     terms = energy_budget(cloud, fluid, u_at) if budget else None
     x_new, v_new = relaxation_push(cloud.x, cloud.v, cloud.gravity[None, :] + u_at, cloud.lam, dt)
     new_cloud = replace(cloud, x=x_new, v=v_new, time=cloud.time + dt)
@@ -171,8 +167,9 @@ def vlasov_step(cloud, grid, dt, coupling=True, tol=1e-9, u0=None, budget=True):
 class FieldHistory:
     """Per-step record of the frozen fields a run used.
 
-    fields entries may be None for steps taken with the coupling switched
-    off; grad_sup_norms then contribute zero to the expansion factor.
+    fields entries are the steps' `FluidState`s, or None for steps taken
+    with the coupling switched off; grad_sup_norms then contribute zero to
+    the expansion factor.
     """
 
     dts: list
@@ -198,7 +195,7 @@ def replay_flow(history, x0, w0, gravity, lam):
     x = np.array(x0, dtype=float)
     w = np.array(w0, dtype=float)
     for dt, field in zip(history.dts, history.fields):
-        u_at = np.zeros(3) if field is None else interpolate(field, x)
+        u_at = np.zeros(3) if field is None else field.at(x)
         x, w = relaxation_push(x, w, gravity + u_at, lam, dt)
     return x, w
 

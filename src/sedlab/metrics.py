@@ -22,7 +22,7 @@ from scipy.spatial.distance import cdist
 
 from .csvfile import write_csv
 from .errors import ConvergenceError
-from .transport import steady_velocities
+from .transport import steady_velocity_field
 
 EXACT_CAP = 4096
 # warm start of the duplicated-atom assignment: eps stages, iterations per
@@ -327,7 +327,7 @@ def steady_field_velocities(snapshot, grid, gravity, weights):
     put on the snapshot's positions, sampled at those positions."""
     # positions and weights only: the momentum deposit of a phase cloud is not needed
     carrier = SimpleNamespace(x=np.asarray(snapshot.x, dtype=float), w=weights, gravity=gravity)
-    return steady_velocities(carrier, grid)
+    return steady_velocity_field(carrier, grid).at(carrier.x)
 
 
 def s_functional(snapshot, grid, gravity, weights):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError
-from .kernels import ScalarGrid, deposit, interpolate, stencil_window, stokes_solve
+from .kernels import deposit, stencil_window, stokes_solve
 
 
 def admit_samples(cloud):
@@ -59,30 +59,20 @@ class SpatialCloud:
 
 
 def steady_velocity_field(cloud, grid):
-    """Velocity of the deposited density forced along gravity.
+    """Velocity of the deposited density forced along gravity, on the window of the samples' stencils.
 
-    Accepts anything with .x, .w and .gravity; the force rho g goes
-    through the one-transform density-times-direction solve, and the
-    Lipschitz sup norm is available, built on demand, on the FluidState.
+    Accepts anything with .x, .w and .gravity.  The density is deposited on
+    `kernels.stencil_window(grid, cloud.x)`, zero-weight samples included,
+    and the force rho g goes through the one-transform density-times-direction
+    solve there; the field agrees with the whole-grid solve on the window to
+    rounding.  `.at(cloud.x)` reads it at the samples, and the Lipschitz sup
+    norm is available, built on demand, on the FluidState.
     """
-    rho, _ = deposit(cloud, grid)
-    fluid = stokes_solve(rho, cloud.gravity)
+    window = stencil_window(grid, cloud.x)
+    rho, _ = deposit(cloud, window)
+    fluid = stokes_solve(rho, window, cloud.gravity)
     _require_finite(fluid.velocity.values)
     return fluid
-
-
-def steady_velocities(cloud, grid):
-    """The field of `steady_velocity_field`, at the cloud's own samples only.
-
-    The solve runs on the window of every sample's interpolation stencil
-    (`kernels.stencil_window`), zero-weight samples included, agrees with
-    the whole-grid field there to rounding, and is read there.
-    """
-    rho, _ = deposit(cloud, grid)
-    window = stencil_window(grid, cloud.x)
-    u = stokes_solve(ScalarGrid(window.spec, rho.values[window.cells]), cloud.gravity).velocity
-    _require_finite(u.values)
-    return interpolate(u, cloud.x, window)
 
 
 def _require_finite(u):
@@ -99,7 +89,7 @@ def transport_step(cloud, grid, dt):
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    drift = cloud.gravity[None, :] + steady_velocities(cloud, grid)
+    drift = cloud.gravity[None, :] + steady_velocity_field(cloud, grid).at(cloud.x)
     half = replace(cloud, x=cloud.x + 0.5 * dt * drift, time=cloud.time + 0.5 * dt)
-    drift_half = cloud.gravity[None, :] + steady_velocities(half, grid)
+    drift_half = cloud.gravity[None, :] + steady_velocity_field(half, grid).at(half.x)
     return replace(cloud, x=cloud.x + dt * drift_half, time=cloud.time + dt)

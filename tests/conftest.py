@@ -1,16 +1,27 @@
 """Helpers shared by the test modules (import them with `from conftest import ...`)."""
 
+import numpy as np
+
 from sedlab import kernels as K
 
 
-def whole_fluid(fluid):
-    """A solve's field on its whole grid, as a `FluidState` with no window.
+def full_window(spec):
+    """The window that is the whole grid: a whole-grid field is a field on it."""
+    return K.Window(spec, (0, 0, 0), spec)
 
-    On the window it is the solve's own field; off it, the whole-grid apply
-    of the solve's last force, which is the whole-grid iterate at theta = 1.
-    No run computes this field, and it costs one apply at the grid's side.
+
+def whole_fluid(fluid):
+    """A solve's field on its whole grid, as a `FluidState` on the full window.
+
+    On the window it is the solve's own field; off it, the full-window
+    Stokes solve of the solve's last force put in zeros, which is the
+    whole-grid iterate at theta = 1.  No run computes this field, and it
+    costs one apply at the grid's side.
     """
     w = fluid.window
-    whole = K.get_operator(w.grid).apply(w.embed(fluid.force))
-    whole[w.cells] = fluid.velocity.values
-    return K.FluidState(K.VectorGrid(w.grid, whole), fluid.residual, fluid.iterations)
+    force = np.zeros((w.grid.n,) * 3 + (3,))
+    force[w.cells] = fluid.force
+    whole = K.stokes_solve(K.VectorGrid(w.grid, force), full_window(w.grid))
+    whole.velocity.values[w.cells] = fluid.velocity.values
+    whole.residual, whole.iterations = fluid.residual, fluid.iterations
+    return whole

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import whole_fluid
+from conftest import full_window, whole_fluid
 from sedlab import bounds, kinetic, metrics, micro
 from sedlab.harness import default_config, run, sweep_hydrodynamic, sweep_meanfield
 from sedlab.kernels import (
@@ -98,8 +98,8 @@ def test_stokeslet_far_field(grid64):
     # a unit-weight sample sitting exactly on a cell center deposits into
     # a single cell, so the grid field is a discrete point force
     cloud = SimpleNamespace(x=x0[None, :], v=force[None, :], w=np.array([1.0]))
-    _, j = deposit(cloud, grid)
-    u = stokes_solve(j).velocity.values
+    _, j = deposit(cloud, full_window(grid))
+    u = stokes_solve(j, full_window(grid)).velocity.values
 
     X, Y, Z = np.meshgrid(xs, xs, xs, indexing="ij")
     diffs = np.stack([X - x0[0], Y - x0[1], Z - x0[2]], axis=-1)
@@ -135,7 +135,7 @@ def test_brinkman_dissipation_identity(grid64):
     rho = _gaussian_density(grid, (8.0, 8.0, 8.0), 1.5, 1.0)
     bulk = VectorGrid(grid, np.broadcast_to(GRAVITY, (grid.n, grid.n, grid.n, 3)).copy())
     j = VectorGrid(grid, rho.values[..., None] * bulk.values)
-    fluid = brinkman_solve(rho, j, tol=1e-12)
+    fluid = brinkman_solve(rho, j, full_window(grid), tol=1e-12)
     rep = dissipation_check(rho, bulk, fluid)
     elapsed = time.perf_counter() - start
 
@@ -168,7 +168,7 @@ def test_brinkman_coercivity_sign():
             )
         bulk = VectorGrid(grid, vals)
         j = VectorGrid(grid, rho.values[..., None] * vals)
-        fluid = brinkman_solve(rho, j, tol=1e-11)
+        fluid = brinkman_solve(rho, j, full_window(grid), tol=1e-11)
         rep = dissipation_check(rho, bulk, fluid)
         norm_sq = float(np.sum(vals**2 * rho.values[..., None]) * grid.cell_volume)
         ratios.append(rep.lhs / norm_sq)
@@ -258,13 +258,15 @@ def test_energy_budget_identity():
     assert len(record.budgets) == config.steps
     assert all(b.term_scale > 0.0 for b in record.budgets)
     rels = [abs(b.residual) / b.term_scale for b in record.budgets]
-    worst = max(rels)
-    ok = worst <= 0.02 and elapsed <= 600.0
+    worst, interior = max(rels), max(rels[1:])
+    # the first step's dM2/dt is the one-sided stencil; past it, a push that reads g + 0.8 u or g
+    # alone reads at least 2.0e-3 or 8.1e-3 here, against at most 4.2e-4 on the model
+    ok = worst <= 0.02 and interior <= 1e-3 and elapsed <= 600.0
     _report(
         "energy budget identity",
         ok,
-        f"worst per-step residual {worst:.4f} of the term scale over {len(rels)} steps "
-        f"(20000 samples, 64^3), {elapsed:.0f}s",
+        f"worst per-step residual {worst:.4f} of the term scale over {len(rels)} steps, "
+        f"{interior:.1e} from step 1 on (20000 samples, 64^3), {elapsed:.0f}s",
     )
 
 
@@ -439,7 +441,7 @@ def _history_from_steps(cloud, grid, dt, steps, coupling):
     for _ in range(steps):
         state, fluid, _ = kinetic.vlasov_step(state, grid, dt, coupling=coupling, tol=1e-10)
         fluid = whole_fluid(fluid) if coupling else fluid  # the frozen field off the window too
-        history.append(dt, fluid.velocity if coupling else None, fluid.grad_sup_norm)
+        history.append(dt, fluid if coupling else None, fluid.grad_sup_norm)
     return history
 
 

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import whole_fluid
+from conftest import full_window, whole_fluid
 from sedlab import kernels as K
 from sedlab.errors import ConvergenceError, DomainExhaustedError
 
@@ -141,7 +141,7 @@ class TestDepositInterpolate:
 
     def test_mass_and_momentum_conserved(self):
         c = self._cloud()
-        rho, j = K.deposit(c, self.spec)
+        rho, j = K.deposit(c, full_window(self.spec))
         vol = self.spec.cell_volume
         assert abs(rho.values.sum() * vol - c.w.sum()) < 1e-12
         mom = (c.w[:, None] * c.v).sum(axis=0)
@@ -153,14 +153,15 @@ class TestDepositInterpolate:
         both = _Cloud(
             np.vstack([a.x, b.x]), np.hstack([a.w, b.w]), np.vstack([a.v, b.v])
         )
-        ra, _ = K.deposit(a, self.spec)
-        rb, _ = K.deposit(b, self.spec)
-        rab, _ = K.deposit(both, self.spec)
+        whole = full_window(self.spec)
+        ra, _ = K.deposit(a, whole)
+        rb, _ = K.deposit(b, whole)
+        rab, _ = K.deposit(both, whole)
         assert np.abs(rab.values - ra.values - rb.values).max() < 1e-12
 
     def test_point_mass_at_center_hits_one_cell(self):
         x0 = (np.array([4, 4, 4]) + 0.5) * self.spec.h
-        rho, _ = K.deposit(_Cloud(x0[None, :], np.array([1.0])), self.spec)
+        rho, _ = K.deposit(_Cloud(x0[None, :], np.array([1.0])), full_window(self.spec))
         assert abs(rho.values[4, 4, 4] - 1.0 / self.spec.cell_volume) < 1e-12
         assert np.count_nonzero(rho.values) == 1
 
@@ -173,7 +174,7 @@ class TestDepositInterpolate:
         pos = np.stack([X, Y, Z], axis=-1)
         field = K.VectorGrid(self.spec, pos @ A.T + b)
         pts = np.random.default_rng(11).uniform(1.0, 7.0, (100, 3))
-        got = K.interpolate(field, pts)
+        got = K.interpolate(field, pts, full_window(self.spec))
         assert np.abs(got - (pts @ A.T + b)).max() < 1e-10
 
     def test_adjointness(self):
@@ -181,8 +182,8 @@ class TestDepositInterpolate:
         c = self._cloud(300)
         rng = np.random.default_rng(13)
         u = K.VectorGrid(self.spec, rng.standard_normal((16, 16, 16, 3)))
-        _, j = K.deposit(c, self.spec)
-        lhs = float(np.sum(c.w[:, None] * c.v * K.interpolate(u, c.x)))
+        _, j = K.deposit(c, full_window(self.spec))
+        lhs = float(np.sum(c.w[:, None] * c.v * K.interpolate(u, c.x, full_window(self.spec))))
         rhs = float((j.values * u.values).sum() * self.spec.cell_volume)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
@@ -194,23 +195,26 @@ class TestDepositInterpolate:
                    rng.standard_normal((2000, 3)))
         rho = np.zeros(spec.n**3)
         j = np.zeros((spec.n**3, 3))
-        for flat, wgt in K._cic_stencil(spec, c.x, "deposit"):
+        for flat, wgt in K._cic_stencil(full_window(spec), c.x, "deposit"):
             np.add.at(rho, flat, c.w * wgt)
             np.add.at(j, flat, (c.w * wgt)[:, None] * c.v)
-        got_rho, got_j = K.deposit(c, spec)
+        got_rho, got_j = K.deposit(c, full_window(spec))
         assert got_rho.values.tobytes() == (rho.reshape(32, 32, 32) / spec.cell_volume).tobytes()
         assert got_j.values.tobytes() == (j.reshape(32, 32, 32, 3) / spec.cell_volume).tobytes()
 
     def test_out_of_box_raises(self):
         bad = _Cloud(np.array([[0.1, 4.0, 4.0]]), np.array([1.0]))
+        with pytest.raises(DomainExhaustedError, match="outside the usable box"):
+            K.stencil_window(self.spec, bad.x)
         with pytest.raises(DomainExhaustedError):
-            K.deposit(bad, self.spec)
+            K.deposit(bad, full_window(self.spec))
         with pytest.raises(DomainExhaustedError):
-            K.interpolate(K.VectorGrid(self.spec, np.zeros((16, 16, 16, 3))), np.array([8.1, 1, 1]))
+            K.interpolate(K.VectorGrid(self.spec, np.zeros((16, 16, 16, 3))), np.array([8.1, 1, 1]),
+                          full_window(self.spec))
 
     def test_single_point_interface(self):
         u = K.VectorGrid(self.spec, np.ones((16, 16, 16, 3)))
-        out = K.interpolate(u, np.array([4.0, 4.0, 4.0]))
+        out = K.interpolate(u, np.array([4.0, 4.0, 4.0]), full_window(self.spec))
         assert out.shape == (3,)
         assert np.abs(out - 1.0).max() < 1e-14
 
@@ -218,7 +222,7 @@ class TestDepositInterpolate:
 class TestStokesSolve:
     def test_zero_force_zero_velocity(self):
         spec = K.GridSpec(8.0, 16)
-        st = K.stokes_solve(K.VectorGrid(spec, np.zeros((16, 16, 16, 3))))
+        st = K.stokes_solve(K.VectorGrid(spec, np.zeros((16, 16, 16, 3))), full_window(spec))
         assert np.all(st.velocity.values == 0.0)
         assert st.grad_sup_norm == 0.0
 
@@ -227,9 +231,9 @@ class TestStokesSolve:
         rng = np.random.default_rng(2)
         f1 = rng.standard_normal((16, 16, 16, 3))
         f2 = rng.standard_normal((16, 16, 16, 3))
-        u1 = K.stokes_solve(K.VectorGrid(spec, f1)).velocity.values
-        u2 = K.stokes_solve(K.VectorGrid(spec, f2)).velocity.values
-        u12 = K.stokes_solve(K.VectorGrid(spec, 2.0 * f1 - 3.0 * f2)).velocity.values
+        u1 = K.stokes_solve(K.VectorGrid(spec, f1), full_window(spec)).velocity.values
+        u2 = K.stokes_solve(K.VectorGrid(spec, f2), full_window(spec)).velocity.values
+        u12 = K.stokes_solve(K.VectorGrid(spec, 2.0 * f1 - 3.0 * f2), full_window(spec)).velocity.values
         assert np.abs(u12 - 2.0 * u1 + 3.0 * u2).max() < 1e-10 * max(1.0, np.abs(u12).max())
 
     def test_point_force_matches_stokeslet(self):
@@ -241,7 +245,7 @@ class TestStokesSolve:
         F = np.array([0.3, -0.2, -1.0])
         fv = np.zeros((32, 32, 32, 3))
         fv[ic] = F / spec.cell_volume
-        st = K.stokes_solve(K.VectorGrid(spec, fv))
+        st = K.stokes_solve(K.VectorGrid(spec, fv), full_window(spec))
         cen = spec.centers()
         rng = np.random.default_rng(4)
         for _ in range(200):
@@ -280,7 +284,7 @@ class TestStokesSolve:
         f = np.zeros((16, 16, 16, 3))
         f[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError):
-            K.stokes_solve(K.VectorGrid(spec, f))
+            K.stokes_solve(K.VectorGrid(spec, f), full_window(spec))
 
 
 class TestStokesOperator:
@@ -337,7 +341,7 @@ class TestStokesOperator:
         u = op.apply(rho, g)
         ref = op.apply(rho[..., None] * g)
         assert np.abs(u - ref).max() <= 1e-15 * np.abs(ref).max()
-        fluid = K.stokes_solve(K.ScalarGrid(spec, rho), g)
+        fluid = K.stokes_solve(K.ScalarGrid(spec, rho), full_window(spec), g)
         assert np.array_equal(fluid.velocity.values, u)
 
     def test_repeatable_and_input_untouched(self):
@@ -397,8 +401,8 @@ class TestBrinkmanSolve:
         f = rng.standard_normal((32, 32, 32, 3))
         j = K.VectorGrid(self.spec, f)
         rho = K.ScalarGrid(self.spec, np.zeros((32, 32, 32)))
-        bk = K.brinkman_solve(rho, j, tol=1e-12)
-        st = K.stokes_solve(j)
+        bk = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-12)
+        st = K.stokes_solve(j, full_window(self.spec))
         assert np.abs(bk.velocity.values - st.velocity.values).max() < 1e-12
         assert bk.iterations == 1
 
@@ -409,7 +413,7 @@ class TestBrinkmanSolve:
         rho = gaussian_density(spec, 1.25)
         g = np.array([0.0, 0.0, -1.0])
         j = K.VectorGrid(spec, rho.values[..., None] * g)
-        fl = K.brinkman_solve(rho, j, tol=1e-11, theta=1.0)
+        fl = K.brinkman_solve(rho, j, full_window(spec), tol=1e-11, theta=1.0)
         assert fl.residual < 1e-9
         bulk = K.VectorGrid(spec, np.broadcast_to(g, (32, 32, 32, 3)).copy())
         rep = K.dissipation_check(rho, bulk, fl)
@@ -423,8 +427,8 @@ class TestBrinkmanSolve:
         rho = gaussian_density(self.spec, 0.9)
         g = np.array([0.2, 0.1, -1.0])
         j = K.VectorGrid(self.spec, rho.values[..., None] * g)
-        a = K.brinkman_solve(rho, j, tol=1e-11, theta=0.5)
-        b = K.brinkman_solve(rho, j, tol=1e-11, theta=1.0)
+        a = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11, theta=0.5)
+        b = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11, theta=1.0)
         scale = np.abs(a.velocity.values).max()
         assert np.abs(a.velocity.values - b.velocity.values).max() < 1e-8 * scale
         assert a.iterations > b.iterations  # the damping cost
@@ -433,8 +437,8 @@ class TestBrinkmanSolve:
         rho = gaussian_density(self.spec, 0.9)
         g = np.array([0.0, 0.0, -1.0])
         j = K.VectorGrid(self.spec, rho.values[..., None] * g)
-        cold = K.brinkman_solve(rho, j, tol=1e-11, theta=1.0)
-        warm = K.brinkman_solve(rho, j, tol=1e-11, theta=1.0, u0=cold.velocity)
+        cold = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11, theta=1.0)
+        warm = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11, theta=1.0, u0=cold)
         assert warm.iterations < cold.iterations
 
     def test_coercivity_sign_random_instances(self):
@@ -455,7 +459,7 @@ class TestBrinkmanSolve:
                 axis=-1,
             )
             j = K.VectorGrid(self.spec, rho.values[..., None] * V)
-            fl = K.brinkman_solve(rho, j, tol=1e-10, theta=1.0)
+            fl = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-10, theta=1.0)
             rep = K.dissipation_check(rho, K.VectorGrid(self.spec, V), fl)
             vnorm = float(np.sum(V * V * rho.values[..., None]) * self.spec.cell_volume)
             ratios.append(rep.lhs / vnorm)
@@ -465,7 +469,7 @@ class TestBrinkmanSolve:
         rho = gaussian_density(self.spec, 0.9)
         j = K.VectorGrid(self.spec, rho.values[..., None] * np.array([0.0, 0.0, -1.0]))
         with pytest.raises(ConvergenceError) as err:
-            K.brinkman_solve(rho, j, tol=1e-11, max_iter=1)
+            K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11, max_iter=1)
         assert err.value.iterations == 1
         assert err.value.residual > 1e-11
         assert err.value.exit_code == 3
@@ -480,9 +484,9 @@ class TestBrinkmanSolve:
         if old is None:
             pytest.skip("numpy links a BLAS other than OpenBLAS")
         try:
-            one = K.brinkman_solve(rho, j, tol=1e-11)
+            one = K.brinkman_solve(rho, j, full_window(spec), tol=1e-11)
             _blas_threads(2)
-            two = K.brinkman_solve(rho, j, tol=1e-11)
+            two = K.brinkman_solve(rho, j, full_window(spec), tol=1e-11)
         finally:
             _blas_threads(old)
         assert one.velocity.values.tobytes() == two.velocity.values.tobytes()
@@ -492,19 +496,20 @@ class TestBrinkmanSolve:
         rho = K.ScalarGrid(self.spec, -np.ones((32, 32, 32)))
         j = K.VectorGrid(self.spec, np.zeros((32, 32, 32, 3)))
         with pytest.raises(ValueError):
-            K.brinkman_solve(rho, j)
+            K.brinkman_solve(rho, j, full_window(self.spec))
 
 
-def _cloud_density(spec, count, seed, sigma=1.2):
-    """rho and j of a seeded Gaussian phase cloud centred in the box."""
+def _phase_cloud(spec, count, seed, sigma=1.2, center=None):
+    """A seeded Gaussian phase cloud, centred in the box unless a center is given."""
     rng = np.random.default_rng(seed)
-    c = _Cloud(spec.box_length / 2 + sigma * rng.standard_normal((count, 3)), np.full(count, 1.0 / count),
-               np.array([0.0, 0.0, -1.0]) + 0.1 * rng.standard_normal((count, 3)))
-    return K.deposit(c, spec)
+    center = spec.box_length / 2 if center is None else np.asarray(center)
+    return _Cloud(center + sigma * rng.standard_normal((count, 3)), np.full(count, 1.0 / count),
+                  np.array([0.0, 0.0, -1.0]) + 0.1 * rng.standard_normal((count, 3)))
 
 
-def _whole_grid_window(spec, rho, j=None):
-    return K.Window(spec, (0, 0, 0), spec)
+def _solve(cloud, window, **kwargs):
+    """Deposit the cloud on the window and solve Brinkman there."""
+    return K.brinkman_solve(*K.deposit(cloud, window), window, **kwargs)
 
 
 class TestWindow:
@@ -513,54 +518,88 @@ class TestWindow:
     def _rel(self, a, b):
         return float(np.abs(a - b).max() / np.abs(b).max())
 
-    def test_support_window(self):
-        n = self.spec.n
-        rho = np.zeros((n, n, n))
-        rho[5:18, 9:12, 30] = 1.0  # spans 13, 3 and 1 cells
-        w = K.support_window(self.spec, rho)
+    @staticmethod
+    def _at(cells, frac=0.75):
+        """A position whose stencil's lowest corner is the given cell (h = 1/2)."""
+        return (np.asarray(cells) + 0.5 + frac) * 0.5
+
+    def test_stencil_window(self):
+        # stencils over cells 5..17, 9..11 and 30..31: spans 13, 3 and 2 cells
+        x = np.array([self._at((5, 9, 30)), self._at((16, 10, 30))])
+        w = K.stencil_window(self.spec, x)
         assert w.spec.n == 16 and w.origin == (5, 9, 16)  # z moved inward from the face
         assert w.spec.h == self.spec.h and not w.full
-        assert np.array_equal(w.embed(rho[w.cells]), rho)
-        j = np.zeros((n, n, n, 3))
-        j[0, 0, 0, 2] = 1.0
-        assert K.support_window(self.spec, rho, j).full
-        assert K.support_window(self.spec, np.zeros((n, n, n))).spec.n == 8
+        whole = K.deposit(_Cloud(x, np.full(2, 0.5)), full_window(self.spec))[0].values
+        assert whole[w.cells].sum() == whole.sum()  # every stencil's cells lie in the window
+        assert K.stencil_window(self.spec, np.vstack([x, self._at((0, 0, 0))])).full  # z spans 0..31
+        assert K.stencil_window(self.spec, x[:1]).spec.n == 8  # one stencil: two cells per axis
+        assert K.stencil_window(self.spec, np.zeros((0, 3))).spec.n == 8
+
+    def test_deposit_on_the_window_is_bitwise_the_sliced_whole_grid_deposit(self):
+        cloud = _phase_cloud(self.spec, 2000, seed=48)
+        window = K.stencil_window(self.spec, cloud.x)
+        assert not window.full
+        rho, j = K.deposit(cloud, window)
+        whole_rho, whole_j = K.deposit(cloud, full_window(self.spec))
+        assert rho.spec == j.spec == window.spec
+        assert rho.values.tobytes() == whole_rho.values[window.cells].tobytes()
+        assert j.values.tobytes() == whole_j.values[window.cells].tobytes()
 
     @pytest.mark.parametrize("origin", [(5, 9, 16), (0, 16, 3)])
     def test_window_apply_matches_whole_grid(self, origin):
         # both sit on a face of the grid: z = n - s and x = 0, y = n - s
-        s = 16
+        s, n = 16, self.spec.n
         window = K.Window(self.spec, origin, K.GridSpec(s * self.spec.h, s))
         rng = np.random.default_rng(41)
-        f = window.embed(rng.standard_normal((s, s, s, 3)))
-        rho = window.embed(rng.random((s, s, s)))
+        f, rho = np.zeros((n, n, n, 3)), np.zeros((n, n, n))
+        f[window.cells], rho[window.cells] = rng.standard_normal((s, s, s, 3)), rng.random((s, s, s))
         g = np.array([0.36, -0.48, 0.8])
         whole, op = K.get_operator(self.spec), K.get_operator(window.spec)
         assert op.spec.n == s
         assert self._rel(op.apply(f[window.cells]), whole.apply(f)[window.cells]) <= 1e-14
         assert self._rel(op.apply(rho[window.cells], g), whole.apply(rho, g)[window.cells]) <= 1e-14
 
-    def test_brinkman_on_window_matches_whole_grid_loop(self, monkeypatch):
-        rho, j = _cloud_density(self.spec, 2000, seed=42)
-        assert K.support_window(self.spec, rho.values, j.values).spec.n == 24
-        windowed = K.brinkman_solve(rho, j)
-        warm = K.brinkman_solve(rho, j, u0=windowed.warm_start)
-        monkeypatch.setattr(K, "support_window", _whole_grid_window)
-        whole = K.brinkman_solve(rho, j)
-        cells = windowed.window.cells
+    def test_brinkman_on_window_matches_whole_grid_loop(self):
+        cloud = _phase_cloud(self.spec, 2000, seed=42)
+        window, whole_window = K.stencil_window(self.spec, cloud.x), full_window(self.spec)
+        assert window.spec.n == 24
+        windowed = _solve(cloud, window)
+        warm = _solve(cloud, window, u0=windowed)
+        whole = _solve(cloud, whole_window)
+        cells = window.cells
         assert windowed.iterations == whole.iterations
         assert self._rel(windowed.velocity.values, whole.velocity.values[cells]) <= 1e-13
         # off the window, the held force's image is the whole-grid iterate
         assert self._rel(whole_fluid(windowed).velocity.values, whole.velocity.values) <= 1e-13
-        whole_warm = K.brinkman_solve(rho, j, u0=whole.velocity)
+        whole_warm = _solve(cloud, whole_window, u0=whole)
         assert warm.iterations == whole_warm.iterations
         assert self._rel(warm.velocity.values, whole_warm.velocity.values[cells]) <= 1e-13
+
+    def test_warm_start_from_another_window_is_the_embedded_field(self):
+        # u0 on one window starts a solve on another with its field where they overlap and
+        # zero elsewhere: bitwise the start from that field embedded in zeros on the whole grid
+        n = self.spec.n
+        base = _phase_cloud(self.spec, 500, seed=49, sigma=0.8)
+        first = _solve(base, K.stencil_window(self.spec, base.x))
+        moved = _phase_cloud(self.spec, 500, seed=50, sigma=0.8, center=(9.5, 8.0, 7.0))
+        window = K.stencil_window(self.spec, moved.x)
+        assert window.origin != first.window.origin and window.spec.n == first.window.spec.n
+        embedded = np.zeros((n, n, n, 3))
+        embedded[first.window.cells] = first.velocity.values
+        via_grid = K.FluidState(K.VectorGrid(self.spec, embedded), 0.0, 1, full_window(self.spec))
+        got, ref = _solve(moved, window, u0=first), _solve(moved, window, u0=via_grid)
+        assert got.iterations == ref.iterations and got.velocity.values.tobytes() == ref.velocity.values.tobytes()
+        # windows that do not meet start from zero, as a cold solve does
+        far = _phase_cloud(self.spec, 500, seed=51, sigma=0.3, center=(2.5, 2.5, 2.5))
+        far_window = K.stencil_window(self.spec, far.x)
+        assert far_window.spec.n == 8 and max(far_window.origin) + 8 <= min(first.window.origin)
+        got, cold = _solve(far, far_window, u0=first), _solve(far, far_window)
+        assert got.iterations == cold.iterations and got.velocity.values.tobytes() == cold.velocity.values.tobytes()
 
     def test_support_spanning_grid_is_bitwise_the_whole_grid_loop(self):
         rho = gaussian_density(self.spec, 1.5)
         j = K.VectorGrid(self.spec, rho.values[..., None] * np.array([0.2, 0.1, -1.0]))
-        assert K.support_window(self.spec, rho.values, j.values).full
-        got = K.brinkman_solve(rho, j, tol=1e-11)
+        got = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11)
         op = K.get_operator(self.spec)
         u = np.zeros_like(j.values)
         u_norm, prev, rhov = 0.0, np.inf, rho.values[..., None]
@@ -576,32 +615,49 @@ class TestWindow:
         assert (got.iterations, got.residual) == (it, step / u_norm)
         assert got.velocity.values.tobytes() == u.tobytes()
 
+    def _whole_grid_field(self, cloud, g):
+        """The steady field of the cloud's density on the full window, at its samples."""
+        whole = full_window(self.spec)
+        return K.stokes_solve(K.deposit(cloud, whole)[0], whole, g).at(cloud.x)
+
     def test_steady_velocities_match_whole_grid_solve(self):
         from sedlab.metrics import steady_field_velocities
-        from sedlab.transport import steady_velocity_field
 
         rng = np.random.default_rng(43)
         cloud = SimpleNamespace(x=8.0 + 1.5 * rng.standard_normal((2000, 3)), w=np.full(2000, 1 / 2000),
                                 v=rng.standard_normal((2000, 3)))
         g = np.array([0.0, 0.6, -0.8])
-        rho, _ = K.deposit(cloud, self.spec)
-        assert not K.support_window(self.spec, rho.values).full
-        whole = K.interpolate(steady_velocity_field(SimpleNamespace(x=cloud.x, w=cloud.w, gravity=g),
-                                                    self.spec).velocity, cloud.x)
+        assert not K.stencil_window(self.spec, cloud.x).full
+        whole = self._whole_grid_field(cloud, g)
         assert self._rel(steady_field_velocities(cloud, self.spec, g, cloud.w), whole) <= 1e-13
 
     def test_steady_velocities_at_a_zero_weight_sample_off_the_density(self):
-        from sedlab.transport import steady_velocities, steady_velocity_field
+        from sedlab.transport import steady_velocity_field
 
         rng = np.random.default_rng(46)
         x = 8.0 + 1.2 * rng.standard_normal((500, 3))
         x[0] = 2.0  # weight 0: it deposits nothing, and its stencil lies off the density's window
         cloud = SimpleNamespace(x=x, w=np.r_[0.0, np.full(499, 1 / 499)], gravity=np.array([0.0, 0.6, -0.8]))
-        rho, _ = K.deposit(cloud, self.spec)
-        assert min(K.support_window(self.spec, rho.values).origin) > 3  # the sample's stencil starts at cell 3
+        assert min(K.stencil_window(self.spec, x[1:]).origin) > 3  # the sample's stencil starts at cell 3
         assert not K.stencil_window(self.spec, x).full
-        whole = K.interpolate(steady_velocity_field(cloud, self.spec).velocity, x)
-        assert self._rel(steady_velocities(cloud, self.spec), whole) <= 1e-13
+        whole = self._whole_grid_field(cloud, cloud.gravity)
+        assert self._rel(steady_velocity_field(cloud, self.spec).at(x), whole) <= 1e-13
+
+    def test_vlasov_step_at_a_zero_weight_sample_off_the_density(self):
+        from sedlab import kinetic
+
+        rng = np.random.default_rng(46)
+        g = np.array([0.0, 0.0, -1.0])
+        x = 8.0 + 1.2 * rng.standard_normal((500, 3))
+        x[0] = (2.1, 2.3, 2.2)  # weight 0: its stencil lies off the others' support
+        cloud = kinetic.PhaseCloud(x=x, v=g + 0.1 * rng.standard_normal((500, 3)), w=np.r_[0.0, np.full(499, 1 / 499)],
+                                   lam=20.0, gravity=g)
+        assert min(K.stencil_window(self.spec, x[1:]).origin) > 4
+        _, fluid, budget = kinetic.vlasov_step(cloud, self.spec, 0.01)
+        assert not fluid.window.full and np.isfinite(budget.grad_term)
+        whole = _solve(cloud, full_window(self.spec))
+        assert fluid.iterations == whole.iterations
+        assert self._rel(fluid.at(x[0]), whole.at(x[0])) <= 1e-13
 
     def test_vlasov_run_builds_each_window_table_once(self, monkeypatch):
         from collections import OrderedDict
@@ -632,6 +688,19 @@ class TestWindow:
                             lambda op, *args: sides.append(op.spec.n) or apply(op, *args))
         return sides
 
+    @staticmethod
+    def _count_deposits(monkeypatch):
+        """Window sides of the deposits made from now on, wherever a sedlab module calls `deposit`."""
+        import sys
+
+        sides = []
+        deposit = K.deposit
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sedlab") and getattr(module, "deposit", None) is deposit:
+                monkeypatch.setattr(module, "deposit",
+                                    lambda cloud, window: sides.append(window.spec.n) or deposit(cloud, window))
+        return sides
+
     @pytest.mark.parametrize("budget", [0, 1])
     def test_no_whole_grid_apply_in_a_windowed_run(self, monkeypatch, budget):
         from sedlab import harness
@@ -644,21 +713,22 @@ class TestWindow:
             }
         )
         draw = harness.sample_initial(config.initial, config.n, config.seed, config.lam, grid=self.spec,
-                                     want_ensemble=False)
-        sides = self._count_applies(monkeypatch)
+                                      want_ensemble=False)
+        sides, deposits = self._count_applies(monkeypatch), self._count_deposits(monkeypatch)
         record = harness.run(config, draw=draw)
         assert record.ok and len(record.budgets) == budget * config.steps
         assert all(b.grad_term > 0.0 for b in record.budgets)
-        assert self.spec.n not in sides
+        assert self.spec.n not in sides and self.spec.n not in deposits
         assert len(sides) > config.steps  # the window iterations and the S solves
 
     def test_solve_holds_the_force_of_its_last_apply(self, monkeypatch):
-        rho, j = _cloud_density(self.spec, 2000, seed=44)
-        window = K.support_window(self.spec, rho.values, j.values)
+        cloud = _phase_cloud(self.spec, 2000, seed=44)
+        window = K.stencil_window(self.spec, cloud.x)
         assert not window.full
+        rho, j = K.deposit(cloud, window)
         # the loop with theta = 1, written out
         op = K.get_operator(window.spec)
-        jw, rhov = j.values[window.cells], rho.values[window.cells][..., None]
+        jw, rhov = j.values, rho.values[..., None]
         u, u_norm, prev = np.zeros_like(jw), 0.0, np.inf
         for it in range(1, 200):
             force = jw - rhov * u
@@ -670,7 +740,7 @@ class TestWindow:
                 break
             prev = defect
         sides = self._count_applies(monkeypatch)
-        fluid = K.brinkman_solve(rho, j)
+        fluid = K.brinkman_solve(rho, j, window)
         energy = fluid.dirichlet_energy
         assert fluid.iterations == it and sides == [window.spec.n] * it
         assert fluid.window == window and fluid.velocity.spec == window.spec
@@ -678,17 +748,17 @@ class TestWindow:
         assert energy > 0.0 and energy == pytest.approx(float(np.sum(u * force)) * self.spec.cell_volume, rel=1e-12)
 
     def test_interpolation_on_the_window_is_bitwise_the_embedded_field(self, monkeypatch):
-        rng = np.random.default_rng(45)
-        cloud = _Cloud(8.0 + 1.2 * rng.standard_normal((2000, 3)), np.full(2000, 1.0 / 2000),
-                       np.array([0.0, 0.0, -1.0]) + 0.1 * rng.standard_normal((2000, 3)))
-        fluid = K.brinkman_solve(*K.deposit(cloud, self.spec))
-        window = fluid.window
+        cloud = _phase_cloud(self.spec, 2000, seed=45)
+        window = K.stencil_window(self.spec, cloud.x)
+        fluid = _solve(cloud, window)
         assert not window.full
         sides = self._count_applies(monkeypatch)
-        warm = fluid.warm_start
-        assert warm.spec == self.spec and np.array_equal(warm.values, window.embed(fluid.velocity.values))
-        assert fluid.at(cloud.x).tobytes() == K.interpolate(warm, cloud.x).tobytes()
-        assert fluid.at(cloud.x[0]).tobytes() == K.interpolate(warm, cloud.x[0]).tobytes()
+        n = self.spec.n
+        embedded = K.VectorGrid(self.spec, np.zeros((n, n, n, 3)))
+        embedded.values[window.cells] = fluid.velocity.values
+        whole = full_window(self.spec)
+        assert fluid.at(cloud.x).tobytes() == K.interpolate(embedded, cloud.x, whole).tobytes()
+        assert fluid.at(cloud.x[0]).tobytes() == K.interpolate(embedded, cloud.x[0], whole).tobytes()
         with pytest.raises(DomainExhaustedError, match="outside the usable window"):
             fluid.at(np.array([1.0, 1.0, 1.0]))  # a stencil off the window
         assert sides == []
@@ -696,9 +766,8 @@ class TestWindow:
 
 def _returned_defect(rho, j, fluid):
     """Measured defect of the field a Brinkman solve returned, by one more apply on its window."""
-    window = K.support_window(rho.spec, rho.values, j.values)
-    u = fluid.warm_start.values[window.cells]
-    image = K.get_operator(window.spec).apply(j.values[window.cells] - rho.values[window.cells][..., None] * u)
+    u = fluid.velocity.values
+    image = K.get_operator(fluid.window.spec).apply(j.values - rho.values[..., None] * u)
     return K._norm(image - u) / max(K._norm(image), K._norm(u), 1e-300)
 
 
@@ -714,8 +783,8 @@ class TestStopRule:
         ratios, stops = [], []
         solve, stop = K.brinkman_solve, K.contraction_stop
 
-        def checked(rho, j, tol=1e-9, **kwargs):
-            fluid = solve(rho, j, tol=tol, **kwargs)
+        def checked(rho, j, window, tol=1e-9, **kwargs):
+            fluid = solve(rho, j, window, tol=tol, **kwargs)
             ratios.append(_returned_defect(rho, j, fluid) / tol)
             return fluid
 
@@ -766,8 +835,7 @@ class TestStopRule:
     def test_damped_solve_keeps_the_defect_rule(self):
         rho = gaussian_density(self.spec, 1.5)
         j = K.VectorGrid(self.spec, rho.values[..., None] * np.array([0.2, 0.1, -1.0]))
-        assert K.support_window(self.spec, rho.values, j.values).full
-        got = K.brinkman_solve(rho, j, tol=1e-11, theta=0.75)
+        got = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11, theta=0.75)
         # the damped loop written out: it stops on its own defect only
         op, rhov = K.get_operator(self.spec), rho.values[..., None]
         u, defects = np.zeros_like(j.values), [np.inf]
@@ -782,11 +850,13 @@ class TestStopRule:
         assert any(K.contraction_stop(d, p, 1e-11) for p, d in zip(defects[:-2], defects[1:-1]))
 
     def test_converged_start_returns_at_once(self):
-        rho, j = _cloud_density(self.spec, 2000, seed=47)
-        cold = K.brinkman_solve(rho, j)
+        cloud = _phase_cloud(self.spec, 2000, seed=47)
+        window = K.stencil_window(self.spec, cloud.x)
+        rho, j = K.deposit(cloud, window)
+        cold = K.brinkman_solve(rho, j, window)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            warm = K.brinkman_solve(rho, j, u0=cold.warm_start)
+            warm = K.brinkman_solve(rho, j, window, u0=cold)
         assert warm.iterations == 1 and np.isfinite(warm.residual)
         assert np.all(np.isfinite(warm.velocity.values))
         assert _returned_defect(rho, j, warm) <= 1e-9

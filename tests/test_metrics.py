@@ -8,9 +8,10 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from conftest import full_window
 from sedlab import metrics
 from sedlab.errors import ConvergenceError
-from sedlab.kernels import GridSpec, VectorGrid, deposit, interpolate, stokes_solve
+from sedlab.kernels import GridSpec, VectorGrid, deposit, stokes_solve
 from sedlab.metrics import (
     ModulatedEnergies,
     energies_to_rows,
@@ -369,9 +370,9 @@ class TestModulatedEnergies:
         rng = np.random.default_rng(12)
         snap = phase_snapshot(rng, 128)
         entry = modulated_energies(np.array([0.0]), [snap], [snap], SPEC, GRAVITY)[0]
-        rho, _ = deposit(snap, SPEC)
-        fluid = stokes_solve(VectorGrid(SPEC, rho.values[..., None] * GRAVITY))
-        field_v = interpolate(fluid.velocity, snap.x)
+        rho, _ = deposit(snap, full_window(SPEC))
+        fluid = stokes_solve(VectorGrid(SPEC, rho.values[..., None] * GRAVITY), full_window(SPEC))
+        field_v = fluid.at(snap.x)
         expected = 0.5 * np.mean(np.sum((snap.v - GRAVITY - field_v) ** 2, axis=1))
         assert entry.S == pytest.approx(expected, rel=1e-12)
 

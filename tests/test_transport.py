@@ -3,7 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sedlab.kernels import GridSpec, deposit, interpolate
+from conftest import full_window
+from sedlab.kernels import GridSpec, deposit, stencil_window, stokes_solve
 from sedlab.metrics import wasserstein2_exact
 from sedlab.transport import (
     SpatialCloud,
@@ -18,6 +19,11 @@ def gaussian_cloud(n, seed, sigma=1.5, box=16.0):
     rng = np.random.default_rng(seed)
     x = box / 2 + sigma * rng.standard_normal((n, 3))
     return SpatialCloud(x=x, w=np.full(n, 1.0 / n), gravity=GRAVITY)
+
+
+def field_on(cloud, window):
+    """The steady field of the cloud's density, deposited and solved on a window."""
+    return stokes_solve(deposit(cloud, window)[0], window, cloud.gravity)
 
 
 class TestSpatialCloud:
@@ -49,9 +55,12 @@ class TestSteadyField:
         grid = GridSpec(16.0, 32)
         x = np.array([[8.25, 8.25, 8.25]])  # center of cell (16, 16, 16)
         cloud = SpatialCloud(x=x, w=np.ones(1), gravity=GRAVITY)
-        fluid = steady_velocity_field(cloud, grid)
+        fluid = field_on(cloud, full_window(grid))
         u = fluid.velocity.values
         assert fluid.grad_sup_norm > 0.0
+        windowed = steady_velocity_field(cloud, grid)
+        assert windowed.window.spec.n == 8  # the window of the one stencil, which it solves on
+        assert np.abs(windowed.velocity.values - u[windowed.window.cells]).max() <= 1e-13 * np.abs(u).max()
         # index mirror about k = 16 maps k -> 32 - k, valid for k in [1, 31]
         sub = u[:, :, 1:, :]
         flipped = u[:, :, 31:0:-1, :]
@@ -65,7 +74,7 @@ class TestSteadyField:
         grid = GridSpec(16.0, 32)
         x = np.array([[8.25, 8.25, 6.25], [8.25, 8.25, 9.75]])  # cells k=12 and k=19
         cloud = SpatialCloud(x=x, w=np.full(2, 0.5), gravity=GRAVITY)
-        u = steady_velocity_field(cloud, grid).velocity.values
+        u = field_on(cloud, full_window(grid)).velocity.values
         flipped = u[:, :, ::-1, :]  # k -> 31 - k, the mirror across z = 8
         scale = np.abs(u).max()
         assert np.allclose(flipped[..., 0], -u[..., 0], atol=1e-13 * scale)
@@ -80,12 +89,13 @@ class TestSteadyField:
         rng = np.random.default_rng(7)
         direction = rng.standard_normal(base.x.shape)
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        u1 = steady_velocity_field(base, grid).velocity
+        u1 = steady_velocity_field(base, grid).at(base.x)
         ratios = []
         for delta in (0.05, 0.1, 0.2, 0.4):
             moved = SpatialCloud(x=base.x + delta * direction, w=base.w, gravity=GRAVITY)
-            u2 = steady_velocity_field(moved, grid).velocity
-            du = interpolate(u1, base.x) - interpolate(u2, base.x)
+            # read at base.x, so solved on the window of both clouds' stencils
+            u2 = field_on(moved, stencil_window(grid, np.vstack([base.x, moved.x]))).at(base.x)
+            du = u1 - u2
             l2 = np.sqrt(base.w @ np.sum(du**2, axis=1))
             w2 = wasserstein2_exact(base, moved).distance
             ratios.append(l2 / w2)
@@ -132,7 +142,7 @@ class TestTransportStep:
         cloud = gaussian_cloud(400, seed=3)
         out = transport_step(cloud, grid, 0.02)
         assert np.array_equal(out.w, cloud.w)
-        rho, _ = deposit(out, grid)
+        rho, _ = deposit(out, stencil_window(grid, out.x))
         assert float(rho.values.sum()) * grid.cell_volume == pytest.approx(1.0, rel=1e-12)
 
     def test_divergence_free_flow_preserves_density_norms(self):
@@ -151,7 +161,7 @@ class TestTransportStep:
         cloud = SpatialCloud(x=x, w=w, gravity=GRAVITY)
 
         def norms(c):
-            rho, _ = deposit(c, grid)
+            rho, _ = deposit(c, stencil_window(grid, c.x))
             return {
                 p: (np.sum(np.abs(rho.values) ** p) * grid.cell_volume) ** (1.0 / p)
                 for p in (4.0 / 3.0, 2.0, 4.0)
