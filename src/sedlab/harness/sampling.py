@@ -18,10 +18,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ..errors import AssumptionError
-from ..kernels import Window, deposit, stokes_solve
 from ..kinetic import PhaseCloud
 from ..micro import AssumptionReport, ParticleEnsemble, check_assumptions, h4_value, pairwise_min_distance
-from ..transport import SpatialCloud
+from ..transport import SpatialCloud, steady_velocity_field
 from .config import DEFAULTS
 
 GRAVITY = np.array([0.0, 0.0, -1.0])
@@ -134,7 +133,8 @@ def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensem
     and takes the defaults there for those it omits; uniform_ball also
     reads x_radius and v_radius.  The cloud is centred in the grid's box, or at
     (8, 8, 8) without a grid.  The well-prepared family needs grid to solve
-    for its transport field, and its jitter has wavenumber 1 / sigma_x.
+    for its transport field, on the window of its samples' stencils, and
+    its jitter has wavenumber 1 / sigma_x.
     want_ensemble adds the ensemble and its checks, the draw's one h3 scan.
     """
     f0_spec = {**DEFAULTS["initial"], **f0_spec}
@@ -166,8 +166,7 @@ def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensem
                 raise ValueError("well_prepared sampling needs a grid for its field")
             x = _truncated_gaussian(rng, n, center, sigma_x)
             carrier = SpatialCloud(x=x, w=np.full(n, 1.0 / n), gravity=gravity)
-            whole = Window(grid, (0, 0, 0), grid)
-            fluid = stokes_solve(deposit(carrier, whole)[0], whole, gravity)
+            fluid = steady_velocity_field(carrier, grid)
             u_at = fluid.at(x)
             if sigma_v > 0.0:
                 phi, jitter_lip = _smooth_jitter(rng, x, center, 1.0 / sigma_x)

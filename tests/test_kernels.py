@@ -712,9 +712,11 @@ class TestWindow:
                 "output": {"energy_budget": budget},
             }
         )
+        sides, deposits = self._count_applies(monkeypatch), self._count_deposits(monkeypatch)
+        # the well-prepared draw solves for its field too
         draw = harness.sample_initial(config.initial, config.n, config.seed, config.lam, grid=self.spec,
                                       want_ensemble=False)
-        sides, deposits = self._count_applies(monkeypatch), self._count_deposits(monkeypatch)
+        assert config.initial["family"] == "well_prepared" and sides and deposits
         record = harness.run(config, draw=draw)
         assert record.ok and len(record.budgets) == budget * config.steps
         assert all(b.grad_term > 0.0 for b in record.budgets)
