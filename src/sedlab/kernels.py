@@ -506,12 +506,12 @@ def stencil_window(grid: GridSpec, positions: np.ndarray) -> Window:
     is the grid itself.  A stencil outside the grid's box raises
     DomainExhaustedError: the grid is the box the samples must stay in.
     """
-    n = grid.n
-    i0, _ = _cic_corners(Window(grid, (0, 0, 0), grid), positions, "stencil window")
+    n, whole = grid.n, Window(grid, (0, 0, 0), grid)
+    i0, _ = _cic_corners(whole, positions, "stencil window")
     lo, end = i0.min(axis=0, initial=n), i0.max(axis=0, initial=-2) + 2  # the stencils' cells lo .. end - 1
     side = min(n, max(8, -(-int((end - lo).max()) // 8) * 8))
     if side == n:
-        return Window(grid, (0, 0, 0), grid)
+        return whole
     return Window(grid, tuple(int(o) for o in np.minimum(lo, n - side)), GridSpec(side * grid.h, side))
 
 
@@ -571,7 +571,7 @@ def brinkman_solve(
         return FluidState(VectorGrid(window.spec, op.apply(j.values)), 0.0, 1, window, j.values)
     rhov = rho.values[..., None]
     u = np.zeros_like(j.values)
-    if u0 is not None:
+    if u0 is not None:  # u0's field where its window meets this one
         lo = np.maximum(window.origin, u0.window.origin)
         end = np.minimum(np.add(window.origin, window.spec.n), np.add(u0.window.origin, u0.window.spec.n))
         if np.all(lo < end):

@@ -1,9 +1,9 @@
 """Particle-method solver for the kinetic tier.
 
 A phase-space probability measure is carried by weighted samples.  Each step
-deposits density and momentum on a grid, solves the damped Stokes (Brinkman)
-problem for the fluid velocity u, and pushes every sample through the stiff
-relaxation
+deposits density and momentum on the window of the samples' stencils in a
+grid, solves the damped Stokes (Brinkman) problem for the fluid velocity u
+there, and pushes every sample through the stiff relaxation
 
     x' = v,   v' = lam (g + u(x) - v)
 
