@@ -530,7 +530,7 @@ class TestWindow:
         assert w.spec.n == 16 and w.origin == (5, 9, 16)  # z moved inward from the face
         assert w.spec.h == self.spec.h and not w.full
         whole = K.deposit(_Cloud(x, np.full(2, 0.5)), full_window(self.spec))[0].values
-        assert whole[w.cells].sum() == whole.sum()  # every stencil's cells lie in the window
+        assert np.count_nonzero(whole[w.cells]) == np.count_nonzero(whole)  # every stencil's cells lie in it
         assert K.stencil_window(self.spec, np.vstack([x, self._at((0, 0, 0))])).full  # z spans 0..31
         assert K.stencil_window(self.spec, x[:1]).spec.n == 8  # one stencil: two cells per axis
         assert K.stencil_window(self.spec, np.zeros((0, 3))).spec.n == 8
