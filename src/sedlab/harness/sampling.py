@@ -126,7 +126,7 @@ def _project_h3(x, v, lam, max_sweeps=64):
     return v, touched, False
 
 
-def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensemble=True):
+def sample_initial(f0_spec, n, seed, lam, grid=None, want_ensemble=True):
     """Draw matched initial data for the particle and kinetic tiers.
 
     f0_spec maps the keys of DEFAULTS["initial"] (family: see FAMILIES),
@@ -141,7 +141,6 @@ def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensem
     family = f0_spec["family"]
     if family not in FAMILIES:
         raise ValueError(f"unknown initial family {family!r}; pick one of {FAMILIES}")
-    gravity = np.asarray(gravity, dtype=float)
     sigma_x = float(f0_spec["sigma_x"])
     sigma_v = float(f0_spec["sigma_v"])
     c_v = float(f0_spec["c_v"])
@@ -157,15 +156,15 @@ def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensem
         s0 = np.nan
         if family == "gaussian":
             x = _truncated_gaussian(rng, n, center, sigma_x)
-            v = gravity + sigma_v * rng.standard_normal((n, 3))
+            v = GRAVITY + sigma_v * rng.standard_normal((n, 3))
         elif family == "uniform_ball":
             x = center + _ball(rng, n, float(f0_spec.get("x_radius", 2.0 * sigma_x)))
-            v = gravity + _ball(rng, n, float(f0_spec.get("v_radius", sigma_v)))
+            v = GRAVITY + _ball(rng, n, float(f0_spec.get("v_radius", sigma_v)))
         else:  # well_prepared
             if grid is None:
                 raise ValueError("well_prepared sampling needs a grid for its field")
             x = _truncated_gaussian(rng, n, center, sigma_x)
-            carrier = SpatialCloud(x=x, w=np.full(n, 1.0 / n), gravity=gravity)
+            carrier = SpatialCloud(x=x, w=np.full(n, 1.0 / n), gravity=GRAVITY)
             fluid = steady_velocity_field(carrier, grid)
             u_at = fluid.at(x)
             if sigma_v > 0.0:
@@ -178,7 +177,7 @@ def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensem
                     f"well-prepared field Lipschitz bound {field_lip:.3g} exceeds lam/2;"
                     " lower sigma_v or raise sigma_x"
                 )
-            v = gravity + u_at + sigma_v * phi
+            v = GRAVITY + u_at + sigma_v * phi
             s0 = 1.5 * sigma_v**2
 
         d_min = pairwise_min_distance(x)
@@ -201,10 +200,10 @@ def sample_initial(f0_spec, n, seed, lam, grid=None, gravity=GRAVITY, want_ensem
             continue
 
         w = np.full(n, 1.0 / n)
-        cloud = PhaseCloud(x=x, v=v, w=w, lam=lam, gravity=gravity)
+        cloud = PhaseCloud(x=x, v=v, w=w, lam=lam, gravity=GRAVITY)
         ensemble = checks = None
         if want_ensemble:
-            ensemble = ParticleEnsemble(x=x.copy(), v=v.copy(), lam=lam, gravity=gravity, radius=radius)
+            ensemble = ParticleEnsemble(x=x.copy(), v=v.copy(), lam=lam, gravity=GRAVITY, radius=radius)
             checks = check_assumptions(ensemble, c_v=c_v)
         report = SampleReport(
             family=family,

@@ -16,7 +16,9 @@ density times one direction) needs a single forward transform.
 Because the padded convolution is exact for any box that holds sources
 and targets, every grid field lives on a `Window`: the smallest cube of
 cells, side a multiple of 8, that holds the trilinear stencils of a
-cloud's samples (`stencil_window`).  A solve deposits onto the window,
+cloud's samples (`stencil_window`).  A field is a plain array on the
+window's cells, with n = `window.spec.n`: a density is (n, n, n) and a
+velocity, momentum or force (n, n, n, 3).  A solve deposits onto the window,
 solves there and reads the field at the samples there (`FluidState.at`);
 `brinkman_solve` also measures its stop rule there, and its Dirichlet
 energy pairs its field with its force there.  The configured grid only
@@ -143,38 +145,16 @@ class GridSpec:
         return (np.arange(self.n) + 0.5) * self.h
 
 
-@dataclass
-class ScalarGrid:
-    spec: GridSpec
-    values: np.ndarray  # (n, n, n)
-
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=float)
-        n = self.spec.n
-        if self.values.shape != (n, n, n):
-            raise ValueError(f"scalar grid shape {self.values.shape} != {(n, n, n)}")
-
-
-@dataclass
-class VectorGrid:
-    spec: GridSpec
-    values: np.ndarray  # (n, n, n, 3)
-
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=float)
-        n = self.spec.n
-        if self.values.shape != (n, n, n, 3):
-            raise ValueError(f"vector grid shape {self.values.shape} != {(n, n, n, 3)}")
-
-
 class FluidState:
     """Result of a grid solve: velocity plus convergence diagnostics.
 
-    A solve holds its field on its `window` only (`velocity` is on
-    `window.spec`); a Brinkman solve also holds the last force f it applied
-    there: u = St f at theta = 1.  `at` reads the field at positions in the
-    grid's coordinates, and `dirichlet_energy` pairs it with f.  Nothing
-    computes it off the window; the next Brinkman solve takes it as `u0`.
+    A solve holds its field on its `window` only: `velocity` is a
+    C-contiguous float64 (n, n, n, 3) array, n = `window.spec.n`, spaced by
+    the window's h.  A Brinkman solve also holds the last force f it applied
+    there, of the same shape: u = St f at theta = 1.  `at` reads the field
+    at positions in the grid's coordinates, and `dirichlet_energy` pairs it
+    with f.  Nothing computes it off the window; the next Brinkman solve
+    takes it as `u0`.
 
     The finite-difference velocity gradient behind `grad_sup_norm` and
     `box_energy` is built on first use of either, once, over the window;
@@ -183,7 +163,7 @@ class FluidState:
     (n, n, n, 3, 3) gradient is never held.
     """
 
-    def __init__(self, velocity: VectorGrid, residual: float, iterations: int, window: Window,
+    def __init__(self, velocity: np.ndarray, residual: float, iterations: int, window: Window,
                  force: np.ndarray | None = None):
         self.velocity, self.residual, self.iterations = velocity, residual, iterations
         self.window = window
@@ -196,13 +176,13 @@ class FluidState:
 
     def _norms(self) -> tuple:
         if self._gradient_norms is None:
-            n = self.velocity.spec.n
-            square = np.zeros((n, n, n))  # squared Frobenius norm per cell
-            for _, _, d in _gradient_components(self.velocity):
+            spec = self.window.spec
+            square = np.zeros((spec.n,) * 3)  # squared Frobenius norm per cell
+            for _, _, d in _gradient_components(self.velocity, spec.h):
                 np.multiply(d, d, out=d)
                 square += d
             sup = float(np.sqrt(square.max()))
-            self._gradient_norms = (sup, float(square.sum() * self.velocity.spec.cell_volume))
+            self._gradient_norms = (sup, float(square.sum() * spec.cell_volume))
         return self._gradient_norms
 
     @property
@@ -223,7 +203,7 @@ class FluidState:
     def dirichlet_energy(self) -> float:
         """h^3 <u, f> over the window: the whole-space energy int |grad u|^2 of u = St f by the
         weak form of the solve, with no tail dropped and no gradient built.  Needs the force."""
-        return _dot(self.velocity.values, self.force) * self.velocity.spec.cell_volume
+        return _dot(self.velocity, self.force) * self.window.spec.cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -266,18 +246,18 @@ def _cic_stencil(window: Window, positions: np.ndarray, what: str):
         yield ((i0[:, 0] + dx) * n + (i0[:, 1] + dy)) * n + (i0[:, 2] + dz), wgt
 
 
-def deposit(cloud, window: Window) -> tuple[ScalarGrid, VectorGrid]:
+def deposit(cloud, window: Window) -> tuple[np.ndarray, np.ndarray]:
     """Deposit a weighted sample cloud onto a window of the grid that holds every sample's stencil.
 
-    Returns number density rho and momentum density j as fields on
-    `window.spec` (already divided by the cell volume), so sum(rho) * h^3
-    equals the total weight exactly and sum(j) * h^3 equals the total
-    momentum.  Clouds without velocities deposit j = 0.
+    Returns number density rho, (n, n, n), and momentum density j,
+    (n, n, n, 3), on the window's cells, n = `window.spec.n`, already
+    divided by the cell volume, so sum(rho) * h^3 equals the total weight
+    exactly and sum(j) * h^3 equals the total momentum.  Clouds without
+    velocities deposit j = 0.
     """
     w = np.asarray(cloud.w, dtype=float)
     v = getattr(cloud, "v", None)
-    spec = window.spec
-    n = spec.n
+    n = window.spec.n
     cells = n * n * n
     # one bincount per field over the eight corners in turn: the additions
     # into each cell come in the same order as eight sequential scatters
@@ -293,18 +273,18 @@ def deposit(cloud, window: Window) -> tuple[ScalarGrid, VectorGrid]:
         for c in range(3):  # each temporary is freed before the next one is made
             np.divide(np.bincount(flat, weights=mass * np.tile(v[:, c], 8), minlength=cells).reshape(n, n, n),
                       vol, out=j[..., c])
-    return ScalarGrid(spec, rho.reshape(n, n, n)), VectorGrid(spec, j)
+    return rho.reshape(n, n, n), j
 
 
-def interpolate(field: VectorGrid, positions: np.ndarray, window: Window) -> np.ndarray:
-    """Evaluate a field on a window at off-grid points with the same
+def interpolate(field: np.ndarray, positions: np.ndarray, window: Window) -> np.ndarray:
+    """Evaluate an (n, n, n, 3) field on a window at off-grid points with the same
     trilinear stencil as `deposit`, making the pair adjoint: for any cloud
     and field, sum_i w_i v_i . u(x_i) == sum_cells j . u * h^3.  The
     stencils are the grid's, shifted by the window's origin: bitwise the
     values of the field embedded in zeros on the grid."""
     pos = np.asarray(positions, dtype=float)
-    n = field.spec.n
-    vals = field.values.reshape(n * n * n, 3)
+    n = window.spec.n
+    vals = field.reshape(n * n * n, 3)
     out = np.zeros(np.atleast_2d(pos).shape)
     for flat, wgt in _cic_stencil(window, pos, "interpolate"):
         out += wgt[:, None] * vals[flat]
@@ -518,20 +498,20 @@ def stencil_window(grid: GridSpec, positions: np.ndarray) -> Window:
 def stokes_solve(force, window: Window, direction=None) -> FluidState:
     """Velocity field of a force density on a window, in free space.
 
-    `force` is a VectorGrid on `window.spec`, or, with a `direction`, a
-    ScalarGrid density rho for the force rho (x) direction, which costs one
-    forward transform instead of three.  The field agrees with the
-    whole-grid solve on the window when the force vanishes off it.
+    `force` is an (n, n, n, 3) array on the window's cells, n =
+    `window.spec.n`, or, with a `direction`, an (n, n, n) density rho for
+    the force rho (x) direction, which costs one forward transform instead
+    of three.  The field, (n, n, n, 3), agrees with the whole-grid solve on
+    the window when the force vanishes off it.
     """
-    if not np.all(np.isfinite(force.values)):
+    if not np.all(np.isfinite(force)):
         raise ValueError("force density contains non-finite values")
-    u = VectorGrid(window.spec, get_operator(window.spec).apply(force.values, direction))
-    return FluidState(u, 0.0, 1, window)
+    return FluidState(get_operator(window.spec).apply(force, direction), 0.0, 1, window)
 
 
 def brinkman_solve(
-    rho: ScalarGrid,
-    j: VectorGrid,
+    rho: np.ndarray,
+    j: np.ndarray,
     window: Window,
     tol: float = 1e-9,
     max_iter: int = 200,
@@ -551,36 +531,37 @@ def brinkman_solve(
     (`contraction_stop`).  A defect above tol after max_iter applications
     raises ConvergenceError with that defect and the iteration count.
 
-    The force j - rho u vanishes off the support of rho and j, so the loop
-    runs on the window they were deposited on and measures the defect and
-    the residual there.  A previous solve `u0` starts it from its field
+    The force j - rho u vanishes off the support of rho, (n, n, n), and j,
+    (n, n, n, 3), so the loop runs on the window they were deposited on,
+    n = `window.spec.n`, and measures the defect and the residual there.  A previous solve `u0` starts it from its field
     where the two windows overlap, zero elsewhere.  The returned
     `FluidState` holds the field and the last force on the window.  With
     theta = 1 the field is that force's image, so their pairing is its
     Dirichlet energy; after damping it differs by the order of the defect.
     """
-    if not rho.spec == j.spec == window.spec:
-        raise ValueError("rho, j and the window have different grids")
-    if np.any(rho.values < 0.0):
+    n = window.spec.n
+    if rho.shape != (n, n, n) or j.shape != (n, n, n, 3):
+        raise ValueError(f"rho {rho.shape} or j {j.shape} is not a field on the window of side {n}")
+    if np.any(rho < 0.0):
         raise ValueError("rho must be nonnegative")
-    if not (np.all(np.isfinite(rho.values)) and np.all(np.isfinite(j.values))):
+    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(j))):
         raise ValueError("non-finite input field")
     op = get_operator(window.spec)
-    if rho.values.max(initial=0.0) == 0.0:
+    if rho.max(initial=0.0) == 0.0:
         # no drag: the equation is linear Stokes, one application is exact
-        return FluidState(VectorGrid(window.spec, op.apply(j.values)), 0.0, 1, window, j.values)
-    rhov = rho.values[..., None]
-    u = np.zeros_like(j.values)
+        return FluidState(op.apply(j), 0.0, 1, window, j)
+    rhov = rho[..., None]
+    u = np.zeros(j.shape)
     if u0 is not None:  # u0's field where its window meets this one
         lo = np.maximum(window.origin, u0.window.origin)
         end = np.minimum(np.add(window.origin, window.spec.n), np.add(u0.window.origin, u0.window.spec.n))
         if np.all(lo < end):
             u[tuple(map(slice, lo - window.origin, end - window.origin))] = \
-                u0.velocity.values[tuple(map(slice, lo - u0.window.origin, end - u0.window.origin))]
+                u0.velocity[tuple(map(slice, lo - u0.window.origin, end - u0.window.origin))]
     u_norm, tiny = _norm(u), 1e-300
     defect = prev_defect = np.inf
     for it in range(1, max_iter + 1):
-        force = j.values - rhov * u
+        force = j - rhov * u
         image = op.apply(force)
         step, image_norm = _norm(image - u), _norm(image)
         defect = step / max(image_norm, u_norm, tiny)
@@ -591,7 +572,7 @@ def brinkman_solve(
             u_next = (1.0 - theta) * u + theta * image
             step, u_norm = _norm(u_next - u), _norm(u_next)
         if defect <= tol or (theta == 1.0 and contraction_stop(defect, prev_defect, tol)):
-            return FluidState(VectorGrid(window.spec, u_next), step / max(u_norm, tiny), it, window, force)
+            return FluidState(u_next, step / max(u_norm, tiny), it, window, force)
         u, prev_defect = u_next, defect
     raise ConvergenceError(
         f"Brinkman iteration left defect {defect:.3e} > tol {tol:.3e} after {max_iter} applications",
@@ -622,18 +603,17 @@ def _norm(x: np.ndarray) -> float:
 # gradient diagnostics and identities
 
 
-def _gradient_components(field: VectorGrid):
-    """Yield (a, b, d u_a / d x_b) for the nine finite-difference gradient entries."""
+def _gradient_components(field: np.ndarray, h: float):
+    """Yield (a, b, d u_a / d x_b) for the nine finite-difference entries of an (n, n, n, 3) field's gradient."""
     for a in range(3):
-        for b, d in enumerate(np.gradient(field.values[..., a], field.spec.h)):
+        for b, d in enumerate(np.gradient(field[..., a], h)):
             yield a, b, d
 
 
-def velocity_gradient(field: VectorGrid) -> np.ndarray:
-    """Finite-difference gradient, (n,n,n,3,3) with entry [a,b] = d u_a / d x_b."""
-    n = field.spec.n
-    g = np.empty((n, n, n, 3, 3))
-    for a, b, d in _gradient_components(field):
+def velocity_gradient(field: np.ndarray, h: float) -> np.ndarray:
+    """Finite-difference gradient of an (n, n, n, 3) field of spacing h, (n,n,n,3,3) with [a,b] = d u_a / d x_b."""
+    g = np.empty(field.shape + (3,))
+    for a, b, d in _gradient_components(field, h):
         g[..., a, b] = d
     return g
 
@@ -647,7 +627,7 @@ class DissipationReport:
     rel_residual: float
 
 
-def dissipation_check(rho: ScalarGrid, bulk: VectorGrid, fluid: FluidState) -> DissipationReport:
+def dissipation_check(rho: np.ndarray, bulk: np.ndarray, fluid: FluidState) -> DissipationReport:
     """Test the Brinkman solution against its own weak form.
 
     With u = Br^{-1}_rho[V] the identity
@@ -655,12 +635,13 @@ def dissipation_check(rho: ScalarGrid, bulk: VectorGrid, fluid: FluidState) -> D
     holds in the continuum; the report carries the discrete residual,
     relative to the largest term.  ||grad u||^2 is the box quadrature of
     the finite-difference gradient (`FluidState.box_energy`), so the field
-    must span rho's grid.
+    must span rho's grid.  rho, (n, n, n), and the bulk velocity V,
+    (n, n, n, 3), are fields on the fluid's window.
     """
-    vol = rho.spec.cell_volume
-    u = fluid.velocity.values
-    V = bulk.values
-    r = rho.values[..., None]
+    vol = fluid.window.spec.cell_volume
+    u = fluid.velocity
+    V = bulk
+    r = rho[..., None]
     lhs = float(np.sum(V * (V - u) * r) * vol)
     grad = fluid.box_energy
     fric = float(np.sum((V - u) ** 2 * r) * vol)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .csvfile import write_csv
-from .kernels import FluidState, VectorGrid, brinkman_solve, deposit, stencil_window
+from .kernels import brinkman_solve, deposit, stencil_window
 from .transport import admit_samples
 
 
@@ -137,25 +137,20 @@ def relaxation_push(x, v, drift, lam, dt):
     return x + dt * drift + (1.0 - decay) / lam * deviation, drift + decay * deviation
 
 
-def vlasov_step(cloud, grid, dt, coupling=True, tol=1e-9, u0=None, budget=True):
+def vlasov_step(cloud, grid, dt, tol=1e-9, u0=None, budget=True):
     """Advance the cloud one step; returns (new cloud, fluid, start-of-step budget).
 
     The fluid lives on the window of the samples' stencils in `grid`
     (`kernels.stencil_window`): the step deposits there, solves there and
-    reads u at the samples there.  coupling=False forces u to zero on that
-    window, leaving the pure relaxation toward g; u0, the previous step's
-    fluid, warm-starts the Brinkman fixed point.  budget=False leaves the
-    budget slot None.
+    reads u at the samples there.  u0, the previous step's fluid,
+    warm-starts the Brinkman fixed point.  budget=False leaves the budget
+    slot None.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     window = stencil_window(grid, cloud.x)
-    if coupling:
-        rho, j = deposit(cloud, window)
-        fluid = brinkman_solve(rho, j, window, tol=tol, u0=u0)
-    else:
-        zero = np.zeros((window.spec.n,) * 3 + (3,))
-        fluid = FluidState(VectorGrid(window.spec, zero), 0.0, 0, window, zero)
+    rho, j = deposit(cloud, window)
+    fluid = brinkman_solve(rho, j, window, tol=tol, u0=u0)
     u_at = fluid.at(cloud.x)
     terms = energy_budget(cloud, fluid, u_at) if budget else None
     x_new, v_new = relaxation_push(cloud.x, cloud.v, cloud.gravity[None, :] + u_at, cloud.lam, dt)
@@ -168,8 +163,8 @@ class FieldHistory:
     """Per-step record of the frozen fields a run used.
 
     fields entries are the steps' `FluidState`s, or None for steps taken
-    with the coupling switched off; grad_sup_norms then contribute zero to
-    the expansion factor.
+    with u = 0, which `replay_flow` reads so; their grad_sup_norms of zero
+    contribute nothing to the expansion factor.
     """
 
     dts: list

@@ -71,7 +71,7 @@ def steady_velocity_field(cloud, grid):
     window = stencil_window(grid, cloud.x)
     rho, _ = deposit(cloud, window)
     fluid = stokes_solve(rho, window, cloud.gravity)
-    _require_finite(fluid.velocity.values)
+    _require_finite(fluid.velocity)
     return fluid
 
 

@@ -143,9 +143,9 @@ class TestDepositInterpolate:
         c = self._cloud()
         rho, j = K.deposit(c, full_window(self.spec))
         vol = self.spec.cell_volume
-        assert abs(rho.values.sum() * vol - c.w.sum()) < 1e-12
+        assert abs(rho.sum() * vol - c.w.sum()) < 1e-12
         mom = (c.w[:, None] * c.v).sum(axis=0)
-        assert np.abs(j.values.sum(axis=(0, 1, 2)) * vol - mom).max() < 1e-12
+        assert np.abs(j.sum(axis=(0, 1, 2)) * vol - mom).max() < 1e-12
 
     def test_deposit_linearity(self):
         rng = np.random.default_rng(5)
@@ -157,13 +157,13 @@ class TestDepositInterpolate:
         ra, _ = K.deposit(a, whole)
         rb, _ = K.deposit(b, whole)
         rab, _ = K.deposit(both, whole)
-        assert np.abs(rab.values - ra.values - rb.values).max() < 1e-12
+        assert np.abs(rab - ra - rb).max() < 1e-12
 
     def test_point_mass_at_center_hits_one_cell(self):
         x0 = (np.array([4, 4, 4]) + 0.5) * self.spec.h
         rho, _ = K.deposit(_Cloud(x0[None, :], np.array([1.0])), full_window(self.spec))
-        assert abs(rho.values[4, 4, 4] - 1.0 / self.spec.cell_volume) < 1e-12
-        assert np.count_nonzero(rho.values) == 1
+        assert abs(rho[4, 4, 4] - 1.0 / self.spec.cell_volume) < 1e-12
+        assert np.count_nonzero(rho) == 1
 
     def test_interpolate_exact_on_linear_fields(self):
         # trilinear stencil reproduces affine fields exactly away from faces
@@ -172,7 +172,7 @@ class TestDepositInterpolate:
         cen = self.spec.centers()
         X, Y, Z = np.meshgrid(cen, cen, cen, indexing="ij")
         pos = np.stack([X, Y, Z], axis=-1)
-        field = K.VectorGrid(self.spec, pos @ A.T + b)
+        field = pos @ A.T + b
         pts = np.random.default_rng(11).uniform(1.0, 7.0, (100, 3))
         got = K.interpolate(field, pts, full_window(self.spec))
         assert np.abs(got - (pts @ A.T + b)).max() < 1e-10
@@ -181,10 +181,10 @@ class TestDepositInterpolate:
         # sum_i w_i v_i . u(x_i) == int j . u for any field and cloud
         c = self._cloud(300)
         rng = np.random.default_rng(13)
-        u = K.VectorGrid(self.spec, rng.standard_normal((16, 16, 16, 3)))
+        u = rng.standard_normal((16, 16, 16, 3))
         _, j = K.deposit(c, full_window(self.spec))
         lhs = float(np.sum(c.w[:, None] * c.v * K.interpolate(u, c.x, full_window(self.spec))))
-        rhs = float((j.values * u.values).sum() * self.spec.cell_volume)
+        rhs = float((j * u).sum() * self.spec.cell_volume)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
     def test_deposit_is_bitwise_eight_scatters(self):
@@ -199,8 +199,8 @@ class TestDepositInterpolate:
             np.add.at(rho, flat, c.w * wgt)
             np.add.at(j, flat, (c.w * wgt)[:, None] * c.v)
         got_rho, got_j = K.deposit(c, full_window(spec))
-        assert got_rho.values.tobytes() == (rho.reshape(32, 32, 32) / spec.cell_volume).tobytes()
-        assert got_j.values.tobytes() == (j.reshape(32, 32, 32, 3) / spec.cell_volume).tobytes()
+        assert got_rho.tobytes() == (rho.reshape(32, 32, 32) / spec.cell_volume).tobytes()
+        assert got_j.tobytes() == (j.reshape(32, 32, 32, 3) / spec.cell_volume).tobytes()
 
     def test_out_of_box_raises(self):
         bad = _Cloud(np.array([[0.1, 4.0, 4.0]]), np.array([1.0]))
@@ -209,11 +209,11 @@ class TestDepositInterpolate:
         with pytest.raises(DomainExhaustedError):
             K.deposit(bad, full_window(self.spec))
         with pytest.raises(DomainExhaustedError):
-            K.interpolate(K.VectorGrid(self.spec, np.zeros((16, 16, 16, 3))), np.array([8.1, 1, 1]),
+            K.interpolate(np.zeros((16, 16, 16, 3)), np.array([8.1, 1, 1]),
                           full_window(self.spec))
 
     def test_single_point_interface(self):
-        u = K.VectorGrid(self.spec, np.ones((16, 16, 16, 3)))
+        u = np.ones((16, 16, 16, 3))
         out = K.interpolate(u, np.array([4.0, 4.0, 4.0]), full_window(self.spec))
         assert out.shape == (3,)
         assert np.abs(out - 1.0).max() < 1e-14
@@ -222,8 +222,8 @@ class TestDepositInterpolate:
 class TestStokesSolve:
     def test_zero_force_zero_velocity(self):
         spec = K.GridSpec(8.0, 16)
-        st = K.stokes_solve(K.VectorGrid(spec, np.zeros((16, 16, 16, 3))), full_window(spec))
-        assert np.all(st.velocity.values == 0.0)
+        st = K.stokes_solve(np.zeros((16, 16, 16, 3)), full_window(spec))
+        assert np.all(st.velocity == 0.0)
         assert st.grad_sup_norm == 0.0
 
     def test_linearity(self):
@@ -231,9 +231,9 @@ class TestStokesSolve:
         rng = np.random.default_rng(2)
         f1 = rng.standard_normal((16, 16, 16, 3))
         f2 = rng.standard_normal((16, 16, 16, 3))
-        u1 = K.stokes_solve(K.VectorGrid(spec, f1), full_window(spec)).velocity.values
-        u2 = K.stokes_solve(K.VectorGrid(spec, f2), full_window(spec)).velocity.values
-        u12 = K.stokes_solve(K.VectorGrid(spec, 2.0 * f1 - 3.0 * f2), full_window(spec)).velocity.values
+        u1 = K.stokes_solve(f1, full_window(spec)).velocity
+        u2 = K.stokes_solve(f2, full_window(spec)).velocity
+        u12 = K.stokes_solve(2.0 * f1 - 3.0 * f2, full_window(spec)).velocity
         assert np.abs(u12 - 2.0 * u1 + 3.0 * u2).max() < 1e-10 * max(1.0, np.abs(u12).max())
 
     def test_point_force_matches_stokeslet(self):
@@ -245,7 +245,7 @@ class TestStokesSolve:
         F = np.array([0.3, -0.2, -1.0])
         fv = np.zeros((32, 32, 32, 3))
         fv[ic] = F / spec.cell_volume
-        st = K.stokes_solve(K.VectorGrid(spec, fv), full_window(spec))
+        st = K.stokes_solve(fv, full_window(spec))
         cen = spec.centers()
         rng = np.random.default_rng(4)
         for _ in range(200):
@@ -255,7 +255,7 @@ class TestStokesSolve:
             if r < 4 * h:
                 continue
             ex = K.oseen_tensor(x - x0) @ F
-            assert np.linalg.norm(st.velocity.values[i, j, k] - ex) < 0.02 * np.linalg.norm(ex)
+            assert np.linalg.norm(st.velocity[i, j, k] - ex) < 0.02 * np.linalg.norm(ex)
 
     def test_point_force_matches_oseen_far_field(self):
         # the kernel is analytically solenoidal and the zero-padded
@@ -284,7 +284,7 @@ class TestStokesSolve:
         f = np.zeros((16, 16, 16, 3))
         f[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError):
-            K.stokes_solve(K.VectorGrid(spec, f), full_window(spec))
+            K.stokes_solve(f, full_window(spec))
 
 
 class TestStokesOperator:
@@ -341,8 +341,8 @@ class TestStokesOperator:
         u = op.apply(rho, g)
         ref = op.apply(rho[..., None] * g)
         assert np.abs(u - ref).max() <= 1e-15 * np.abs(ref).max()
-        fluid = K.stokes_solve(K.ScalarGrid(spec, rho), full_window(spec), g)
-        assert np.array_equal(fluid.velocity.values, u)
+        fluid = K.stokes_solve(rho, full_window(spec), g)
+        assert np.array_equal(fluid.velocity, u)
 
     def test_repeatable_and_input_untouched(self):
         op = K.StokesOperator(self.spec)
@@ -367,7 +367,7 @@ class TestStokesOperator:
 
         builds = []
         build = K._gradient_components
-        monkeypatch.setattr(K, "_gradient_components", lambda field: builds.append(1) or build(field))
+        monkeypatch.setattr(K, "_gradient_components", lambda field, h: builds.append(1) or build(field, h))
         rng = np.random.default_rng(34)
         cloud = kinetic.PhaseCloud(
             x=4.0 + 0.5 * rng.standard_normal((64, 3)),
@@ -390,7 +390,7 @@ def gaussian_density(spec, sigma, center=None):
     r2 = (X - c[0]) ** 2 + (Y - c[1]) ** 2 + (Z - c[2]) ** 2
     v = np.exp(-r2 / (2 * sigma**2))
     v /= v.sum() * spec.cell_volume
-    return K.ScalarGrid(spec, v)
+    return v
 
 
 class TestBrinkmanSolve:
@@ -398,12 +398,11 @@ class TestBrinkmanSolve:
 
     def test_zero_rho_reduces_to_stokes(self):
         rng = np.random.default_rng(9)
-        f = rng.standard_normal((32, 32, 32, 3))
-        j = K.VectorGrid(self.spec, f)
-        rho = K.ScalarGrid(self.spec, np.zeros((32, 32, 32)))
+        j = rng.standard_normal((32, 32, 32, 3))
+        rho = np.zeros((32, 32, 32))
         bk = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-12)
         st = K.stokes_solve(j, full_window(self.spec))
-        assert np.abs(bk.velocity.values - st.velocity.values).max() < 1e-12
+        assert np.abs(bk.velocity - st.velocity).max() < 1e-12
         assert bk.iterations == 1
 
     def test_dissipation_identity(self):
@@ -412,10 +411,10 @@ class TestBrinkmanSolve:
         spec = K.GridSpec(16.0, 32)
         rho = gaussian_density(spec, 1.25)
         g = np.array([0.0, 0.0, -1.0])
-        j = K.VectorGrid(spec, rho.values[..., None] * g)
+        j = rho[..., None] * g
         fl = K.brinkman_solve(rho, j, full_window(spec), tol=1e-11, theta=1.0)
         assert fl.residual < 1e-9
-        bulk = K.VectorGrid(spec, np.broadcast_to(g, (32, 32, 32, 3)).copy())
+        bulk = np.broadcast_to(g, (32, 32, 32, 3)).copy()
         rep = K.dissipation_check(rho, bulk, fl)
         assert rep.rel_residual < 0.01
         # both right-hand terms are nonnegative and the transfer is positive
@@ -426,17 +425,17 @@ class TestBrinkmanSolve:
     def test_solution_damped_vs_plain_agree(self):
         rho = gaussian_density(self.spec, 0.9)
         g = np.array([0.2, 0.1, -1.0])
-        j = K.VectorGrid(self.spec, rho.values[..., None] * g)
+        j = rho[..., None] * g
         a = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11, theta=0.5)
         b = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11, theta=1.0)
-        scale = np.abs(a.velocity.values).max()
-        assert np.abs(a.velocity.values - b.velocity.values).max() < 1e-8 * scale
+        scale = np.abs(a.velocity).max()
+        assert np.abs(a.velocity - b.velocity).max() < 1e-8 * scale
         assert a.iterations > b.iterations  # the damping cost
 
     def test_warm_start_cuts_iterations(self):
         rho = gaussian_density(self.spec, 0.9)
         g = np.array([0.0, 0.0, -1.0])
-        j = K.VectorGrid(self.spec, rho.values[..., None] * g)
+        j = rho[..., None] * g
         cold = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11, theta=1.0)
         warm = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11, theta=1.0, u0=cold)
         assert warm.iterations < cold.iterations
@@ -458,16 +457,16 @@ class TestBrinkmanSolve:
                 ],
                 axis=-1,
             )
-            j = K.VectorGrid(self.spec, rho.values[..., None] * V)
+            j = rho[..., None] * V
             fl = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-10, theta=1.0)
-            rep = K.dissipation_check(rho, K.VectorGrid(self.spec, V), fl)
-            vnorm = float(np.sum(V * V * rho.values[..., None]) * self.spec.cell_volume)
+            rep = K.dissipation_check(rho, V, fl)
+            vnorm = float(np.sum(V * V * rho[..., None]) * self.spec.cell_volume)
             ratios.append(rep.lhs / vnorm)
         assert min(ratios) > 0.0
 
     def test_missed_tolerance_raises(self):
         rho = gaussian_density(self.spec, 0.9)
-        j = K.VectorGrid(self.spec, rho.values[..., None] * np.array([0.0, 0.0, -1.0]))
+        j = rho[..., None] * np.array([0.0, 0.0, -1.0])
         with pytest.raises(ConvergenceError) as err:
             K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11, max_iter=1)
         assert err.value.iterations == 1
@@ -479,7 +478,7 @@ class TestBrinkmanSolve:
 
         spec = K.GridSpec(8.0, 16)
         rho = gaussian_density(spec, 0.9)
-        j = K.VectorGrid(spec, rho.values[..., None] * np.array([0.2, 0.1, -1.0]))
+        j = rho[..., None] * np.array([0.2, 0.1, -1.0])
         old = _blas_threads(1)
         if old is None:
             pytest.skip("numpy links a BLAS other than OpenBLAS")
@@ -489,14 +488,18 @@ class TestBrinkmanSolve:
             two = K.brinkman_solve(rho, j, full_window(spec), tol=1e-11)
         finally:
             _blas_threads(old)
-        assert one.velocity.values.tobytes() == two.velocity.values.tobytes()
+        assert one.velocity.tobytes() == two.velocity.tobytes()
         assert (one.residual, one.iterations) == (two.residual, two.iterations)
 
     def test_negative_rho_rejected(self):
-        rho = K.ScalarGrid(self.spec, -np.ones((32, 32, 32)))
-        j = K.VectorGrid(self.spec, np.zeros((32, 32, 32, 3)))
-        with pytest.raises(ValueError):
-            K.brinkman_solve(rho, j, full_window(self.spec))
+        whole, rho, j = full_window(self.spec), np.ones((32, 32, 32)), np.zeros((32, 32, 32, 3))
+        with pytest.raises(ValueError, match="nonnegative"):
+            K.brinkman_solve(-rho, j, whole)
+        # the window is the one owner of where a field sits: fields of another shape are refused
+        with pytest.raises(ValueError, match="not a field on the window"):  # rho on a window of side 16
+            K.brinkman_solve(rho[:16, :16, :16], j, whole)
+        with pytest.raises(ValueError, match="not a field on the window"):  # j of a density's shape
+            K.brinkman_solve(rho, rho, whole)
 
 
 def _phase_cloud(spec, count, seed, sigma=1.2, center=None):
@@ -529,7 +532,7 @@ class TestWindow:
         w = K.stencil_window(self.spec, x)
         assert w.spec.n == 16 and w.origin == (5, 9, 16)  # z moved inward from the face
         assert w.spec.h == self.spec.h and not w.full
-        whole = K.deposit(_Cloud(x, np.full(2, 0.5)), full_window(self.spec))[0].values
+        whole = K.deposit(_Cloud(x, np.full(2, 0.5)), full_window(self.spec))[0]
         assert np.count_nonzero(whole[w.cells]) == np.count_nonzero(whole)  # every stencil's cells lie in it
         assert K.stencil_window(self.spec, np.vstack([x, self._at((0, 0, 0))])).full  # z spans 0..31
         assert K.stencil_window(self.spec, x[:1]).spec.n == 8  # one stencil: two cells per axis
@@ -541,9 +544,9 @@ class TestWindow:
         assert not window.full
         rho, j = K.deposit(cloud, window)
         whole_rho, whole_j = K.deposit(cloud, full_window(self.spec))
-        assert rho.spec == j.spec == window.spec
-        assert rho.values.tobytes() == whole_rho.values[window.cells].tobytes()
-        assert j.values.tobytes() == whole_j.values[window.cells].tobytes()
+        assert rho.shape + (3,) == j.shape == (window.spec.n,) * 3 + (3,)
+        assert rho.tobytes() == whole_rho[window.cells].tobytes()
+        assert j.tobytes() == whole_j[window.cells].tobytes()
 
     @pytest.mark.parametrize("origin", [(5, 9, 16), (0, 16, 3)])
     def test_window_apply_matches_whole_grid(self, origin):
@@ -568,12 +571,12 @@ class TestWindow:
         whole = _solve(cloud, whole_window)
         cells = window.cells
         assert windowed.iterations == whole.iterations
-        assert self._rel(windowed.velocity.values, whole.velocity.values[cells]) <= 1e-13
+        assert self._rel(windowed.velocity, whole.velocity[cells]) <= 1e-13
         # off the window, the held force's image is the whole-grid iterate
-        assert self._rel(whole_fluid(windowed).velocity.values, whole.velocity.values) <= 1e-13
+        assert self._rel(whole_fluid(windowed).velocity, whole.velocity) <= 1e-13
         whole_warm = _solve(cloud, whole_window, u0=whole)
         assert warm.iterations == whole_warm.iterations
-        assert self._rel(warm.velocity.values, whole_warm.velocity.values[cells]) <= 1e-13
+        assert self._rel(warm.velocity, whole_warm.velocity[cells]) <= 1e-13
 
     def test_warm_start_from_another_window_is_the_embedded_field(self):
         # u0 on one window starts a solve on another with its field where they overlap and
@@ -585,26 +588,26 @@ class TestWindow:
         window = K.stencil_window(self.spec, moved.x)
         assert window.origin != first.window.origin and window.spec.n == first.window.spec.n
         embedded = np.zeros((n, n, n, 3))
-        embedded[first.window.cells] = first.velocity.values
-        via_grid = K.FluidState(K.VectorGrid(self.spec, embedded), 0.0, 1, full_window(self.spec))
+        embedded[first.window.cells] = first.velocity
+        via_grid = K.FluidState(embedded, 0.0, 1, full_window(self.spec))
         got, ref = _solve(moved, window, u0=first), _solve(moved, window, u0=via_grid)
-        assert got.iterations == ref.iterations and got.velocity.values.tobytes() == ref.velocity.values.tobytes()
+        assert got.iterations == ref.iterations and got.velocity.tobytes() == ref.velocity.tobytes()
         # windows that do not meet start from zero, as a cold solve does
         far = _phase_cloud(self.spec, 500, seed=51, sigma=0.3, center=(2.5, 2.5, 2.5))
         far_window = K.stencil_window(self.spec, far.x)
         assert far_window.spec.n == 8 and max(far_window.origin) + 8 <= min(first.window.origin)
         got, cold = _solve(far, far_window, u0=first), _solve(far, far_window)
-        assert got.iterations == cold.iterations and got.velocity.values.tobytes() == cold.velocity.values.tobytes()
+        assert got.iterations == cold.iterations and got.velocity.tobytes() == cold.velocity.tobytes()
 
     def test_support_spanning_grid_is_bitwise_the_whole_grid_loop(self):
         rho = gaussian_density(self.spec, 1.5)
-        j = K.VectorGrid(self.spec, rho.values[..., None] * np.array([0.2, 0.1, -1.0]))
+        j = rho[..., None] * np.array([0.2, 0.1, -1.0])
         got = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11)
         op = K.get_operator(self.spec)
-        u = np.zeros_like(j.values)
-        u_norm, prev, rhov = 0.0, np.inf, rho.values[..., None]
+        u = np.zeros_like(j)
+        u_norm, prev, rhov = 0.0, np.inf, rho[..., None]
         for it in range(1, 200):
-            image = op.apply(j.values - rhov * u)
+            image = op.apply(j - rhov * u)
             defect = K._norm(image - u) / max(K._norm(image), u_norm, 1e-300)
             step = K._norm(image - u)
             u, u_norm = image, K._norm(image)
@@ -613,7 +616,7 @@ class TestWindow:
                 break
             prev = defect
         assert (got.iterations, got.residual) == (it, step / u_norm)
-        assert got.velocity.values.tobytes() == u.tobytes()
+        assert got.velocity.tobytes() == u.tobytes()
 
     def _whole_grid_field(self, cloud, g):
         """The steady field of the cloud's density on the full window, at its samples."""
@@ -730,7 +733,7 @@ class TestWindow:
         rho, j = K.deposit(cloud, window)
         # the loop with theta = 1, written out
         op = K.get_operator(window.spec)
-        jw, rhov = j.values, rho.values[..., None]
+        jw, rhov = j, rho[..., None]
         u, u_norm, prev = np.zeros_like(jw), 0.0, np.inf
         for it in range(1, 200):
             force = jw - rhov * u
@@ -745,9 +748,26 @@ class TestWindow:
         fluid = K.brinkman_solve(rho, j, window)
         energy = fluid.dirichlet_energy
         assert fluid.iterations == it and sides == [window.spec.n] * it
-        assert fluid.window == window and fluid.velocity.spec == window.spec
-        assert fluid.velocity.values.tobytes() == u.tobytes() and fluid.force.tobytes() == force.tobytes()
+        assert fluid.window == window and fluid.velocity.shape == (window.spec.n,) * 3 + (3,)
+        assert fluid.velocity.tobytes() == u.tobytes() and fluid.force.tobytes() == force.tobytes()
         assert energy > 0.0 and energy == pytest.approx(float(np.sum(u * force)) * self.spec.cell_volume, rel=1e-12)
+
+    def test_every_solve_returns_a_contiguous_float64_field_on_its_window(self):
+        cloud = _phase_cloud(self.spec, 500, seed=52)
+        window = K.stencil_window(self.spec, cloud.x)
+        assert not window.full
+        rho, j = K.deposit(cloud, window)
+        solves = (
+            K.stokes_solve(j, window),
+            K.stokes_solve(rho, window, np.array([0.0, 0.0, -1.0])),
+            K.brinkman_solve(rho, j, window),
+            K.brinkman_solve(rho, j, window, theta=0.5),
+            K.brinkman_solve(np.zeros_like(rho), j, window),  # no drag: one apply
+        )
+        for fluid in solves:
+            u = fluid.velocity
+            assert fluid.window == window and u.shape == (window.spec.n,) * 3 + (3,)
+            assert u.dtype == np.float64 and u.flags.c_contiguous
 
     def test_interpolation_on_the_window_is_bitwise_the_embedded_field(self, monkeypatch):
         cloud = _phase_cloud(self.spec, 2000, seed=45)
@@ -756,8 +776,8 @@ class TestWindow:
         assert not window.full
         sides = self._count_applies(monkeypatch)
         n = self.spec.n
-        embedded = K.VectorGrid(self.spec, np.zeros((n, n, n, 3)))
-        embedded.values[window.cells] = fluid.velocity.values
+        embedded = np.zeros((n, n, n, 3))
+        embedded[window.cells] = fluid.velocity
         whole = full_window(self.spec)
         assert fluid.at(cloud.x).tobytes() == K.interpolate(embedded, cloud.x, whole).tobytes()
         assert fluid.at(cloud.x[0]).tobytes() == K.interpolate(embedded, cloud.x[0], whole).tobytes()
@@ -768,8 +788,8 @@ class TestWindow:
 
 def _returned_defect(rho, j, fluid):
     """Measured defect of the field a Brinkman solve returned, by one more apply on its window."""
-    u = fluid.velocity.values
-    image = K.get_operator(fluid.window.spec).apply(j.values - rho.values[..., None] * u)
+    u = fluid.velocity
+    image = K.get_operator(fluid.window.spec).apply(j - rho[..., None] * u)
     return K._norm(image - u) / max(K._norm(image), K._norm(u), 1e-300)
 
 
@@ -836,18 +856,18 @@ class TestStopRule:
 
     def test_damped_solve_keeps_the_defect_rule(self):
         rho = gaussian_density(self.spec, 1.5)
-        j = K.VectorGrid(self.spec, rho.values[..., None] * np.array([0.2, 0.1, -1.0]))
+        j = rho[..., None] * np.array([0.2, 0.1, -1.0])
         got = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11, theta=0.75)
         # the damped loop written out: it stops on its own defect only
-        op, rhov = K.get_operator(self.spec), rho.values[..., None]
-        u, defects = np.zeros_like(j.values), [np.inf]
+        op, rhov = K.get_operator(self.spec), rho[..., None]
+        u, defects = np.zeros_like(j), [np.inf]
         for it in range(1, 200):
-            image = op.apply(j.values - rhov * u)
+            image = op.apply(j - rhov * u)
             defects.append(K._norm(image - u) / max(K._norm(image), K._norm(u), 1e-300))
             u = 0.25 * u + 0.75 * image
             if defects[-1] <= 1e-11:
                 break
-        assert got.iterations == it and got.velocity.values.tobytes() == u.tobytes()
+        assert got.iterations == it and got.velocity.tobytes() == u.tobytes()
         # the contraction rule would have stopped it sooner
         assert any(K.contraction_stop(d, p, 1e-11) for p, d in zip(defects[:-2], defects[1:-1]))
 
@@ -860,5 +880,5 @@ class TestStopRule:
             warnings.simplefilter("error")
             warm = K.brinkman_solve(rho, j, window, u0=cold)
         assert warm.iterations == 1 and np.isfinite(warm.residual)
-        assert np.all(np.isfinite(warm.velocity.values))
+        assert np.all(np.isfinite(warm.velocity))
         assert _returned_defect(rho, j, warm) <= 1e-9

@@ -12,6 +12,7 @@ from sedlab.kinetic import (
     energy_budget,
     finalize_budgets,
     jacobian_check,
+    relaxation_push,
     replay_flow,
     save_budget_csv,
     vlasov_step,
@@ -101,39 +102,35 @@ class TestStep:
     def test_decoupled_relaxation_matches_closed_form(self):
         # with u = 0 the integrator is exact: after total time t,
         # v = g + (v0 - g) e^{-lam t},  x = x0 + t g + (1 - e^{-lam t})(v0 - g)/lam
-        grid = GridSpec(16.0, 16)
         for lam, dt in [(5.0, 0.1), (50.0, 0.1)]:
             cloud = gaussian_cloud(64, lam, seed=7)
-            x0, v0 = cloud.x.copy(), cloud.v.copy()
-            out = cloud
+            x, v = x0, v0 = cloud.x, cloud.v
             for _ in range(5):
-                out, _, _ = vlasov_step(out, grid, dt, coupling=False)
+                x, v = relaxation_push(x, v, GRAVITY, lam, dt)
             t = 5 * dt
             decay = np.exp(-lam * t)
             v_exact = GRAVITY + decay * (v0 - GRAVITY)
             x_exact = x0 + t * GRAVITY + (1.0 - decay) / lam * (v0 - GRAVITY)
-            assert np.allclose(out.v, v_exact, rtol=0.0, atol=1e-12)
-            assert np.allclose(out.x, x_exact, rtol=0.0, atol=1e-12)
-            assert out.time == pytest.approx(t, abs=1e-15)
+            assert np.allclose(v, v_exact, rtol=0.0, atol=1e-12)
+            assert np.allclose(x, x_exact, rtol=0.0, atol=1e-12)
 
     def test_tiers_share_one_relaxation_push(self):
-        # micro.step with w = 0, vlasov_step without coupling and
-        # replay_flow through an empty field all take the same exact push
+        # micro.step with w = 0 and replay_flow through an empty field
+        # take the same exact push as the u = 0 relaxation toward g
         from sedlab.micro import ParticleEnsemble, step
 
-        grid = GridSpec(16.0, 8)
         cloud = gaussian_cloud(12, 9.0, seed=4)
         dt = 0.03
         ens = ParticleEnsemble(x=cloud.x, v=cloud.v, lam=cloud.lam, gravity=GRAVITY)
         particles = step(ens, dt, w=np.zeros_like(ens.v))
-        kinetic, _, _ = vlasov_step(cloud, grid, dt, coupling=False)
+        pushed_x, pushed_v = relaxation_push(cloud.x, cloud.v, GRAVITY, cloud.lam, dt)
         history = FieldHistory([], [], [])
         history.append(dt, None, 0.0)
         for i in range(cloud.n):
             x, v = replay_flow(history, cloud.x[i], cloud.v[i], GRAVITY, cloud.lam)
-            assert np.array_equal(x, kinetic.x[i]) and np.array_equal(v, kinetic.v[i])
-        assert np.array_equal(particles.x, kinetic.x)
-        assert np.array_equal(particles.v, kinetic.v)
+            assert np.array_equal(x, pushed_x[i]) and np.array_equal(v, pushed_v[i])
+        assert np.array_equal(particles.x, pushed_x)
+        assert np.array_equal(particles.v, pushed_v)
 
     def test_weights_and_mass_preserved(self):
         grid = GridSpec(16.0, 16)
@@ -350,9 +347,12 @@ class TestJacobian:
         history = FieldHistory([], [], [])
         out = cloud
         for _ in range(steps):
-            out, fluid, _ = vlasov_step(out, grid, dt, coupling=coupling, tol=1e-10)
-            fluid = whole_fluid(fluid) if coupling else fluid  # the frozen field off the window too
-            history.append(dt, fluid if coupling else None, fluid.grad_sup_norm)
+            if coupling:
+                out, fluid, _ = vlasov_step(out, grid, dt, tol=1e-10)
+                fluid = whole_fluid(fluid)  # the frozen field off the window too
+                history.append(dt, fluid, fluid.grad_sup_norm)
+            else:  # u = 0: replay_flow pushes through a None field by g alone
+                history.append(dt, None, 0.0)
         return out, history
 
     def test_zero_field_determinant_is_exact(self):
@@ -395,6 +395,7 @@ class TestJacobian:
         lam, dt, steps = 8.0, 0.01, 5
         cloud = gaussian_cloud(200, lam, seed=6)
         out, history = self.run_history(cloud, grid, dt, steps, coupling=True)
+        assert out.time == pytest.approx(steps * dt, abs=1e-15)
         i = 7
         x, w = replay_flow(history, cloud.x[i], cloud.v[i], cloud.gravity, lam)
         assert np.allclose(x, out.x[i], rtol=0.0, atol=1e-13)

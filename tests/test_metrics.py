@@ -11,7 +11,7 @@ from scipy.spatial.distance import cdist
 from conftest import full_window
 from sedlab import metrics
 from sedlab.errors import ConvergenceError
-from sedlab.kernels import GridSpec, VectorGrid, deposit, stokes_solve
+from sedlab.kernels import GridSpec, deposit, stokes_solve
 from sedlab.metrics import (
     ModulatedEnergies,
     energies_to_rows,
@@ -371,7 +371,7 @@ class TestModulatedEnergies:
         snap = phase_snapshot(rng, 128)
         entry = modulated_energies(np.array([0.0]), [snap], [snap], SPEC, GRAVITY)[0]
         rho, _ = deposit(snap, full_window(SPEC))
-        fluid = stokes_solve(VectorGrid(SPEC, rho.values[..., None] * GRAVITY), full_window(SPEC))
+        fluid = stokes_solve(rho[..., None] * GRAVITY, full_window(SPEC))
         field_v = fluid.at(snap.x)
         expected = 0.5 * np.mean(np.sum((snap.v - GRAVITY - field_v) ** 2, axis=1))
         assert entry.S == pytest.approx(expected, rel=1e-12)

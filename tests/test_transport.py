@@ -45,7 +45,7 @@ class TestSteadyField:
     def test_zero_density_gives_zero_field(self):
         empty = SimpleNamespace(x=np.zeros((0, 3)), w=np.zeros(0), gravity=GRAVITY)
         fluid = steady_velocity_field(empty, GridSpec(16.0, 16))
-        assert np.all(fluid.velocity.values == 0.0)
+        assert np.all(fluid.velocity == 0.0)
         assert fluid.grad_sup_norm == 0.0
 
     def test_single_bump_symmetries(self):
@@ -56,11 +56,11 @@ class TestSteadyField:
         x = np.array([[8.25, 8.25, 8.25]])  # center of cell (16, 16, 16)
         cloud = SpatialCloud(x=x, w=np.ones(1), gravity=GRAVITY)
         fluid = field_on(cloud, full_window(grid))
-        u = fluid.velocity.values
+        u = fluid.velocity
         assert fluid.grad_sup_norm > 0.0
         windowed = steady_velocity_field(cloud, grid)
         assert windowed.window.spec.n == 8  # the window of the one stencil, which it solves on
-        assert np.abs(windowed.velocity.values - u[windowed.window.cells]).max() <= 1e-13 * np.abs(u).max()
+        assert np.abs(windowed.velocity - u[windowed.window.cells]).max() <= 1e-13 * np.abs(u).max()
         # index mirror about k = 16 maps k -> 32 - k, valid for k in [1, 31]
         sub = u[:, :, 1:, :]
         flipped = u[:, :, 31:0:-1, :]
@@ -74,7 +74,7 @@ class TestSteadyField:
         grid = GridSpec(16.0, 32)
         x = np.array([[8.25, 8.25, 6.25], [8.25, 8.25, 9.75]])  # cells k=12 and k=19
         cloud = SpatialCloud(x=x, w=np.full(2, 0.5), gravity=GRAVITY)
-        u = field_on(cloud, full_window(grid)).velocity.values
+        u = field_on(cloud, full_window(grid)).velocity
         flipped = u[:, :, ::-1, :]  # k -> 31 - k, the mirror across z = 8
         scale = np.abs(u).max()
         assert np.allclose(flipped[..., 0], -u[..., 0], atol=1e-13 * scale)
@@ -143,7 +143,7 @@ class TestTransportStep:
         out = transport_step(cloud, grid, 0.02)
         assert np.array_equal(out.w, cloud.w)
         rho, _ = deposit(out, stencil_window(grid, out.x))
-        assert float(rho.values.sum()) * grid.cell_volume == pytest.approx(1.0, rel=1e-12)
+        assert float(rho.sum()) * grid.cell_volume == pytest.approx(1.0, rel=1e-12)
 
     def test_divergence_free_flow_preserves_density_norms(self):
         # Gaussian-weighted lattice: smooth deposits, so the grid L^p
@@ -163,7 +163,7 @@ class TestTransportStep:
         def norms(c):
             rho, _ = deposit(c, stencil_window(grid, c.x))
             return {
-                p: (np.sum(np.abs(rho.values) ** p) * grid.cell_volume) ** (1.0 / p)
+                p: (np.sum(np.abs(rho) ** p) * grid.cell_volume) ** (1.0 / p)
                 for p in (4.0 / 3.0, 2.0, 4.0)
             }
 
