@@ -17,9 +17,14 @@ def _cell(value):
     return repr(float(value)) if isinstance(value, (float, np.floating)) else value
 
 
+def write_rows(stream, header, rows):
+    """Write a header row and then `rows`, an iterable of sequences of cells, to a text stream."""
+    writer = csv.writer(stream)
+    writer.writerow(header)
+    writer.writerows(row if _NATIVE.issuperset(map(type, row)) else [_cell(v) for v in row] for row in rows)
+
+
 def write_csv(path, header, rows):
-    """Write a header row and then `rows`, an iterable of sequences of cells."""
+    """`write_rows` to a new file at `path`."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(row if _NATIVE.issuperset(map(type, row)) else [_cell(v) for v in row] for row in rows)
+        write_rows(fh, header, rows)

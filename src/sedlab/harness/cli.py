@@ -6,14 +6,13 @@ usable grid region.
 """
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .. import bounds, kinetic, metrics, micro
-from ..csvfile import write_csv
+from ..csvfile import write_csv, write_rows
 from ..errors import SedlabError
 from ..kernels import GridSpec, StokesOperator, Window, oseen_tensor, stokes_direct_sum
 from .config import load_config
@@ -228,7 +227,7 @@ def _cmd_oracle(args):
         write_csv(args.out, header, rows)
         print(f"wrote {args.out}")
     else:
-        csv.writer(sys.stdout).writerows([header] + [[repr(v) for v in row] for row in rows])
+        write_rows(sys.stdout, header, rows)
     if not env.guarantees_domination:
         print("warning: c < 1, envelopes do not certify domination", file=sys.stderr)
     return 0

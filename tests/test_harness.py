@@ -857,12 +857,18 @@ class TestCli:
         assert (out_dir / "summary.csv").exists()
         assert "budget_residual_max_rel" in capsys.readouterr().out
 
-    def test_oracle_csv(self, capsys):
-        assert cli.main(["oracle", "--times", "0:1:3", "--params", "C=1,c=1,lambda=1,a0=1"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
+    def test_oracle_csv(self, capsys, tmp_path):
+        args = ["oracle", "--times", "0:1:3", "--params", "C=1,c=1,lambda=1,a0=1"]
+        assert cli.main(args) == 0
+        printed = capsys.readouterr().out
+        lines = printed.strip().splitlines()
         assert lines[0] == "t,envelope_a,envelope_b"
         final = [float(v) for v in lines[-1].split(",")]
         assert final[1] == pytest.approx(np.e, abs=1e-12)
+        # standard output and --out go through the one CSV writer
+        path = tmp_path / "oracle.csv"
+        assert cli.main(args + ["--out", str(path)]) == 0
+        assert printed.encode() == path.read_bytes()
 
     def test_unread_config_key_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "stale.cfg"

@@ -109,6 +109,13 @@ class TestExact:
             wasserstein2_exact(lopsided, a)
         with pytest.raises(ValueError):
             wasserstein2_exact(a, a, space="spectral")
+        # within numpy's default rtol of 1e-5 of 1/64, but not uniform
+        c = rng.normal(size=(64, 3))
+        near = (1.0 + 9e-6 * np.tile([1.0, -1.0], 32)) / 64
+        with pytest.raises(ValueError):
+            wasserstein2_exact(SimpleNamespace(x=c, w=near), c + 0.5)
+        with pytest.raises(ValueError):
+            wasserstein2_exact(c, SimpleNamespace(x=c + 0.5, w=near))
 
 
 def expanded_reference(pa, pb):
@@ -283,14 +290,14 @@ class TestEntropic:
         a = rng.normal(0.0, 1.0, size=(32, 1))
         b = rng.normal(0.5, 0.3, size=(32, 1))
         violations = []
-        solve = metrics._sinkhorn_potentials
+        solve = metrics._scale
 
         def recording(*args):
             out = solve(*args)
-            violations.append(out[3])
+            violations.append(out[2])
             return out
 
-        monkeypatch.setattr(metrics, "_sinkhorn_potentials", recording)
+        monkeypatch.setattr(metrics, "_scale", recording)
         with pytest.raises(ConvergenceError) as err:
             wasserstein2_entropic(a, b, max_iter=1000)
         cross, self_a, self_b = violations[-3:]
@@ -304,6 +311,27 @@ class TestEntropic:
         bad = SimpleNamespace(x=a, w=np.full(8, 1.0))
         with pytest.raises(ValueError):
             wasserstein2_entropic(bad, a)
+
+    @pytest.mark.parametrize("tol, max_iter", [(1e-6, 0), (np.nan, 20000), (0.0, 20000), (np.inf, 20000)])
+    def test_tolerance_and_iteration_validation(self, tol, max_iter):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(8, 3))
+        with pytest.raises(ValueError):
+            wasserstein2_entropic(a, a + 0.5, tol=tol, max_iter=max_iter)
+
+    def test_no_square_temporary_per_iteration(self):
+        # three costs and at most two couplings at a time, but no n x m temporary per iteration
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(400, 3))
+        b = rng.normal(size=(200, 3)) + 0.2
+        cost_bytes = 8 * (400 * 200 + 400 * 400 + 200 * 200)
+        tracemalloc.start()
+        try:
+            wasserstein2_entropic(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * cost_bytes
 
 
 def relaxed_snapshots(rng, spec, n, lam, gravity, times):
