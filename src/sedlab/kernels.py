@@ -299,6 +299,7 @@ def interpolate(field: np.ndarray, positions: np.ndarray, window: Window) -> np.
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _ROW_COMPONENTS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 _BLOCK_MODES = 4096  # (ky, kx, kz) modes per pass through the x transforms and the product
+_SLAB_BYTES = 1 << 20  # largest slab of y rows of the padded spectrum per pass through the z transforms
 
 
 class StokesOperator:
@@ -316,15 +317,22 @@ class StokesOperator:
     `apply` never forms the padded (2n)^3 force or the full spectrum of
     all three components.  Seven eighths of the padded cube is zero on the
     way in and thrown away on the way out, so each 1-d pass transforms only
-    the rows that can be nonzero or are kept:
+    the rows that can be nonzero or are kept.  A call holds one padded
+    spectrum, [ky, component, x, kz] of shape (2n, 3, n, n + 1) complex
+    (10.3 MiB at n = 48), plus its (n, n, n, 3) output, and keeps neither:
 
-    1. rfft along z, padded to 2n, on the n x n input rows;
-    2. fft along y, padded to 2n, on the n x-rows of that half spectrum;
-    3. for each block of ky columns, ky < n or ky >= n: fft along x
+    1. rfft along z, padded to 2n, on the n x n input rows, one slab of
+       y rows (at most _SLAB_BYTES of spectrum) at a time, into rows
+       y < n; the rows y >= n are the zero padding;
+    2. fft along y over all 2n rows, in place;
+    3. for each block of ky rows, ky < n or ky >= n: fft along x
        (padded), the symmetric 3x3 real-by-complex product with the table,
-       inverse fft along x, keeping the first n rows;
-    4. inverse fft along y, keeping n;
-    5. irfft along z, keeping n.
+       inverse fft along x, whose first n rows overwrite the block;
+    4. inverse fft along y, in place;
+    5. irfft along z on the rows y < n, slab by slab, keeping n.
+
+    A rho (x) direction force fills and transforms component 0 only, and
+    step 3 writes all three over it.
 
     The grid may be a `Window` of a larger one (same h, n any multiple of
     8); its table is cached like any other, under (n h, n).
@@ -377,22 +385,27 @@ class StokesOperator:
                 raise ValueError(f"density shape {force.shape} != {(n, n, n)} or direction not a 3-vector")
             rows = force.transpose(1, 0, 2)[:, None]
             along = [b for b in range(3) if direction[b] != 0.0]
-        half = fft.rfft(rows, n=m, axis=3)
-        spectrum = fft.fft(half, n=m, axis=0, overwrite_x=True)  # [ky, component, x, kz]
-        del half
-        # [ky, a, x, kz]; a vector force writes each block over the spectrum rows it has consumed
-        kept = spectrum if direction is None else np.empty((m, 3, n, n + 1), dtype=complex)
+        spectrum = np.empty((m, 3, n, n + 1), dtype=complex)  # [ky, component, x, kz]
+        step = max(1, _SLAB_BYTES // spectrum[0].nbytes)
+        slabs = [slice(y0, min(y0 + step, n)) for y0 in range(0, n, step)]  # y rows per z transform
+        head = spectrum[:, : rows.shape[1]]  # the components the force fills
+        head[n:] = 0.0
+        for ys in slabs:
+            head[ys] = fft.rfft(rows[ys], n=m, axis=3)
+        head = fft.fft(head, axis=0, overwrite_x=True)  # in place wherever scipy can
         block = max(1, _BLOCK_MODES // (m * (n + 1)))
         for h, table, sign in ((0, self._table, (1, 1, 1)), (n, self._table[n:0:-1], (1, -1, 1))):
             for k0 in range(h, h + n, block):  # ky >= n reads row 2n - ky; no block crosses ky = n
                 k1 = min(k0 + block, h + n)
-                f = fft.fft(spectrum[k0:k1], n=m, axis=2)  # [ky, component, kx, kz]
+                f = fft.fft(head[k0:k1], n=m, axis=2)  # [ky, component, kx, kz]
                 u = self._product(table[k0 - h : k1 - h], f, direction, along, sign)
-                kept[k0:k1] = fft.ifft(u, axis=2, overwrite_x=True)[:, :, :n]
-        del spectrum
-        u = fft.irfft(fft.ifft(kept, axis=0, overwrite_x=True)[:n], n=m, axis=3)
+                spectrum[k0:k1] = fft.ifft(u, axis=2, overwrite_x=True)[:, :, :n]  # over the rows f consumed
+        del head
+        spectrum = fft.ifft(spectrum, axis=0, overwrite_x=True)  # [y, a, x, kz]
         out = np.empty((n, n, n, 3))
-        np.multiply(u[..., :n].transpose(2, 0, 3, 1), self.spec.cell_volume, out=out)
+        for ys in slabs:
+            u = fft.irfft(spectrum[ys], n=m, axis=3)
+            np.multiply(u[..., :n].transpose(2, 0, 3, 1), self.spec.cell_volume, out=out[:, ys])
         return out
 
     @staticmethod

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -354,6 +355,26 @@ class TestStokesOperator:
         assert np.array_equal(op.apply(f), op.apply(f))
         assert np.array_equal(op.apply(rho, g), op.apply(rho, g))
         assert np.array_equal(f, f0) and np.array_equal(rho, rho0) and np.array_equal(g, g0)
+
+    @pytest.mark.parametrize("form", ["vector", "density_direction"])
+    def test_one_padded_spectrum(self, form):
+        # an apply on a 48^3 window holds one padded spectrum, its output and slab- and
+        # block-sized temporaries, and keeps nothing on the operator
+        n = 48
+        op = K.StokesOperator(K.GridSpec(0.5 * n, n))
+        rng = np.random.default_rng(36)
+        if form == "vector":
+            args = (rng.standard_normal((n, n, n, 3)),)
+        else:
+            args = (rng.random((n, n, n)), np.array([0.0, 0.6, -0.8]))
+        tracemalloc.start()
+        try:
+            op.apply(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * (2 * n) * 3 * n * (n + 1) * 16
+        assert vars(op).keys() == {"spec", "_table"}
 
     def test_rejects_wrong_shapes(self):
         op = K.StokesOperator(self.spec)

@@ -239,6 +239,19 @@ class TestSolverChoice:
         entropic = wasserstein2_entropic(a, b).distance
         assert wasserstein2(a, b) == entropic != exact
 
+    def test_either_order_takes_the_exact_solver(self, monkeypatch):
+        # 200 vs 100 samples: the smaller count divides the larger whichever cloud comes first
+        rng = np.random.default_rng(1)
+        a, b = rng.normal(size=(100, 3)), rng.normal(size=(200, 3)) + 0.2
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the entropic solver ran on a pair the exact solver takes")
+
+        monkeypatch.setattr(metrics, "wasserstein2_entropic", refuse)
+        forward = wasserstein2(a, b)
+        assert forward == wasserstein2_exact(a, b).distance
+        assert wasserstein2(b, a) == pytest.approx(forward, rel=1e-12, abs=0.0)
+
 
 class TestEntropic:
     def test_identical_clouds_score_zero(self):
@@ -304,6 +317,25 @@ class TestEntropic:
         assert cross < 1e-6 <= self_a
         assert err.value.residual == max(cross, self_a, self_b)
         assert err.value.iterations == 1000
+
+    def test_every_stage_reports_its_worst_violation(self, monkeypatch):
+        # 8 vs 12 samples: the fourth eps stage ends above tol after max_iter iterations,
+        # the last meets it; the estimate is returned with that stage's violation on record
+        rng = np.random.default_rng(1)
+        a, b = rng.standard_normal((8, 3)), rng.standard_normal((12, 3)) + 0.2
+        violations = []
+        solve = metrics._scale
+
+        def recording(*args):
+            out = solve(*args)
+            violations.append(out[2])
+            return out
+
+        monkeypatch.setattr(metrics, "_scale", recording)
+        out = wasserstein2_entropic(a, b)
+        assert len(out.stage_violations) == len(out.stage_costs) == metrics.ENTROPIC_STAGES
+        assert out.stage_violations == tuple(max(violations[k : k + 3]) for k in range(0, len(violations), 3))
+        assert out.marginal_violation <= out.stage_violations[-1] < 1e-6 <= out.stage_violations[3]
 
     def test_weight_validation(self):
         rng = np.random.default_rng(8)
