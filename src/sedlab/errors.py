@@ -46,6 +46,6 @@ class ConvergenceError(SedlabError):
 
 
 class DomainExhaustedError(SedlabError):
-    """Samples left the grid box; the run cannot continue honestly."""
+    """A cloud's stencils span more cells than the grid has; the run cannot continue honestly."""
 
     exit_code = EXIT_DOMAIN

@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 failed check or usage error, 2 violated sampling
-or regime assumption, 3 solver non-convergence, 4 trajectory left the
-usable grid region.
+or regime assumption, 3 solver non-convergence, 4 a cloud's stencils
+outgrew the configured grid's side.
 """
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -129,7 +130,7 @@ def _cmd_check_identities(args):
     grid = GridSpec(8.0, 16)
     force = np.zeros((16, 16, 16, 3))
     force[3:11, 5:12, 10:16] = np.random.default_rng(3).standard_normal((8, 7, 6, 3))  # on the z = L face
-    window = Window(grid, (3, 5, 8), GridSpec(4.0, 8))  # the force's cells, moved inward from the face
+    window = Window(grid, (3, 5, 8), GridSpec(4.0, 8))  # a window of side 8 that holds the force's cells
     whole = StokesOperator(grid).apply(force)[window.cells]
     err = float(np.abs(StokesOperator(window.spec).apply(force[window.cells]) - whole).max() / np.abs(whole).max())
     checks.append(("window Stokes vs whole grid", err, 1e-14))
@@ -172,12 +173,10 @@ def _cmd_check_identities(args):
     env = bounds.GronwallEnvelope(C=1.0, c=1.0, lam=1.0, d=0.0, a0=1.0, b0=0.0)
     checks.append(("envelope equality case", abs(bounds.envelope_a(env, 1.0) - np.e), 1e-12))
 
-    lam, dt, steps = 8.0, 0.02, 10
-    cloudx = 8.0 + rng.standard_normal((16, 3))
-    cloudv = np.array([0.0, 0.0, -1.0]) + 0.05 * rng.standard_normal((16, 3))
-    cloud = kinetic.PhaseCloud(
-        x=cloudx, v=cloudv, w=np.full(16, 1 / 16), lam=lam, gravity=np.array([0.0, 0.0, -1.0])
-    )
+    lam, dt, steps, gravity = 8.0, 0.02, 10, np.array([0.0, 0.0, -1.0])
+    cloudx = np.round((8.0 + rng.standard_normal((16, 3))) * 2.0**20) / 2.0**20  # whole-cell shifts are exact
+    cloudv = gravity + 0.05 * rng.standard_normal((16, 3))
+    cloud = kinetic.PhaseCloud(x=cloudx, v=cloudv, w=np.full(16, 1 / 16), lam=lam, gravity=gravity)
     history = kinetic.FieldHistory([], [], [])
     for _ in range(steps):
         history.append(dt, None, 0.0)
@@ -185,6 +184,13 @@ def _cmd_check_identities(args):
     target = np.exp(-3.0 * lam * steps * dt)
     jac_err = max(abs(d - target) / target for d in jac.det_values)
     checks.append(("free-flow volume contraction", float(jac_err), 1e-8))
+
+    def shifted(cells):  # iterations, field and field at the samples of one vlasov step, moved by whole cells
+        fluid = kinetic.vlasov_step(replace(cloud, x=cloudx + cells * 0.5), GridSpec(16.0, 32), dt, budget=False)[1]
+        return fluid.iterations, fluid.velocity.tobytes(), fluid.at(cloudx + cells * 0.5).tobytes()
+
+    changed = sum(shifted(cells) != shifted(0) for cells in (3, 40, -40, 1000))  # negative origins included
+    checks.append(("vlasov steps changed by whole-cell shifts", float(changed), 0.0))
 
     failures = 0
     for name, err, tol in checks:

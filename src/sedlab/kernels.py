@@ -21,13 +21,11 @@ window's cells, with n = `window.spec.n`: a density is (n, n, n) and a
 velocity, momentum or force (n, n, n, 3).  A solve deposits onto the window,
 solves there and reads the field at the samples there (`FluidState.at`);
 `brinkman_solve` also measures its stop rule there, and its Dirichlet
-energy pairs its field with its force there.  The configured grid only
-bounds the box the samples must stay in; a whole-grid solve is a solve on
-the window that is the grid.
-
-Fields live on cell centers (i + 1/2) h of a cube [0, L)^3.  The box
-quadrature of |grad u|^2 (`FluidState.box_energy`) omits the O(h/L)
-far-field tail outside the box; `FluidState.dirichlet_energy` omits none.
+energy pairs its field with its force there.  A window may sit anywhere on
+the configured grid's lattice, cells centred at (i + 1/2) h for every
+integer i; the grid's n bounds only its side.  The box quadrature of
+|grad u|^2 (`FluidState.box_energy`) omits the far-field tail outside the
+window; `FluidState.dirichlet_energy` omits none.
 """
 
 from __future__ import annotations
@@ -121,7 +119,7 @@ class GridSpec:
     """Cubic box [0, L)^3 with n cells per side, centers at (i + 1/2) h.
 
     n is a multiple of 8.  Configured grids are powers of two (`SimConfig`
-    checks that); the other multiples are the windows of `stencil_window`.
+    checks that); windows (`stencil_window`) take any multiple up to theirs.
     """
 
     box_length: float
@@ -210,32 +208,26 @@ class FluidState:
 # deposit / interpolate (trilinear cloud-in-cell, adjoint pair)
 
 
-def _cic_corners(window: Window, positions: np.ndarray, what: str):
-    """(lowest corner cell from the window's origin, fractions) of each position's trilinear stencil.
+def _cic_stencil(window: Window, positions: np.ndarray, what: str):
+    """Yield (flat cell index on the window, weight) for each of the eight trilinear corners.
 
-    Every stencil must lie in the window, which lies in the box (a half cell
-    from its faces); anything outside raises DomainExhaustedError rather than
-    wrapping.
+    The fractions are taken on the grid's lattice, wherever the window sits.
+    Every stencil must lie in the window; anything outside, or not finite,
+    raises DomainExhaustedError rather than wrapping.
     """
     pos = np.atleast_2d(positions)
     t = pos / window.grid.h - 0.5
-    i0 = np.floor(t).astype(np.int64)
+    i0 = np.floor(t)  # each stencil's lowest corner cell
     frac = t - i0
     i0 -= window.origin
-    bad = (i0 < 0) | (i0 > window.spec.n - 2)
+    bad = ~((i0 >= 0) & (i0 <= window.spec.n - 2))  # in floating point, so NaN and huge cells are caught
     if np.any(bad):
-        k, where = int(np.argwhere(bad.any(axis=1))[0, 0]), "box" if window.full else "window"
+        k = int(np.argwhere(bad.any(axis=1))[0, 0])
         raise DomainExhaustedError(
-            f"{what}: {int(bad.any(axis=1).sum())} position(s) outside the usable {where} "
-            f"(first offender index {k} at {pos[k]}); {where} side {window.spec.box_length}"
+            f"{what}: {int(bad.any(axis=1).sum())} position(s) outside the usable window "
+            f"(first offender index {k} at {pos[k]}); window origin {window.origin}, side {window.spec.n} cells"
         )
-    return i0, frac
-
-
-def _cic_stencil(window: Window, positions: np.ndarray, what: str):
-    """Yield (flat cell index on the window, weight) for each of the eight trilinear corners."""
-    i0, frac = _cic_corners(window, positions, what)
-    n = window.spec.n
+    i0, n = i0.astype(np.int64), window.spec.n
     for corner in range(8):
         dx, dy, dz = corner & 1, (corner >> 1) & 1, (corner >> 2) & 1
         wgt = (
@@ -468,7 +460,7 @@ def get_operator(spec: GridSpec) -> StokesOperator:
 
 @dataclass(frozen=True)
 class Window:
-    """The cube of cells origin + [0, spec.n)^3 of a grid, as a grid of its own.
+    """The cube of cells origin + [0, spec.n)^3 of a grid's lattice, as a grid of its own.
 
     `spec` has the grid's spacing h, so its `StokesOperator` tabulates the
     same kernel (eps = h) on a smaller padded box.  Zero padding makes that
@@ -482,10 +474,6 @@ class Window:
     spec: GridSpec
 
     @property
-    def full(self) -> bool:
-        return self.spec == self.grid
-
-    @property
     def cells(self) -> tuple:
         """Index of the window's cells in a whole-grid array."""
         return tuple(slice(o, o + self.spec.n) for o in self.origin)
@@ -494,18 +482,19 @@ class Window:
 def stencil_window(grid: GridSpec, positions: np.ndarray) -> Window:
     """Smallest cube of cells that holds every cell the trilinear stencils of `positions` read.
 
-    The side is rounded up to a multiple of 8 and clipped to the grid, and
-    a window that would cross a face is moved inward.  A window of side n
-    is the grid itself.  A stencil outside the grid's box raises
-    DomainExhaustedError: the grid is the box the samples must stay in.
+    Its origin is the lowest stencil cell, any integer triple, and its side
+    the widest span rounded up to a multiple of 8.  Stencils that span more
+    than the grid's n cells raise DomainExhaustedError, as do positions not
+    finite or 2^52 cells or more from the origin, where they resolve no cell.
     """
-    n, whole = grid.n, Window(grid, (0, 0, 0), grid)
-    i0, _ = _cic_corners(whole, positions, "stencil window")
-    lo, end = i0.min(axis=0, initial=n), i0.max(axis=0, initial=-2) + 2  # the stencils' cells lo .. end - 1
-    side = min(n, max(8, -(-int((end - lo).max()) // 8) * 8))
-    if side == n:
-        return whole
-    return Window(grid, tuple(int(o) for o in np.minimum(lo, n - side)), GridSpec(side * grid.h, side))
+    corners = np.floor(np.atleast_2d(positions) / grid.h - 0.5)  # each stencil's lowest cell
+    lo, hi = (corners.min(axis=0), corners.max(axis=0)) if len(corners) else (np.zeros(3), np.zeros(3))
+    span = float(np.max(hi - lo)) + 2.0  # NaN if any position is
+    if not (span <= grid.n and np.abs(lo).max() < 2.0**52):
+        raise DomainExhaustedError(f"stencil window: the stencils span {span:g} cells from cell {lo}; a window "
+                                   f"is at most {grid.n} cells on a side and within 2^52 cells of the origin")
+    side = max(8, -(-int(span) // 8) * 8)
+    return Window(grid, tuple(int(o) for o in lo), GridSpec(side * grid.h, side))
 
 
 def stokes_solve(force, window: Window, direction=None) -> FluidState:

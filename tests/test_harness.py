@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import multiprocessing
 import os
 import pickle
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sedlab import kinetic
 from sedlab.errors import AssumptionError, ConvergenceError, DomainExhaustedError
 from sedlab.harness import sweeps
 from sedlab.harness import cli
@@ -27,6 +29,15 @@ from sedlab.micro import ParticleEnsemble
 from sedlab.transport import SpatialCloud
 
 GRAVITY = np.array([0.0, 0.0, -1.0])
+
+
+# h = 2: the cloud's stencils span 8 cells along z, as many as the grid has; falling through
+# the lattice, they come to span 9 at t = 1.3, and the run ends with exit 4
+OUTGROWING_CONFIG = {
+    "run": {"tier": "transport", "n": 150, "lambda": 5.0, "t_final": 5.0, "dt": 0.05, "seed": 6},
+    "grid": {"cells": 8},
+    "initial": {"family": "gaussian", "sigma_x": 2.2, "sigma_v": 0.0},
+}
 
 
 class TestConfig:
@@ -336,17 +347,11 @@ class TestRunner:
             assert [t for t, _ in rec.stats] == rec.times
 
     def test_abort_recorded_with_outputs(self, tmp_path):
-        cfg = default_config(
-            {
-                "run": {"tier": "transport", "n": 150, "lambda": 5.0, "t_final": 5.0, "dt": 0.05, "seed": 11},
-                "grid": {"cells": 16},
-                "initial": {"family": "gaussian", "sigma_x": 2.0, "sigma_v": 0.0},
-            }
-        )
-        rec = run(cfg, out_dir=tmp_path)
+        rec = run(default_config(OUTGROWING_CONFIG), out_dir=tmp_path)
         assert not rec.ok
         assert rec.abort["type"] == "DomainExhaustedError"
         assert rec.abort["exit_code"] == DomainExhaustedError.exit_code
+        assert "span 9 cells" in rec.abort["message"]
         assert rec.summary["aborted_at"] > 0.0
         assert (tmp_path / "summary.csv").exists()
         assert (tmp_path / "final_state.csv").exists()
@@ -354,20 +359,33 @@ class TestRunner:
             rows = {row[0]: row[1] for row in csv.reader(fh)}
         assert rows["abort_type"] == "DomainExhaustedError"
 
-    def test_brinkman_miss_aborts_with_exit_3(self):
-        # at 8 cells the iteration lands on an exact floating-point fixed
-        # point (defect 0.0); at 16 its defect stalls near 1e-17
+    def test_transport_run_falls_through_the_old_box_floor(self):
+        # the cloud falls below z = 0, the floor of the configured 16-unit box, and the run completes
+        cfg = default_config(
+            {
+                "run": {"tier": "transport", "n": 150, "lambda": 5.0, "t_final": 5.0, "dt": 0.05, "seed": 11},
+                "grid": {"cells": 16},
+                "initial": {"family": "gaussian", "sigma_x": 2.0, "sigma_v": 0.0},
+            }
+        )
+        rec = run(cfg)
+        assert rec.ok and rec.times[-1] == pytest.approx(5.0)
+        assert rec.final_state.x[:, 2].min() < 0.0
+
+    def test_brinkman_miss_aborts_with_exit_3(self, monkeypatch):
+        # one apply per solve: a cold start's first defect is exactly 1, far above tol
+        monkeypatch.setattr(kinetic, "brinkman_solve", functools.partial(kinetic.brinkman_solve, max_iter=1))
         cfg = default_config(
             {
                 "run": {"tier": "vlasov", "n": 200, "lambda": 10.0, "t_final": 0.0125, "dt": 0.00625},
                 "grid": {"cells": 16},
-                "tolerances": {"brinkman": 1e-300},
             }
         )
         rec = run(cfg)
         assert rec.abort["exit_code"] == 3
         assert rec.abort["type"] == "ConvergenceError"
         assert isinstance(rec.error, ConvergenceError)
+        assert (rec.error.iterations, rec.error.residual) == (1, 1.0)
 
     def test_output_files_well_formed(self, tmp_path):
         cfg = default_config(
@@ -808,13 +826,7 @@ class TestSweeps:
 
         sweeps_run = sweeps.run
         monkeypatch.setattr(sweeps, "run", recording_run)
-        base = default_config(
-            {
-                "run": {"tier": "transport", "n": 150, "lambda": 5.0, "t_final": 5.0, "dt": 0.05, "seed": 11},
-                "grid": {"cells": 16},
-                "initial": {"family": "gaussian", "sigma_x": 2.0, "sigma_v": 0.0},
-            }
-        )
+        base = default_config(OUTGROWING_CONFIG)
         with pytest.raises(DomainExhaustedError) as err:
             compare_tiers(base, ("transport", "vlasov"))
         assert len(records) == 1 and err.value is records[0].error
@@ -834,7 +846,7 @@ class TestCli:
     def test_check_identities_passes(self, capsys):
         assert cli.main(["check-identities"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 10 and "FAIL" not in out
+        assert out.count("PASS") == 11 and "FAIL" not in out
 
     def test_simulate_assumption_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -911,4 +923,4 @@ class TestCli:
             text=True,
         )
         assert result.returncode == 0
-        assert result.stdout.count("PASS") == 10
+        assert result.stdout.count("PASS") == 11

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -203,15 +204,29 @@ class TestDepositInterpolate:
         assert got_rho.tobytes() == (rho.reshape(32, 32, 32) / spec.cell_volume).tobytes()
         assert got_j.tobytes() == (j.reshape(32, 32, 32, 3) / spec.cell_volume).tobytes()
 
-    def test_out_of_box_raises(self):
-        bad = _Cloud(np.array([[0.1, 4.0, 4.0]]), np.array([1.0]))
-        with pytest.raises(DomainExhaustedError, match="outside the usable box"):
-            K.stencil_window(self.spec, bad.x)
-        with pytest.raises(DomainExhaustedError):
+    def test_stencils_wider_than_the_grid_raise(self):
+        # h = 1/2: stencils over cells -1 .. 15 span 17 cells, one more than the grid's 16
+        wide = np.array([[0.1, 4.0, 4.0], [7.6, 4.0, 4.0]])
+        with pytest.raises(DomainExhaustedError, match="span 17 cells"):
+            K.stencil_window(self.spec, wide)
+        for shift in (0.0, -100.0, 1e6):  # cells 0 .. 15, wherever they sit on the lattice
+            w = K.stencil_window(self.spec, wide + [[0.2, 0, 0], [0, 0, 0]] + shift)
+            assert w.spec.n == 16 and w.origin[0] == 2 * shift
+        bad = _Cloud(wide[:1], np.array([1.0]))
+        with pytest.raises(DomainExhaustedError, match="outside the usable window"):
             K.deposit(bad, full_window(self.spec))
         with pytest.raises(DomainExhaustedError):
             K.interpolate(np.zeros((16, 16, 16, 3)), np.array([8.1, 1, 1]),
                           full_window(self.spec))
+
+    @pytest.mark.parametrize("x", [[[np.nan, 4.0, 4.0]], [[1e30, 4.0, 4.0]], [[4.0, -1e19, 4.0]],
+                                   [[4.0, 4.0, -np.inf]], [[4.0, 4.0, 1e19], [4.0, 4.0, -1e19]]])
+    def test_extreme_positions_raise(self, x):
+        # none may come back as a side-8 window at a cell index that overflowed its cast
+        with pytest.raises(DomainExhaustedError):
+            K.stencil_window(self.spec, np.array(x))
+        with pytest.raises(DomainExhaustedError):
+            K.interpolate(np.zeros((16, 16, 16, 3)), np.array(x), full_window(self.spec))
 
     def test_single_point_interface(self):
         u = np.ones((16, 16, 16, 3))
@@ -551,18 +566,23 @@ class TestWindow:
         # stencils over cells 5..17, 9..11 and 30..31: spans 13, 3 and 2 cells
         x = np.array([self._at((5, 9, 30)), self._at((16, 10, 30))])
         w = K.stencil_window(self.spec, x)
-        assert w.spec.n == 16 and w.origin == (5, 9, 16)  # z moved inward from the face
-        assert w.spec.h == self.spec.h and not w.full
+        assert w.spec.n == 16 and w.origin == (5, 9, 30)  # past the grid's z = L face: no face moves it
+        assert w.spec.h == self.spec.h
         whole = K.deposit(_Cloud(x, np.full(2, 0.5)), full_window(self.spec))[0]
         assert np.count_nonzero(whole[w.cells]) == np.count_nonzero(whole)  # every stencil's cells lie in it
-        assert K.stencil_window(self.spec, np.vstack([x, self._at((0, 0, 0))])).full  # z spans 0..31
+        below = K.stencil_window(self.spec, x - 40 * self.spec.h)  # the same stencils, 40 cells lower
+        assert below.origin == (-35, -31, -10) and below.spec == w.spec
+        # z spans 0..31: the grid's side, so the window is the grid's cells
+        assert K.stencil_window(self.spec, np.vstack([x, self._at((0, 0, 0))])) == full_window(self.spec)
+        with pytest.raises(DomainExhaustedError, match="span 33 cells"):  # z spans -1..31
+            K.stencil_window(self.spec, np.vstack([x, self._at((0, 0, -1))]))
         assert K.stencil_window(self.spec, x[:1]).spec.n == 8  # one stencil: two cells per axis
         assert K.stencil_window(self.spec, np.zeros((0, 3))).spec.n == 8
 
     def test_deposit_on_the_window_is_bitwise_the_sliced_whole_grid_deposit(self):
         cloud = _phase_cloud(self.spec, 2000, seed=48)
         window = K.stencil_window(self.spec, cloud.x)
-        assert not window.full
+        assert window.spec.n < self.spec.n
         rho, j = K.deposit(cloud, window)
         whole_rho, whole_j = K.deposit(cloud, full_window(self.spec))
         assert rho.shape + (3,) == j.shape == (window.spec.n,) * 3 + (3,)
@@ -651,7 +671,7 @@ class TestWindow:
         cloud = SimpleNamespace(x=8.0 + 1.5 * rng.standard_normal((2000, 3)), w=np.full(2000, 1 / 2000),
                                 v=rng.standard_normal((2000, 3)))
         g = np.array([0.0, 0.6, -0.8])
-        assert not K.stencil_window(self.spec, cloud.x).full
+        assert K.stencil_window(self.spec, cloud.x).spec.n < self.spec.n
         whole = self._whole_grid_field(cloud, g)
         assert self._rel(steady_field_velocities(cloud, self.spec, g, cloud.w), whole) <= 1e-13
 
@@ -663,7 +683,7 @@ class TestWindow:
         x[0] = 2.0  # weight 0: it deposits nothing, and its stencil lies off the density's window
         cloud = SimpleNamespace(x=x, w=np.r_[0.0, np.full(499, 1 / 499)], gravity=np.array([0.0, 0.6, -0.8]))
         assert min(K.stencil_window(self.spec, x[1:]).origin) > 3  # the sample's stencil starts at cell 3
-        assert not K.stencil_window(self.spec, x).full
+        assert K.stencil_window(self.spec, x).spec.n < self.spec.n
         whole = self._whole_grid_field(cloud, cloud.gravity)
         assert self._rel(steady_velocity_field(cloud, self.spec).at(x), whole) <= 1e-13
 
@@ -678,10 +698,30 @@ class TestWindow:
                                    lam=20.0, gravity=g)
         assert min(K.stencil_window(self.spec, x[1:]).origin) > 4
         _, fluid, budget = kinetic.vlasov_step(cloud, self.spec, 0.01)
-        assert not fluid.window.full and np.isfinite(budget.grad_term)
+        assert fluid.window.spec.n < self.spec.n and np.isfinite(budget.grad_term)
         whole = _solve(cloud, full_window(self.spec))
         assert fluid.iterations == whole.iterations
         assert self._rel(fluid.at(x[0]), whole.at(x[0])) <= 1e-13
+
+    @pytest.mark.parametrize("cells", [3, 40, -40, 1000])
+    def test_whole_cell_shift_changes_nothing(self, cells):
+        # positions are multiples of 2^-20, so moving them by whole cells (h = 1/2) is exact
+        from sedlab import kinetic
+
+        rng = np.random.default_rng(53)
+        g = np.array([0.0, 0.0, -1.0])
+        x = np.round((8.0 + 1.5 * rng.standard_normal((500, 3))) * 2.0**20) / 2.0**20
+        cloud = kinetic.PhaseCloud(x=x, v=g + 0.1 * rng.standard_normal((500, 3)), w=np.full(500, 1 / 500),
+                                   lam=20.0, gravity=g)
+        moved = dataclasses.replace(cloud, x=x + cells * self.spec.h)
+        assert np.all(moved.x - cells * self.spec.h == x)
+        stepped, base, _ = kinetic.vlasov_step(cloud, self.spec, 0.01)
+        shifted, fluid, _ = kinetic.vlasov_step(moved, self.spec, 0.01)
+        assert fluid.window.origin == tuple(o + cells for o in base.window.origin)
+        assert fluid.iterations == base.iterations
+        assert fluid.velocity.tobytes() == base.velocity.tobytes()
+        assert fluid.at(moved.x).tobytes() == base.at(x).tobytes()
+        assert shifted.v.tobytes() == stepped.v.tobytes()
 
     def test_vlasov_run_builds_each_window_table_once(self, monkeypatch):
         from collections import OrderedDict
@@ -750,7 +790,7 @@ class TestWindow:
     def test_solve_holds_the_force_of_its_last_apply(self, monkeypatch):
         cloud = _phase_cloud(self.spec, 2000, seed=44)
         window = K.stencil_window(self.spec, cloud.x)
-        assert not window.full
+        assert window.spec.n < self.spec.n
         rho, j = K.deposit(cloud, window)
         # the loop with theta = 1, written out
         op = K.get_operator(window.spec)
@@ -776,7 +816,7 @@ class TestWindow:
     def test_every_solve_returns_a_contiguous_float64_field_on_its_window(self):
         cloud = _phase_cloud(self.spec, 500, seed=52)
         window = K.stencil_window(self.spec, cloud.x)
-        assert not window.full
+        assert window.spec.n < self.spec.n
         rho, j = K.deposit(cloud, window)
         solves = (
             K.stokes_solve(j, window),
@@ -794,7 +834,7 @@ class TestWindow:
         cloud = _phase_cloud(self.spec, 2000, seed=45)
         window = K.stencil_window(self.spec, cloud.x)
         fluid = _solve(cloud, window)
-        assert not window.full
+        assert window.spec.n < self.spec.n
         sides = self._count_applies(monkeypatch)
         n = self.spec.n
         embedded = np.zeros((n, n, n, 3))

@@ -159,20 +159,19 @@ class TestStep:
         assert budget.gravity_term == 0.0
         assert fluid.grad_sup_norm == pytest.approx(0.0, abs=1e-13)
 
-    def test_leaving_the_box_raises_domain_error(self):
+    def test_outgrowing_the_grid_raises_domain_error(self):
+        # h = 1: two groups far below the old box, 13 cells apart along z and
+        # flying apart; the stencils span 15 cells, then more than the grid's 16
         grid = GridSpec(16.0, 16)
         n = 8
         x = np.zeros((n, 3)) + 8.0
-        x[:, 2] = 0.9  # just above the lowest usable layer
-        cloud = PhaseCloud(
-            x=x,
-            v=np.tile(GRAVITY, (n, 1)),
-            w=np.full(n, 1.0 / n),
-            lam=2.0,
-            gravity=GRAVITY,
-        )
-        out, _, _ = vlasov_step(cloud, grid, 0.5)  # falls to z ~ 0.4
-        with pytest.raises(DomainExhaustedError):
+        x[:, 0] += 0.25 * np.arange(n)
+        x[:, 2] = np.where(np.arange(n) < n // 2, -60.0, -47.0)
+        v = GRAVITY + np.where(np.arange(n) < n // 2, 5.0, -5.0)[:, None] * GRAVITY  # lower group down, upper up
+        cloud = PhaseCloud(x=x, v=v, w=np.full(n, 1.0 / n), lam=2.0, gravity=GRAVITY)
+        out, fluid, _ = vlasov_step(cloud, grid, 0.5)  # 16 cells on a side, from z cell -61
+        assert fluid.window.spec.n == 16 and fluid.window.origin[2] == -61
+        with pytest.raises(DomainExhaustedError, match="span 18 cells"):
             vlasov_step(out, grid, 0.5)
 
     def test_dt_must_be_positive(self):
