@@ -148,11 +148,12 @@ class FluidState:
 
     A solve holds its field on its `window` only: `velocity` is a
     C-contiguous float64 (n, n, n, 3) array, n = `window.spec.n`, spaced by
-    the window's h.  A Brinkman solve also holds the last force f it applied
-    there, of the same shape: u = St f at theta = 1.  `at` reads the field
-    at positions in the grid's coordinates, and `dirichlet_energy` pairs it
-    with f.  Nothing computes it off the window; the next Brinkman solve
-    takes it as `u0`.
+    the window's h, with `iterations` applies and a Brinkman solve's final
+    defect as `residual`.  A Brinkman solve also holds the last force f it
+    applied there, of the same shape: u = St f unless it damped.  `at` reads
+    the field at positions in the grid's coordinates, and `dirichlet_energy`
+    pairs it with f.  Nothing computes it off the window; the next Brinkman
+    solve takes it as `u0`.
 
     The finite-difference velocity gradient behind `grad_sup_norm` and
     `box_energy` is built on first use of either, once, over the window;
@@ -217,9 +218,8 @@ def _cic_stencil(window: Window, positions: np.ndarray, what: str):
     """
     pos = np.atleast_2d(positions)
     t = pos / window.grid.h - 0.5
-    i0 = np.floor(t)  # each stencil's lowest corner cell
-    frac = t - i0
-    i0 -= window.origin
+    lowest = np.floor(t)  # each stencil's lowest corner cell
+    i0 = lowest - window.origin
     bad = ~((i0 >= 0) & (i0 <= window.spec.n - 2))  # in floating point, so NaN and huge cells are caught
     if np.any(bad):
         k = int(np.argwhere(bad.any(axis=1))[0, 0])
@@ -227,7 +227,7 @@ def _cic_stencil(window: Window, positions: np.ndarray, what: str):
             f"{what}: {int(bad.any(axis=1).sum())} position(s) outside the usable window "
             f"(first offender index {k} at {pos[k]}); window origin {window.origin}, side {window.spec.n} cells"
         )
-    i0, n = i0.astype(np.int64), window.spec.n
+    frac, i0, n = t - lowest, i0.astype(np.int64), window.spec.n  # t - lowest only once all are finite
     for corner in range(8):
         dx, dy, dz = corner & 1, (corner >> 1) & 1, (corner >> 2) & 1
         wgt = (
@@ -489,7 +489,8 @@ def stencil_window(grid: GridSpec, positions: np.ndarray) -> Window:
     """
     corners = np.floor(np.atleast_2d(positions) / grid.h - 0.5)  # each stencil's lowest cell
     lo, hi = (corners.min(axis=0), corners.max(axis=0)) if len(corners) else (np.zeros(3), np.zeros(3))
-    span = float(np.max(hi - lo)) + 2.0  # NaN if any position is
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, as for a NaN position, refused below
+        span = float(np.max(hi - lo)) + 2.0
     if not (span <= grid.n and np.abs(lo).max() < 2.0**52):
         raise DomainExhaustedError(f"stencil window: the stencils span {span:g} cells from cell {lo}; a window "
                                    f"is at most {grid.n} cells on a side and within 2^52 cells of the origin")
@@ -517,29 +518,22 @@ def brinkman_solve(
     window: Window,
     tol: float = 1e-9,
     max_iter: int = 200,
-    theta: float = 1.0,
     u0: FluidState | None = None,
 ) -> FluidState:
     """Solve -Lap u + grad p = j - rho u, div u = 0 by damped fixed point.
 
-    Iterates u <- (1 - theta) u + theta St(j - rho u).  At the dilute
-    loadings this box sees the map is strongly contractive and theta = 1
-    converges in a handful of applications; if the defect ever grows the
-    damping halves (down to 1/8), which restores convergence for heavily
-    loaded densities at the usual damped-Jacobi cost.  It returns u_{k+1} once
-    the undamped defect d_k = ||St(j - rho u_k) - u_k|| / ||u_k||, which
-    dominates the reported step residual, is at most tol or, at theta = 1,
-    once d_{k-1} and d_k put u_{k+1} within tol of the fixed point
-    (`contraction_stop`).  A defect above tol after max_iter applications
-    raises ConvergenceError with that defect and the iteration count.
+    Iterates u <- St(j - rho u) by `fixed_point` on the relative defect
+    ||St(j - rho u) - u|| / max(||St(j - rho u)||, ||u||).  At the dilute
+    loadings this box sees the map contracts strongly and converges
+    undamped in a handful of applications.
 
     The force j - rho u vanishes off the support of rho, (n, n, n), and j,
     (n, n, n, 3), so the loop runs on the window they were deposited on,
-    n = `window.spec.n`, and measures the defect and the residual there.  A previous solve `u0` starts it from its field
+    n = `window.spec.n`.  A previous solve `u0` starts it from its field
     where the two windows overlap, zero elsewhere.  The returned
-    `FluidState` holds the field and the last force on the window.  With
-    theta = 1 the field is that force's image, so their pairing is its
-    Dirichlet energy; after damping it differs by the order of the defect.
+    `FluidState` holds the field, the last force, the defect the loop
+    stopped on and its count of applications.  Undamped, the field is that
+    force's image, so their pairing is its Dirichlet energy.
     """
     n = window.spec.n
     if rho.shape != (n, n, n) or j.shape != (n, n, n, 3):
@@ -552,35 +546,53 @@ def brinkman_solve(
     if rho.max(initial=0.0) == 0.0:
         # no drag: the equation is linear Stokes, one application is exact
         return FluidState(op.apply(j), 0.0, 1, window, j)
-    rhov = rho[..., None]
-    u = np.zeros(j.shape)
-    if u0 is not None:  # u0's field where its window meets this one
+    rhov, force = rho[..., None], None
+
+    def update(u):
+        nonlocal force
+        force = j - rhov * u
+        return op.apply(force)
+
+    # the start goes straight into the loop: no name here keeps it alive once the loop moves on
+    u, d, sweeps = fixed_point(update, _start_field(window, u0),
+                               lambda u, image: _norm(image - u) / max(_norm(image), _norm(u), 1e-300),
+                               tol, max_iter, "Brinkman iteration")
+    return FluidState(u, d, sweeps, window, force)
+
+
+def _start_field(window: Window, u0: FluidState | None) -> np.ndarray:
+    """u0's field where its window meets this one, zero elsewhere (all zero without u0)."""
+    u = np.zeros((window.spec.n,) * 3 + (3,))
+    if u0 is not None:
         lo = np.maximum(window.origin, u0.window.origin)
         end = np.minimum(np.add(window.origin, window.spec.n), np.add(u0.window.origin, u0.window.spec.n))
         if np.all(lo < end):
             u[tuple(map(slice, lo - window.origin, end - window.origin))] = \
                 u0.velocity[tuple(map(slice, lo - u0.window.origin, end - u0.window.origin))]
-    u_norm, tiny = _norm(u), 1e-300
-    defect = prev_defect = np.inf
-    for it in range(1, max_iter + 1):
-        force = j - rhov * u
-        image = op.apply(force)
-        step, image_norm = _norm(image - u), _norm(image)
-        defect = step / max(image_norm, u_norm, tiny)
-        if defect > prev_defect and theta > 0.125:
+    return u
+
+
+def fixed_point(update, x, defect, tol, max_iter, what):
+    """Damped Picard iteration x <- (1 - theta) x + theta update(x); the one owner of its policy.
+
+    theta starts at 1 and halves, down to 1/8, whenever d = defect(x, update(x)) grows.  A sweep
+    whose d is at most tol, or whose last two defects put it within tol at theta = 1
+    (`contraction_stop`), returns (its damped iterate, d, the sweep count).  A miss after
+    max_iter sweeps raises ConvergenceError(residual=d, iterations=max_iter) naming `what`.
+    """
+    theta, d, prev = 1.0, math.inf, math.inf
+    for sweep in range(1, max_iter + 1):
+        y = update(x)
+        d = defect(x, y)
+        if d > prev and theta > 0.125:
             theta *= 0.5
-        u_next, u_norm = image, image_norm  # at theta = 1 the step and its norms are the defect's
         if theta != 1.0:
-            u_next = (1.0 - theta) * u + theta * image
-            step, u_norm = _norm(u_next - u), _norm(u_next)
-        if defect <= tol or (theta == 1.0 and contraction_stop(defect, prev_defect, tol)):
-            return FluidState(u_next, step / max(u_norm, tiny), it, window, force)
-        u, prev_defect = u_next, defect
-    raise ConvergenceError(
-        f"Brinkman iteration left defect {defect:.3e} > tol {tol:.3e} after {max_iter} applications",
-        residual=float(defect),
-        iterations=max_iter,
-    )
+            y = (1.0 - theta) * x + theta * y
+        if d <= tol or (theta == 1.0 and contraction_stop(d, prev, tol)):
+            return y, d, sweep
+        x, prev = y, d
+    raise ConvergenceError(f"{what} left defect {d:.3e} > tol {tol:.3e} after {max_iter} sweeps",
+                           residual=float(d), iterations=max_iter)
 
 
 def contraction_stop(defect: float, prev_defect: float, tol: float) -> bool:

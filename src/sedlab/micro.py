@@ -11,8 +11,9 @@ others lag behind their own ambient flow.  The 1/N prefactor is the drag
 coefficient 6 pi R under the radius coupling R = 1/(6 pi N), so the forces
 on the fluid are F_i = 6 pi R (V_i - w_i) and N F_i = V_i - w_i.
 
-The closure is solved by fixed-point sweeps, each two GEMMs against the
-r^-1 and r^-3 pair matrices (`_PairKernel`).  Time stepping freezes w over
+The closure is solved by the Brinkman solve's damped fixed point
+(`kernels.fixed_point`), each sweep two GEMMs against the r^-1 and r^-3
+pair matrices (`_PairKernel`).  Time stepping freezes w over
 a step and integrates the remaining linear relaxation exactly, which keeps
 the integrator uniformly stable in lam; `step` takes the w already solved
 for its state, so a run solves the closure once per state.
@@ -28,7 +29,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import CollisionError, ConvergenceError
-from .kernels import EIGHT_PI, contraction_stop, oseen_tensor
+from .kernels import EIGHT_PI, fixed_point, oseen_tensor
 from .kinetic import relaxation_push
 
 DENSE_FALLBACK_CAP = 512
@@ -187,19 +188,15 @@ class _PairKernel:
 def implicit_velocities(ens, tol=1e-12, max_iter=200):
     """Solve the closure for the ambient velocities w.
 
-    Fixed-point iteration on w <- (1/N) sum_j Phi(x_i - x_j)(V_j - w_j),
-    matrix-free: `_PairKernel` builds the r^-1 and r^-3 matrices once and
-    each sweep is two GEMMs against them.  The off-diagonal coupling is
-    O(S_1 / N), so the map is strongly contractive for configurations the
-    assumptions admit and theta = 1 converges in a handful of sweeps;
-    whenever the residual grows the damping halves (down to 1/8).  A sweep
-    y = F(w) returns w once max_i |w_i - y_i| <= tol * scale, or, at theta = 1,
-    y once the last two residuals put y that near (`kernels.contraction_stop`).
-    Falls back to a dense direct solve of (I + M/N) w = (M/N) V for
-    N <= DENSE_FALLBACK_CAP before giving up; above it, a miss raises
-    ConvergenceError with the last residual and iterations = max_iter.
-    The runner solves once per particle state and hands the result to
-    `step`.
+    Sweeps w <- (1/N) sum_j Phi(x_i - x_j)(V_j - w_j) from w = 0 by
+    `kernels.fixed_point`, with defect max_i |w_i - y_i| against
+    tol (1 + max_i |V_i|), matrix-free: `_PairKernel` builds the r^-1 and
+    r^-3 matrices once and each sweep is two GEMMs against them.  The
+    off-diagonal coupling is O(S_1 / N), so the map is strongly contractive
+    for configurations the assumptions admit.  A miss falls back to
+    `dense_velocities` for N <= DENSE_FALLBACK_CAP and raises its
+    ConvergenceError above it.  The runner solves once per particle state
+    and hands the result to `step`.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -208,29 +205,21 @@ def implicit_velocities(ens, tol=1e-12, max_iter=200):
         return np.zeros((1, 3))
     kernel = _PairKernel(ens.x)
     scale = 1.0 + float(np.max(np.linalg.norm(ens.v, axis=1)))
-    w = np.zeros((n, 3))
-    theta, residual, prev_residual = 1.0, np.inf, np.inf
-    for _ in range(max_iter):
-        y = kernel.apply(ens.v - w) / n
-        residual = float(np.max(np.linalg.norm(w - y, axis=1)))
-        if residual <= tol * scale:
-            return w
-        if theta == 1.0 and contraction_stop(residual, prev_residual, tol * scale):
-            return y
-        if residual > prev_residual and theta > 0.125:
-            theta *= 0.5
-        prev_residual = residual
-        w = (1.0 - theta) * w + theta * y
-    if n <= DENSE_FALLBACK_CAP:
-        mat = _interaction_matrix(ens.x) / n
-        eye = np.eye(3 * n)
-        w = np.linalg.solve(eye + mat, mat @ ens.v.reshape(-1))
-        return w.reshape(n, 3)
-    raise ConvergenceError(
-        "closure iteration stalled; configuration too clustered for the fixed point",
-        residual=residual,
-        iterations=max_iter,
-    )
+    try:
+        return fixed_point(lambda w: kernel.apply(ens.v - w) / n, np.zeros((n, 3)),
+                           lambda w, y: float(np.max(np.linalg.norm(w - y, axis=1))),
+                           tol * scale, max_iter, "closure iteration")[0]
+    except ConvergenceError:
+        if n > DENSE_FALLBACK_CAP:
+            raise
+    return dense_velocities(ens.x, ens.v)
+
+
+def dense_velocities(x, v):
+    """The closure by a dense direct solve of (I + M/N) w = (M/N) V, M the (3N, 3N) pair matrix."""
+    n = x.shape[0]
+    mat = _interaction_matrix(x) / n
+    return np.linalg.solve(np.eye(3 * n) + mat, mat @ v.reshape(-1)).reshape(n, 3)
 
 
 def forces(ens, w):

@@ -599,10 +599,11 @@ class TestSweepWorkers:
         assert multiprocessing.active_children() == []
 
     def test_member_abort_comes_back_with_its_exit_code(self, monkeypatch):
+        # one apply per solve misses tol on every member's first step; the forked workers inherit the patch
+        monkeypatch.setattr(kinetic, "brinkman_solve", functools.partial(kinetic.brinkman_solve, max_iter=1))
         use_cpus(monkeypatch, 2)
-        base = dataclasses.replace(hydro_base_config(), tolerances={"brinkman": 1e-300, "closure": 1e-12})
         with pytest.raises(ConvergenceError) as err:
-            sweep_hydrodynamic(base, [6.0, 12.0, 24.0])
+            sweep_hydrodynamic(hydro_base_config(), [6.0, 12.0, 24.0])
         assert err.value.exit_code == 3
         assert "sweep member lam=6 aborted" in err.value.__notes__
         assert multiprocessing.active_children() == []

@@ -221,6 +221,7 @@ class TestDepositInterpolate:
 
     @pytest.mark.parametrize("x", [[[np.nan, 4.0, 4.0]], [[1e30, 4.0, 4.0]], [[4.0, -1e19, 4.0]],
                                    [[4.0, 4.0, -np.inf]], [[4.0, 4.0, 1e19], [4.0, 4.0, -1e19]]])
+    @pytest.mark.filterwarnings("error")  # each raises before any inf - inf is formed
     def test_extreme_positions_raise(self, x):
         # none may come back as a side-8 window at a cell index that overflowed its cast
         with pytest.raises(DomainExhaustedError):
@@ -448,7 +449,7 @@ class TestBrinkmanSolve:
         rho = gaussian_density(spec, 1.25)
         g = np.array([0.0, 0.0, -1.0])
         j = rho[..., None] * g
-        fl = K.brinkman_solve(rho, j, full_window(spec), tol=1e-11, theta=1.0)
+        fl = K.brinkman_solve(rho, j, full_window(spec), tol=1e-11)
         assert fl.residual < 1e-9
         bulk = np.broadcast_to(g, (32, 32, 32, 3)).copy()
         rep = K.dissipation_check(rho, bulk, fl)
@@ -459,21 +460,23 @@ class TestBrinkmanSolve:
         assert rep.lhs > 0.0
 
     def test_solution_damped_vs_plain_agree(self):
-        rho = gaussian_density(self.spec, 0.9)
-        g = np.array([0.2, 0.1, -1.0])
-        j = rho[..., None] * g
-        a = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11, theta=0.5)
-        b = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11, theta=1.0)
-        scale = np.abs(a.velocity).max()
-        assert np.abs(a.velocity - b.velocity).max() < 1e-8 * scale
-        assert a.iterations > b.iterations  # the damping cost
+        # mass 30 makes the undamped defect grow at sweep 2, so the loop halves theta once
+        rho = 30.0 * gaussian_density(self.spec, 0.9)
+        j = rho[..., None] * np.array([0.2, 0.1, -1.0])
+        damped = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11)
+        plain = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11, u0=damped)  # one undamped sweep
+        light = K.brinkman_solve(rho / 30.0, j / 30.0, full_window(self.spec), tol=1e-11)
+        scale = np.abs(damped.velocity).max()
+        assert np.abs(plain.velocity - damped.velocity).max() < 1e-8 * scale
+        assert plain.iterations == 1 and plain.residual <= 1e-11
+        assert (damped.iterations, light.iterations) == (28, 8)  # the damping cost
 
     def test_warm_start_cuts_iterations(self):
         rho = gaussian_density(self.spec, 0.9)
         g = np.array([0.0, 0.0, -1.0])
         j = rho[..., None] * g
-        cold = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11, theta=1.0)
-        warm = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11, theta=1.0, u0=cold)
+        cold = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11)
+        warm = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11, u0=cold)
         assert warm.iterations < cold.iterations
 
     def test_coercivity_sign_random_instances(self):
@@ -494,7 +497,7 @@ class TestBrinkmanSolve:
                 axis=-1,
             )
             j = rho[..., None] * V
-            fl = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-10, theta=1.0)
+            fl = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-10)
             rep = K.dissipation_check(rho, V, fl)
             vnorm = float(np.sum(V * V * rho[..., None]) * self.spec.cell_volume)
             ratios.append(rep.lhs / vnorm)
@@ -650,13 +653,12 @@ class TestWindow:
         for it in range(1, 200):
             image = op.apply(j - rhov * u)
             defect = K._norm(image - u) / max(K._norm(image), u_norm, 1e-300)
-            step = K._norm(image - u)
             u, u_norm = image, K._norm(image)
             q = defect / prev if it > 1 else 1.0  # the contraction over the last two defects
             if defect <= 1e-11 or (q < 0.5 and 2.0 * q * defect <= 1e-11):
                 break
             prev = defect
-        assert (got.iterations, got.residual) == (it, step / u_norm)
+        assert (got.iterations, got.residual) == (it, defect)
         assert got.velocity.tobytes() == u.tobytes()
 
     def _whole_grid_field(self, cloud, g):
@@ -822,7 +824,7 @@ class TestWindow:
             K.stokes_solve(j, window),
             K.stokes_solve(rho, window, np.array([0.0, 0.0, -1.0])),
             K.brinkman_solve(rho, j, window),
-            K.brinkman_solve(rho, j, window, theta=0.5),
+            K.brinkman_solve(100.0 * rho, 100.0 * j, window),  # damped: theta halves at sweeps 2 and 4
             K.brinkman_solve(np.zeros_like(rho), j, window),  # no drag: one apply
         )
         for fluid in solves:
@@ -852,6 +854,56 @@ def _returned_defect(rho, j, fluid):
     u = fluid.velocity
     image = K.get_operator(fluid.window.spec).apply(j - rho[..., None] * u)
     return K._norm(image - u) / max(K._norm(image), K._norm(u), 1e-300)
+
+
+class TestFixedPoint:
+    """`fixed_point` on affine scalar maps x -> a x + 1, whose iterates here are exact in binary."""
+
+    @staticmethod
+    def _map(a):
+        """(update, defect |y - x|, the iterates update saw, the defects)."""
+        seen, defects = [], []
+
+        def update(x):
+            seen.append(x)
+            return a * x + 1.0
+
+        def defect(x, y):
+            defects.append(abs(y - x))
+            return defects[-1]
+
+        return update, defect, seen, defects
+
+    def test_returns_the_newest_iterate_and_its_sweep(self):
+        # a = 1/2: y_k = 2 - 2^(1-k), d_k = 2^(1-k), and q = 1/2 never gives a contraction stop
+        update, defect, _, _ = self._map(0.5)
+        assert K.fixed_point(update, 0.0, defect, 1e-3, 50, "map") == (2.0 - 2.0**-10, 2.0**-10, 11)
+        # a = 1/100: d_3 = 1e-4 > tol, but q = 1/100 puts y_3 within 2e-6 of the fixed point 1/0.99
+        update, defect, _, defects = self._map(0.01)
+        y, d, sweeps = K.fixed_point(update, 0.0, defect, 1e-5, 50, "map")
+        assert sweeps == 3 and d == defects[-1] > 1e-5 and abs(y - 1.0 / 0.99) <= 1e-5
+
+    def test_theta_halves_where_the_defect_grows(self):
+        # a = -3/2 diverges undamped: d_2 = 3/2 > d_1 = 1, so sweep 2 goes half way from x_1 = 1 to y_2 = -1/2
+        update, defect, seen, defects = self._map(-1.5)
+        K.fixed_point(update, 0.0, defect, 0.05, 50, "map")
+        assert defects[:2] == [1.0, 1.5] and seen[:3] == [0.0, 1.0, 0.25]
+
+    def test_no_contraction_stop_while_damped(self):
+        # at theta = 1/2 the map contracts by 1/4: sweep 4 meets the contraction rule, not tol, and goes on
+        update, defect, _, defects = self._map(-1.5)
+        assert K.fixed_point(update, 0.0, defect, 0.05, 50, "map") == (0.40234375, 0.0234375, 5)
+        assert K.contraction_stop(defects[3], defects[2], 0.05) and defects[3] > 0.05
+
+    def test_miss_raises_after_max_iter_with_theta_held_at_an_eighth(self):
+        # a = 2 diverges at every theta: the defect grows at each sweep and theta halves down to 1/8
+        update, defect, seen, defects = self._map(2.0)
+        with pytest.raises(ConvergenceError, match="affine map left defect") as err:
+            K.fixed_point(update, 0.0, defect, 1e-9, 6, "affine map")
+        assert (err.value.residual, err.value.iterations, err.value.exit_code) == (defects[-1], 6, 3)
+        assert len(seen) == 6
+        thetas = [(x1 - x0) / (2.0 * x0 + 1.0 - x0) for x0, x1 in zip(seen[:-1], seen[1:])]
+        assert thetas == [1.0, 0.5, 0.25, 0.125, 0.125]
 
 
 class TestStopRule:
@@ -916,21 +968,24 @@ class TestStopRule:
         assert max(ratios) <= 1.0
 
     def test_damped_solve_keeps_the_defect_rule(self):
-        rho = gaussian_density(self.spec, 1.5)
+        spec = K.GridSpec(8.0, 32)
+        rho = 60.0 * gaussian_density(spec, 0.9)  # heavy enough that the defect grows twice
         j = rho[..., None] * np.array([0.2, 0.1, -1.0])
-        got = K.brinkman_solve(rho, j, full_window(self.spec), tol=1e-11, theta=0.75)
-        # the damped loop written out: it stops on its own defect only
-        op, rhov = K.get_operator(self.spec), rho[..., None]
-        u, defects = np.zeros_like(j), [np.inf]
+        got = K.brinkman_solve(rho, j, full_window(spec), tol=1e-11)
+        # the loop written out: theta halves where the defect grows, and once damped it stops on its defect only
+        # (`TestFixedPoint` has a map where the contraction rule would have stopped it sooner)
+        op, rhov = K.get_operator(spec), rho[..., None]
+        u, defects, theta, halvings = np.zeros_like(j), [np.inf], 1.0, []
         for it in range(1, 200):
             image = op.apply(j - rhov * u)
             defects.append(K._norm(image - u) / max(K._norm(image), K._norm(u), 1e-300))
-            u = 0.25 * u + 0.75 * image
+            if defects[-1] > defects[-2]:
+                theta, halvings = theta * 0.5, halvings + [it]
+            u = image if theta == 1.0 else (1.0 - theta) * u + theta * image
             if defects[-1] <= 1e-11:
                 break
-        assert got.iterations == it and got.velocity.tobytes() == u.tobytes()
-        # the contraction rule would have stopped it sooner
-        assert any(K.contraction_stop(d, p, 1e-11) for p, d in zip(defects[:-2], defects[1:-1]))
+        assert (halvings, it) == ([2, 4], 61)
+        assert (got.iterations, got.residual) == (it, defects[-1]) and got.velocity.tobytes() == u.tobytes()
 
     def test_converged_start_returns_at_once(self):
         cloud = _phase_cloud(self.spec, 2000, seed=47)
