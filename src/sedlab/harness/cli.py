@@ -139,8 +139,9 @@ def _cmd_check_identities(args):
     x = 8.0 + 1.5 * rng.standard_normal((n, 3))
     v = np.array([0.0, 0.0, -1.0]) + 0.1 * rng.standard_normal((n, 3))
     ens = micro.ParticleEnsemble(x=x, v=v, lam=10.0, gravity=np.array([0.0, 0.0, -1.0]))
-    w_iter = micro.implicit_velocities(ens, tol=1e-14)
-    checks.append(("closure vs dense solve", float(np.abs(w_iter - micro.dense_velocities(x, v)).max()), 1e-10))
+    closure = micro.implicit_velocities(ens, tol=1e-14)
+    err = float(np.abs(closure.w - micro.dense_velocities(x, v)).max())
+    checks.append((f"closure vs dense solve ({closure.sweeps} sweeps)", err, 1e-10))
 
     pair_rng = np.random.default_rng(2)
     xk = 1e3 + 1.5 * pair_rng.standard_normal((512, 3))  # far from the origin

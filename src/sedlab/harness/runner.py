@@ -6,6 +6,7 @@ caught, stamped into the record with their exit code, and the partial
 series are still written.
 """
 
+import math
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +21,11 @@ from .config import SimConfig
 from .sampling import sample_initial
 
 
+# telemetry.csv: one row per solve, taken from the solve itself (no extra solve): a vlasov step's
+# Brinkman applies, final defect and window side, a micro state's closure sweeps and dense fallback
+SOLVER_COLUMNS = {"vlasov": ("t", "sweeps", "defect", "side"), "micro": ("t", "sweeps", "dense")}
+
+
 @dataclass
 class RunRecord:
     """One run's series: every snapshot time, and the first and latest states (all with `every_state`)."""
@@ -31,6 +37,7 @@ class RunRecord:
     budgets: list = field(default_factory=list)  # vlasov: filled EnergyBudget series
     stats: list = field(default_factory=list)  # micro: (t, EnsembleStats)
     s_series: list = field(default_factory=list)  # (t, S) for kinetic runs
+    solver: list = field(default_factory=list)  # one row per solve, columns SOLVER_COLUMNS[tier]
     sample_report: object = None
     assumptions: object = None
     summary: dict = field(default_factory=dict)
@@ -100,28 +107,41 @@ def _march(record, config, state, advance, observe):
 
 def _run_micro(record, draw, config, grid):
     tol = float(config.tolerances["closure"])
+    past = []  # the last three closure solutions, newest first
+
+    def solve(e):
+        weights = kinetic.relaxation_weights(math.exp(-e.lam * config.dt), len(past))
+        w0 = sum(weight * w for weight, w in zip(weights, past)) if past else None
+        closure = micro.implicit_velocities(e, tol=tol, w0=w0)
+        past[:] = [closure.w, *past[:2]]
+        record.solver.append((e.time, closure.sweeps, int(closure.dense)))
+        return closure.w
 
     def observe(e):
-        w = micro.implicit_velocities(e, tol=tol)
+        w = solve(e)
         record.stats.append((e.time, micro.stats(e, force_values=micro.forces(e, w))))
         return w
 
     # one closure solve per state: a snapshot's w drives the step from it
-    _march(record, config, draw.ensemble, lambda e, w: micro.step(e, config.dt, w=w, tol=tol), observe)
+    _march(record, config, draw.ensemble,
+           lambda e, w: micro.step(e, config.dt, w=solve(e) if w is None else w), observe)
 
 
 def _run_vlasov(record, draw, config, grid):
     tol = float(config.tolerances["brinkman"])
     with_budget = bool(config.output["energy_budget"])
-    warm = None
+    past = []  # (velocity, window) of the last three solves, newest first; no force is kept
 
     def step(c, _):
-        nonlocal warm
-        c, fluid, budget = kinetic.vlasov_step(c, grid, config.dt, tol=tol, u0=warm, budget=with_budget)
-        warm = fluid
+        weights = kinetic.relaxation_weights(math.exp(-c.lam * config.dt), len(past))
+        start = [(weight, u, window) for weight, (u, window) in zip(weights, past)]
+        del past[2:]  # the oldest field is left to `start`, which the solve's start buffer empties
+        new, fluid, budget = kinetic.vlasov_step(c, grid, config.dt, tol=tol, u0=start, budget=with_budget)
+        past.insert(0, (fluid.velocity, fluid.window))
+        record.solver.append((c.time, fluid.iterations, fluid.residual, fluid.window.spec.n))
         if budget is not None:
             record.budgets.append(budget)
-        return c
+        return new
 
     def observe(c):  # S at every snapshot time; snapshots = steps takes it at every step
         record.s_series.append((c.time, metrics.s_functional(c, grid, c.gravity, c.w)))
@@ -182,6 +202,9 @@ def _write_outputs(record, out_dir):
         rows = [(t, "S", value) for t, value in record.s_series]
         metrics.write_metrics_csv(path_of("s_series"), record.config_hash, rows)
 
+    if record.solver:
+        write_csv(path_of("telemetry"), SOLVER_COLUMNS[record.config.tier], record.solver)
+
     rows = [("config_hash", record.config_hash), *sorted(record.summary.items())]
     rows += [(f"abort_{key}", value) for key, value in sorted(record.abort.items())]
     write_csv(path_of("summary"), ["key", "value"], rows)
@@ -234,6 +257,11 @@ def run(config: SimConfig, out_dir=None, draw=None, every_state=False) -> RunRec
             record.summary["budget_residual_max_rel"] = float(max(rel))
     if record.s_series:
         record.summary["s_final"] = record.s_series[-1][1]
+    if record.solver:
+        record.summary["solver_solves"] = len(record.solver)
+        record.summary["solver_sweeps"] = sum(row[1] for row in record.solver)
+        if config.tier == "micro":
+            record.summary["solver_dense"] = sum(row[2] for row in record.solver)
     if record.sample_report is not None:
         record.summary["resamples"] = record.sample_report.resamples
         record.summary["clipped_fraction"] = record.sample_report.clipped_fraction

@@ -152,8 +152,8 @@ class FluidState:
     defect as `residual`.  A Brinkman solve also holds the last force f it
     applied there, of the same shape: u = St f unless it damped.  `at` reads
     the field at positions in the grid's coordinates, and `dirichlet_energy`
-    pairs it with f.  Nothing computes it off the window; the next Brinkman
-    solve takes it as `u0`.
+    pairs it with f.  Nothing computes it off the window; later Brinkman
+    solves start from its field (`brinkman_solve`'s `u0`).
 
     The finite-difference velocity gradient behind `grad_sup_norm` and
     `box_energy` is built on first use of either, once, over the window;
@@ -518,7 +518,7 @@ def brinkman_solve(
     window: Window,
     tol: float = 1e-9,
     max_iter: int = 200,
-    u0: FluidState | None = None,
+    u0: FluidState | list | None = None,
 ) -> FluidState:
     """Solve -Lap u + grad p = j - rho u, div u = 0 by damped fixed point.
 
@@ -529,11 +529,15 @@ def brinkman_solve(
 
     The force j - rho u vanishes off the support of rho, (n, n, n), and j,
     (n, n, n, 3), so the loop runs on the window they were deposited on,
-    n = `window.spec.n`.  A previous solve `u0` starts it from its field
-    where the two windows overlap, zero elsewhere.  The returned
-    `FluidState` holds the field, the last force, the defect the loop
-    stopped on and its count of applications.  Undamped, the field is that
-    force's image, so their pairing is its Dirichlet energy.
+    n = `window.spec.n`.  The loop's first iterate is the buffer that
+    `_start_field` builds, uncopied: a weighted sum of earlier fields, each
+    where its window overlaps this one.  u0 is one earlier solve (weight
+    1), or a list of (weight, velocity, window) terms, which the build
+    empties (`kinetic.relaxation_weights` gives the runner's weights);
+    without u0 the loop starts from zero.  The returned `FluidState` holds
+    the field, the last force, the defect the loop stopped on and its
+    count of applications.  Undamped, the field is that force's image, so
+    their pairing is its Dirichlet energy.
     """
     n = window.spec.n
     if rho.shape != (n, n, n) or j.shape != (n, n, n, 3):
@@ -560,15 +564,20 @@ def brinkman_solve(
     return FluidState(u, d, sweeps, window, force)
 
 
-def _start_field(window: Window, u0: FluidState | None) -> np.ndarray:
-    """u0's field where its window meets this one, zero elsewhere (all zero without u0)."""
+def _start_field(window: Window, u0: FluidState | list | None) -> np.ndarray:
+    """The start of a solve on `window`: the sum of c u over u0's terms (c, u, u's window), each field
+    added where its window meets this one, so zero elsewhere, and all zero without terms.  A `FluidState`
+    u0 is the one term (1, its velocity, its window).  The terms are popped from u0's list as they are
+    added, so a field that only the list still holds is freed before the solve begins."""
     u = np.zeros((window.spec.n,) * 3 + (3,))
-    if u0 is not None:
-        lo = np.maximum(window.origin, u0.window.origin)
-        end = np.minimum(np.add(window.origin, window.spec.n), np.add(u0.window.origin, u0.window.spec.n))
+    terms = [(1.0, u0.velocity, u0.window)] if isinstance(u0, FluidState) else u0 or []
+    while terms:
+        c, field, at = terms.pop(0)
+        lo = np.maximum(window.origin, at.origin)
+        end = np.minimum(np.add(window.origin, window.spec.n), np.add(at.origin, at.spec.n))
         if np.all(lo < end):
-            u[tuple(map(slice, lo - window.origin, end - window.origin))] = \
-                u0.velocity[tuple(map(slice, lo - u0.window.origin, end - u0.window.origin))]
+            u[tuple(map(slice, lo - window.origin, end - window.origin))] += \
+                c * field[tuple(map(slice, lo - at.origin, end - at.origin))]
     return u
 
 

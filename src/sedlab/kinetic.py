@@ -137,14 +137,30 @@ def relaxation_push(x, v, drift, lam, dt):
     return x + dt * drift + (1.0 - decay) / lam * deviation, drift + decay * deviation
 
 
+def relaxation_weights(decay, count):
+    """Weights, newest first, that extrapolate a sequence's next term from its last `count` terms.
+
+    They are the coefficients of (E - 1)(E - r)^2 for three or more terms,
+    (E - 1)(E - r) for two and E - 1 for one, r = `decay`, so the next term
+    is exact for a + b r^k + c k r^k, for a + b r^k and for a constant.
+    With r = e^{-lam dt}, the factor by which `relaxation_push` shrinks a
+    velocity's deviation in a step, that is the mode a run's fluid and
+    closure relax in; the runner starts each solve from this extrapolation
+    of its last three solutions.  No terms give no weights.
+    """
+    r = decay
+    return ((), (1.0,), (1.0 + r, -r), (1.0 + 2.0 * r, -(2.0 * r + r * r), r * r))[min(count, 3)]
+
+
 def vlasov_step(cloud, grid, dt, tol=1e-9, u0=None, budget=True):
     """Advance the cloud one step; returns (new cloud, fluid, start-of-step budget).
 
     The fluid lives on the window of the samples' stencils in `grid`
     (`kernels.stencil_window`): the step deposits there, solves there and
-    reads u at the samples there.  u0, the previous step's fluid,
-    warm-starts the Brinkman fixed point.  budget=False leaves the budget
-    slot None.
+    reads u at the samples there.  u0, earlier solves' fields, starts the
+    Brinkman fixed point and is passed through as `brinkman_solve`'s u0:
+    one earlier `FluidState`, or the runner's list of weighted fields
+    (`relaxation_weights`).  budget=False leaves the budget slot None.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")

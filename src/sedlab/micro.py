@@ -16,13 +16,15 @@ The closure is solved by the Brinkman solve's damped fixed point
 pair matrices (`_PairKernel`).  Time stepping freezes w over
 a step and integrates the remaining linear relaxation exactly, which keeps
 the integrator uniformly stable in lam; `step` takes the w already solved
-for its state, so a run solves the closure once per state.
+for its state, so a run solves the closure once per state, each solve
+starting from an extrapolation of the last three.
 Particle contact (distance <= 2R) aborts the run: the model has no
 lubrication regime and a contact means the configuration left the regime
 the closure is valid in.
 """
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -185,34 +187,49 @@ class _PairKernel:
         return (self.r_inv @ q + aniso) / EIGHT_PI
 
 
-def implicit_velocities(ens, tol=1e-12, max_iter=200):
-    """Solve the closure for the ambient velocities w.
+class Closure(NamedTuple):
+    """One closure solve: the ambient velocities w, the fixed-point sweeps
+    it took, and whether the dense fallback gave w after those sweeps missed."""
 
-    Sweeps w <- (1/N) sum_j Phi(x_i - x_j)(V_j - w_j) from w = 0 by
-    `kernels.fixed_point`, with defect max_i |w_i - y_i| against
-    tol (1 + max_i |V_i|), matrix-free: `_PairKernel` builds the r^-1 and
-    r^-3 matrices once and each sweep is two GEMMs against them.  The
-    off-diagonal coupling is O(S_1 / N), so the map is strongly contractive
-    for configurations the assumptions admit.  A miss falls back to
-    `dense_velocities` for N <= DENSE_FALLBACK_CAP and raises its
-    ConvergenceError above it.  The runner solves once per particle state
-    and hands the result to `step`.
+    w: np.ndarray
+    sweeps: int
+    dense: bool
+
+
+def implicit_velocities(ens, tol=1e-12, max_iter=200, w0=None):
+    """Solve the closure for the ambient velocities w; returns a `Closure`.
+
+    Sweeps w <- (1/N) sum_j Phi(x_i - x_j)(V_j - w_j) from w0, an (N, 3)
+    start (w = 0 when None), by `kernels.fixed_point`, with defect
+    max_i |w_i - y_i| against tol (1 + max_i |V_i|), matrix-free:
+    `_PairKernel` builds the r^-1 and r^-3 matrices once and each sweep is
+    two GEMMs against them.  The off-diagonal coupling is O(S_1 / N), so
+    the map is strongly contractive for configurations the assumptions
+    admit.  A miss falls back to `dense_velocities` for N <=
+    DENSE_FALLBACK_CAP and raises its ConvergenceError above it.  The
+    runner solves once per particle state, from the extrapolation of its
+    last three solutions (`kinetic.relaxation_weights`), and hands w to
+    `step`.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     n = ens.n
+    w0 = np.zeros((n, 3)) if w0 is None else np.asarray(w0, dtype=float)
+    if w0.shape != ens.v.shape:
+        raise ValueError("w0 must match the ensemble's velocity array")
     if n == 1:
-        return np.zeros((1, 3))
+        return Closure(np.zeros((1, 3)), 0, False)
     kernel = _PairKernel(ens.x)
     scale = 1.0 + float(np.max(np.linalg.norm(ens.v, axis=1)))
     try:
-        return fixed_point(lambda w: kernel.apply(ens.v - w) / n, np.zeros((n, 3)),
-                           lambda w, y: float(np.max(np.linalg.norm(w - y, axis=1))),
-                           tol * scale, max_iter, "closure iteration")[0]
+        w, _, sweeps = fixed_point(lambda w: kernel.apply(ens.v - w) / n, w0,
+                                   lambda w, y: float(np.max(np.linalg.norm(w - y, axis=1))),
+                                   tol * scale, max_iter, "closure iteration")
+        return Closure(w, sweeps, False)
     except ConvergenceError:
         if n > DENSE_FALLBACK_CAP:
             raise
-    return dense_velocities(ens.x, ens.v)
+    return Closure(dense_velocities(ens.x, ens.v), max_iter, True)
 
 
 def dense_velocities(x, v):
@@ -243,7 +260,7 @@ def step(ens, dt, w=None, tol=1e-12):
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if w is None:
-        w = implicit_velocities(ens, tol=tol)
+        w = implicit_velocities(ens, tol=tol).w
     elif np.shape(w) != ens.v.shape:
         raise ValueError("w must match the ensemble's velocity array")
     x_new, v_new = relaxation_push(ens.x, ens.v, ens.gravity[None, :] + w, ens.lam, dt)

@@ -192,7 +192,7 @@ def test_closure_matches_dense_solve():
             lam=10.0,
             gravity=GRAVITY,
         )
-        w_iter = micro.implicit_velocities(ens, tol=1e-14)
+        w_iter = micro.implicit_velocities(ens, tol=1e-14).w
         mat = micro._interaction_matrix(ens.x) / n
         w_dense = np.linalg.solve(np.eye(3 * n) + mat, mat @ ens.v.reshape(-1)).reshape(n, 3)
         worst = max(worst, float(np.max(np.abs(w_iter - w_dense))))

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import functools
+import math
 import multiprocessing
 import os
 import pickle
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sedlab import kinetic
+from sedlab import kinetic, micro
 from sedlab.errors import AssumptionError, ConvergenceError, DomainExhaustedError
 from sedlab.harness import sweeps
 from sedlab.harness import cli
@@ -267,9 +268,13 @@ class TestRunner:
         rec = run(cfg)
         assert rec.ok and len(rec.times) == cfg.steps + 1  # a snapshot every step
         assert len(calls) == cfg.steps + 1
-        state = rec.snapshots[0][1]
+        # by hand: each solve starts from the relaxation-mode extrapolation of the last three
+        tol, state, past = float(cfg.tolerances["closure"]), rec.snapshots[0][1], []
         for _ in range(cfg.steps):
-            state = micro.step(state, cfg.dt)
+            weights = kinetic.relaxation_weights(math.exp(-state.lam * cfg.dt), len(past))
+            w = solve(state, tol=tol, w0=sum(c * p for c, p in zip(weights, past)) if past else None).w
+            past = [w, *past[:2]]
+            state = micro.step(state, cfg.dt, w=w)
         assert np.array_equal(state.x, rec.final_state.x)
         assert np.array_equal(state.v, rec.final_state.v)
 
@@ -439,6 +444,100 @@ class TestRunner:
         # a collapse at rate 8e7 outruns even C = 1e6, the largest C tried
         fast = times * 1e-6
         assert fit_dmin_constant(fast, 0.3 * np.exp(-8e7 * fast)) == np.inf
+
+
+class TestRelaxationStart:
+    """Each Brinkman and closure solve of a run starts from the relaxation-mode extrapolation of its
+    last three solutions (`kinetic.relaxation_weights`)."""
+
+    def test_vlasov_run_takes_fewer_brinkman_sweeps_than_the_previous_field_start(self):
+        # the hydro sweep's lam = 40 member: 32^3, four steps per relaxation time, to t = 0.25
+        cfg = default_config(
+            {
+                "run": {"tier": "vlasov", "n": 2000, "lambda": 40.0, "t_final": 0.25, "dt": 1.0 / 160.0, "seed": 1},
+                "grid": {"box": 16.0, "cells": 32},
+                "output": {"snapshots": 1, "energy_budget": 0},
+            }
+        )
+        rec = run(cfg)
+        assert rec.ok and rec.summary["solver_solves"] == cfg.steps == 40
+        tol, cloud, fluid, sweeps = float(cfg.tolerances["brinkman"]), rec.snapshots[0][1], None, 0
+        for _ in range(cfg.steps):  # each solve from the previous step's field
+            cloud, fluid, _ = kinetic.vlasov_step(cloud, GridSpec(16.0, 32), cfg.dt, tol=tol, u0=fluid, budget=False)
+            sweeps += fluid.iterations
+        assert rec.summary["solver_sweeps"] <= 0.7 * sweeps  # measured: 93 against 163
+        final = rec.final_state
+        assert max(np.abs(final.x - cloud.x).max(), np.abs(final.v - cloud.v).max()) <= 1e-10
+
+    def test_micro_run_averages_few_closure_sweeps(self):
+        cfg = default_config(
+            {
+                "run": {"tier": "micro", "n": 500, "lambda": 20.0, "t_final": 0.25, "dt": 1.0 / 160.0, "seed": 1},
+                "grid": {"box": 16.0, "cells": 32},
+                "output": {"snapshots": 1},
+            }
+        )
+        rec = run(cfg)
+        assert rec.ok and rec.summary["solver_solves"] == cfg.steps + 1
+        assert rec.summary["solver_sweeps"] <= 4.0 * rec.summary["solver_solves"]  # measured: 2.46 per solve
+        state = rec.snapshots[0][1]
+        for _ in range(cfg.steps):  # each solve from w = 0
+            state = micro.step(state, cfg.dt, tol=float(cfg.tolerances["closure"]))
+        assert np.abs(state.x - rec.final_state.x).max() <= 1e-12
+
+
+class TestTelemetry:
+    VLASOV = {
+        "run": {"tier": "vlasov", "n": 300, "lambda": 10.0, "t_final": 0.0625, "dt": 0.0125, "seed": 3},
+        "grid": {"cells": 32},
+    }
+
+    def test_vlasov_series_is_each_steps_own_solve(self, tmp_path, monkeypatch):
+        from sedlab import kernels
+
+        solves, applies, solve, apply = [], [], kinetic.brinkman_solve, kernels.StokesOperator.apply
+        monkeypatch.setattr(kinetic, "brinkman_solve", lambda *a, **k: solves.append(solve(*a, **k)) or solves[-1])
+        monkeypatch.setattr(kernels.StokesOperator, "apply",
+                            lambda op, f, direction=None: applies.append(direction is None) or apply(op, f, direction))
+        cfg = default_config(self.VLASOV)
+        rec = run(cfg, out_dir=tmp_path)
+        assert rec.ok and len(solves) == cfg.steps
+        expected = [(t, f.iterations, f.residual, f.window.spec.n) for t, f in zip(rec.times, solves)]
+        assert rec.solver == expected
+        # no solve beside the run's own: the series' sweeps are every vector apply the run made
+        assert rec.summary["solver_sweeps"] == sum(applies) == sum(f.iterations for f in solves)
+        assert rec.summary["solver_solves"] == cfg.steps and "solver_dense" not in rec.summary
+        with open(tmp_path / "telemetry.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "sweeps", "defect", "side"]
+        assert [tuple(map(float, r)) for r in rows[1:]] == [tuple(map(float, e)) for e in expected]
+
+    def test_micro_series_flags_the_dense_fallback(self, tmp_path, monkeypatch):
+        solve, closures = micro.implicit_velocities, []
+        monkeypatch.setattr(micro, "implicit_velocities",  # one sweep: the cold start misses and falls back
+                            lambda *a, **k: closures.append(solve(*a, max_iter=1, **k)) or closures[-1])
+        cfg = default_config(
+            {
+                "run": {"tier": "micro", "n": 48, "lambda": 8.0, "t_final": 0.05, "dt": 0.0125, "seed": 5},
+                "grid": {"cells": 16},
+                "initial": {"family": "gaussian", "sigma_x": 1.2, "sigma_v": 0.1},
+                "output": {"snapshots": 2},
+            }
+        )
+        rec = run(cfg, out_dir=tmp_path)
+        assert rec.ok and len(closures) == cfg.steps + 1  # one solve per state, observed or not
+        expected = [(k * cfg.dt, c.sweeps, int(c.dense)) for k, c in enumerate(closures)]
+        assert [(pytest.approx(t), s, d) for t, s, d in expected] == rec.solver
+        assert closures[0].dense and rec.summary["solver_dense"] == sum(c.dense for c in closures)
+        assert rec.summary["solver_sweeps"] == cfg.steps + 1
+        with open(tmp_path / "telemetry.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "sweeps", "dense"] and len(rows) == cfg.steps + 2
+
+    def test_transport_run_writes_no_series(self, tmp_path):
+        rec = run(default_config({**self.VLASOV, "run": {**self.VLASOV["run"], "tier": "transport"}}), out_dir=tmp_path)
+        assert rec.ok and rec.solver == [] and not (tmp_path / "telemetry.csv").exists()
+        assert "solver_sweeps" not in rec.summary
 
 
 def hydro_base_config():

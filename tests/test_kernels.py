@@ -643,6 +643,34 @@ class TestWindow:
         got, cold = _solve(far, far_window, u0=first), _solve(far, far_window)
         assert got.iterations == cold.iterations and got.velocity.tobytes() == cold.velocity.tobytes()
 
+    def test_weighted_start_is_the_weighted_sum_embedded_in_zeros(self):
+        # fields on shifted windows, weighted: bitwise the same weighted sum of those fields
+        # embedded in zeros on the whole grid, in the same order, read on the new window
+        from sedlab import kinetic
+
+        n, h = self.spec.n, self.spec.h
+        rng = np.random.default_rng(54)
+        target = K.Window(self.spec, (8, 6, 9), K.GridSpec(16 * h, 16))
+        fields = [(K.Window(self.spec, origin, K.GridSpec(side * h, side)), side)
+                  for origin, side in (((4, 6, 11), 16), ((12, 1, 5), 8), ((0, 8, 0), 24))]
+        terms = [(c, rng.standard_normal((side,) * 3 + (3,)), window)
+                 for c, (window, side) in zip(kinetic.relaxation_weights(0.7788, 3), fields)]
+        whole = np.zeros((n, n, n, 3))
+        for c, field, window in terms:
+            embedded = np.zeros((n, n, n, 3))
+            embedded[window.cells] = field
+            whole += c * embedded
+        ref = whole[target.cells]
+        assert np.count_nonzero(ref) > 0 and np.count_nonzero(ref == 0.0) > 0  # overlaps, and cells none reach
+        consumed = list(terms)
+        start = K._start_field(target, consumed)
+        assert start.tobytes() == ref.tobytes() and consumed == []  # the build pops every term
+        # a solve from the terms is the solve from that field held by one FluidState
+        cloud = _phase_cloud(self.spec, 400, seed=55, sigma=0.6, center=np.add(target.origin, 8) * h)
+        got = _solve(cloud, target, u0=list(terms))
+        held = _solve(cloud, target, u0=K.FluidState(ref.copy(), 0.0, 1, target))
+        assert got.iterations == held.iterations and got.velocity.tobytes() == held.velocity.tobytes()
+
     def test_support_spanning_grid_is_bitwise_the_whole_grid_loop(self):
         rho = gaussian_density(self.spec, 1.5)
         j = rho[..., None] * np.array([0.2, 0.1, -1.0])

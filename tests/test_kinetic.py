@@ -13,6 +13,7 @@ from sedlab.kinetic import (
     finalize_budgets,
     jacobian_check,
     relaxation_push,
+    relaxation_weights,
     replay_flow,
     save_budget_csv,
     vlasov_step,
@@ -339,6 +340,31 @@ class TestEnergyBudget:
         filled = finalize_budgets(budgets, m2(4 * dt), dt)
         for b in filled:
             assert b.dm2_dt == pytest.approx(dm2(b.t), abs=1e-12)
+
+
+class TestRelaxationWeights:
+    @pytest.mark.parametrize("r", [0.05, np.exp(-0.25), 0.97])
+    def test_exact_on_the_relaxation_modes(self, r):
+        # three weights: a + b r^k + c k r^k; two: a + b r^k; one: a constant; each to rounding
+        k = np.arange(12.0)
+        a, b, c = 0.3, -1.7, 0.45
+        for count, seq in ((3, a + b * r**k + c * k * r**k), (2, a + b * r**k), (1, np.full(12, a))):
+            weights = relaxation_weights(r, count)
+            assert len(weights) == count
+            for n in range(count - 1, 11):
+                predicted = sum(wt * seq[n - i] for i, wt in enumerate(weights))
+                assert abs(predicted - seq[n + 1]) <= 1e-14
+
+    def test_fewer_weights_miss_the_modes_they_leave_out(self):
+        r, k = np.exp(-0.25), np.arange(8.0)
+        seq = 0.3 - 1.7 * r**k + 0.45 * k * r**k
+        two, one = relaxation_weights(r, 2), relaxation_weights(r, 1)
+        assert abs(two[0] * seq[5] + two[1] * seq[4] - seq[6]) > 1e-3
+        assert abs(one[0] * seq[5] - seq[6]) > 1e-2
+
+    def test_at_most_three_weights(self):
+        assert relaxation_weights(0.5, 0) == ()
+        assert relaxation_weights(0.5, 7) == relaxation_weights(0.5, 3) == (2.0, -1.25, 0.25)
 
 
 class TestJacobian:

@@ -117,13 +117,13 @@ class TestImplicitVelocities:
         ens = ParticleEnsemble(
             x=np.zeros((1, 3)), v=np.array([[1.0, 0.0, 0.0]]), lam=1.0, gravity=GRAVITY
         )
-        assert np.array_equal(implicit_velocities(ens), np.zeros((1, 3)))
+        assert np.array_equal(implicit_velocities(ens).w, np.zeros((1, 3)))
 
     def test_symmetric_pair_equal_ambient(self):
         x = np.array([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
         v = np.tile(GRAVITY, (2, 1))
         ens = ParticleEnsemble(x=x, v=v, lam=5.0, gravity=GRAVITY)
-        w = implicit_velocities(ens)
+        w = implicit_velocities(ens).w
         assert np.allclose(w[0], w[1], atol=1e-14)
 
     def test_matches_dense_solve(self):
@@ -131,14 +131,14 @@ class TestImplicitVelocities:
         for n in (2, 8, 16, 64):
             for _ in range(3):
                 ens = random_ensemble(rng, n)
-                w = implicit_velocities(ens)
+                w = implicit_velocities(ens).w
                 assert np.max(np.abs(w - dense_closure(ens))) < 1e-10
 
     def test_residual_postcondition(self):
         rng = np.random.default_rng(5)
         ens = random_ensemble(rng, 32)
         tol = 1e-12
-        w = implicit_velocities(ens, tol=tol)
+        w = implicit_velocities(ens, tol=tol).w
         phi = oseen_tensor(ens.x[:, None, :] - ens.x[None, :, :])
         target = np.einsum("ijab,jb->ia", phi, ens.v - w) / ens.n
         residual = np.max(np.linalg.norm(w - target, axis=1))
@@ -146,12 +146,12 @@ class TestImplicitVelocities:
 
     def test_deterministic(self):
         ens = random_ensemble(np.random.default_rng(6), 16)
-        assert np.array_equal(implicit_velocities(ens), implicit_velocities(ens))
+        assert np.array_equal(implicit_velocities(ens).w, implicit_velocities(ens).w)
 
     def test_dense_fallback_after_missed_iterations(self):
         ens = random_ensemble(np.random.default_rng(17), 40)
         assert ens.n <= DENSE_FALLBACK_CAP
-        w = implicit_velocities(ens, max_iter=1)
+        w = implicit_velocities(ens, max_iter=1).w
         assert np.max(np.abs(w - dense_closure(ens))) < 1e-10
 
     def test_miss_above_fallback_cap_raises(self):
@@ -172,14 +172,14 @@ class TestForces:
         ens = ParticleEnsemble(
             x=np.zeros((1, 3)), v=GRAVITY.reshape(1, 3), lam=1.0, gravity=GRAVITY
         )
-        f = forces(ens, implicit_velocities(ens))
+        f = forces(ens, implicit_velocities(ens).w)
         assert np.allclose(f[0], 6.0 * np.pi * ens.radius * GRAVITY, atol=1e-15)
 
     def test_radius_coupling_identity(self):
         # N F_i = V_i - w_i under the 1/(6 pi N) radius
         rng = np.random.default_rng(3)
         ens = random_ensemble(rng, 12)
-        w = implicit_velocities(ens)
+        w = implicit_velocities(ens).w
         f = forces(ens, w)
         assert np.allclose(ens.n * f, ens.v - w, atol=1e-14)
 
@@ -187,7 +187,7 @@ class TestForces:
         # sum of V'/lam equals N g + sum (w - V) identically
         rng = np.random.default_rng(4)
         ens = random_ensemble(rng, 20)
-        w = implicit_velocities(ens)
+        w = implicit_velocities(ens).w
         vdot = ens.lam * (ens.gravity[None, :] + w - ens.v)
         lhs = vdot.sum(axis=0) / ens.lam
         rhs = ens.n * ens.gravity + (w - ens.v).sum(axis=0)
@@ -224,7 +224,7 @@ class TestStep:
     def test_instantaneous_relaxation_limit(self):
         rng = np.random.default_rng(8)
         ens = random_ensemble(rng, 6, lam=1000.0)
-        w = implicit_velocities(ens)
+        w = implicit_velocities(ens).w
         out = step(ens, 1.0)
         assert np.allclose(out.v, ens.gravity[None, :] + w, atol=1e-10)
 
@@ -282,7 +282,7 @@ class TestStats:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
         ens = random_ensemble(rng, 24)
-        w = implicit_velocities(ens)
+        w = implicit_velocities(ens).w
         f = forces(ens, w)
         out = stats(ens, force_values=f)
         n = ens.n
