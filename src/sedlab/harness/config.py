@@ -130,7 +130,11 @@ class SimConfig:
             raise ValueError(f"[output] energy_budget must be 0 or 1, got {self.output['energy_budget']!r}")
         if self.cells < 8 or self.cells & (self.cells - 1):
             raise ValueError(f"grid resolution must be a power of two >= 8, got {self.cells}")
-        GridSpec(self.box, self.cells)  # rejects a bad box
+        self.grid  # rejects a bad box
+
+    @property
+    def grid(self) -> GridSpec:
+        return GridSpec(float(self.box), int(self.cells))
 
     @property
     def steps(self) -> int:

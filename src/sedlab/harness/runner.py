@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.special import lambertw
 
 from .. import kinetic, metrics, micro, transport
 from ..csvfile import write_csv
 from ..errors import SedlabError
-from ..kernels import GridSpec
 from .config import SimConfig
 from .sampling import sample_initial
 
@@ -60,31 +60,21 @@ class RunRecord:
 
 
 def fit_dmin_constant(times, d_series):
-    """Smallest C >= 1 with d(t) >= d(0) e^{-C t}/C along the series.
+    """Least C >= 1 with d(t) >= d(0) e^{-C t}/C along the series, in closed form.
 
-    Returns inf when even C = 1e6 fails, which flags a collapse faster
-    than the admissible family."""
+    At t > 0 that is C e^{C t} >= r_t = d(0) / (d(t) (1 + 1e-12)), i.e. C >= W0(t r_t)/t with W0
+    the principal Lambert W.  Returns inf when C exceeds 1e6, which flags a collapse faster than
+    the admissible family, and when some d(t) is zero or NaN.
+    """
     times = np.asarray(times, dtype=float)
     d = np.asarray(d_series, dtype=float)
     if times.shape != d.shape or times.size == 0:
         raise ValueError("times and d_series must be matching nonempty arrays")
-    d0 = d[0]
-
-    def feasible(c):
-        return bool(np.all(d * (1.0 + 1e-12) >= d0 * np.exp(-c * times) / c))
-
-    lo, hi = 1.0, 1e6
-    if not feasible(hi):
-        return np.inf
-    if feasible(lo):
-        return lo
-    for _ in range(80):
-        mid = np.sqrt(lo * hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    later = times > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = d[0] / (d[later] * (1.0 + 1e-12))
+        c = np.max(lambertw(times[later] * r).real / times[later], initial=1.0)
+    return c if c <= 1e6 else np.inf
 
 
 def _march(record, config, state, advance, observe):
@@ -217,7 +207,7 @@ def run(config: SimConfig, out_dir=None, draw=None, every_state=False) -> RunRec
     the state at every snapshot time.  A pre-built draw bypasses sampling;
     sweeps use this to start every member from the same initial data.
     """
-    grid = GridSpec(float(config.box), int(config.cells))
+    grid = config.grid
     record = RunRecord(config=config, config_hash=config.config_hash(), every_state=every_state)
     started = _time.perf_counter()
     try:

@@ -445,6 +445,41 @@ class TestRunner:
         fast = times * 1e-6
         assert fit_dmin_constant(fast, 0.3 * np.exp(-8e7 * fast)) == np.inf
 
+    @staticmethod
+    def bisected_dmin_constant(times, d):
+        """The least feasible C by geometric bisection over [1, 1e6]; inf when 1e6 fails."""
+        def feasible(c):
+            return bool(np.all(d * (1.0 + 1e-12) >= d[0] * np.exp(-c * times) / c))
+
+        lo, hi = 1.0, 1e6
+        if not feasible(hi):
+            return np.inf
+        if feasible(lo):
+            return lo
+        for _ in range(80):
+            mid = np.sqrt(lo * hi)
+            lo, hi = (lo, mid) if feasible(mid) else (mid, hi)
+        return hi
+
+    @pytest.mark.parametrize("noise", [0.0, 0.2], ids=["decaying", "noisy"])
+    def test_fit_dmin_constant_is_the_bisected_constant(self, noise):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            times = np.linspace(0.0, rng.uniform(0.1, 3.0), rng.integers(2, 60))
+            d = rng.uniform(0.1, 1.0) * np.exp(-rng.uniform(0.0, 20.0) * times)
+            d *= np.exp(noise * rng.standard_normal(times.size))
+            expected = self.bisected_dmin_constant(times, d)
+            assert fit_dmin_constant(times, d) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_fit_dmin_constant_degenerate_series(self):
+        times = np.linspace(0.0, 1.0, 10)
+        assert fit_dmin_constant([0.0], [0.3]) == 1.0  # the bound at t = 0 holds for every C >= 1
+        assert fit_dmin_constant(times, 0.3 + times) == 1.0
+        for bad in (0.0, np.nan):
+            d = np.full(10, 0.3)
+            d[6] = bad
+            assert fit_dmin_constant(times, d) == np.inf
+
 
 class TestRelaxationStart:
     """Each Brinkman and closure solve of a run starts from the relaxation-mode extrapolation of its
@@ -634,7 +669,7 @@ class TestSweepWorkers:
         assert [getattr(m, key) for m in parallel.members] == values
         assert_bitwise_equal(serial, parallel)
 
-    def test_hydro_member_sends_back_two_states(self):
+    def test_hydro_member_sends_back_its_final_state(self, monkeypatch):
         # the stiffest member of the benchmark's hydro sweep: a worker pickles
         # its result back, and the sweep reads only its S series and final state
         base = default_config(
@@ -644,11 +679,22 @@ class TestSweepWorkers:
                 "hydro": {"steps_per_relaxation": 4.0, "transport_dt": 0.02},
             }
         )
-        grid = GridSpec(float(base.box), int(base.cells))
-        draw = sample_initial(base.initial, base.n, base.seed, base.lam, grid=grid, want_ensemble=False)
+        runs = []
+
+        def kept_run(*args, **kwargs):
+            record = plain_run(*args, **kwargs)
+            runs.append((len(record.snapshots), record.final_state))
+            return record
+
+        plain_run = sweeps.run
+        monkeypatch.setattr(sweeps, "run", kept_run)
+        draw = sample_initial(base.initial, base.n, base.seed, base.lam, grid=base.grid, want_ensemble=False)
         member = sweeps._hydro_member(base, draw, draw.spatial_cloud(), 4.0, None, 80.0)
-        assert len(pickle.dumps(member)) < 0.5e6  # 7.8 MB while a record kept all 81 states
-        assert member.record.ok and len(member.record.times) == 81 and len(member.record.snapshots) == 2
+        # 7.8 MB while a record kept all 81 states, 0.21 MB with the initial state too
+        assert len(pickle.dumps(member)) < 0.15e6
+        assert member.record.ok and len(member.record.times) == 81 and len(member.record.snapshots) == 1
+        assert len(runs) == 1 and runs[0][0] == 2 and runs[0][1] is member.record.final_state
+        assert member.record.snapshots[0][0] == member.record.times[-1]
 
     def test_hydro_member_takes_s_at_every_step(self):
         # 128 steps, over twice the 50 snapshots of the base: the member still takes a snapshot,
@@ -807,6 +853,20 @@ class TestSweeps:
         assert all("budget_residual_max_rel" not in m.record.summary for m in report.members)
         # finer members take their own step sizes
         assert report.members[0].dt > report.members[-1].dt
+
+    def test_hydro_rate_ratio_gate_fails_on_a_nan_rate(self, monkeypatch):
+        # a member whose S never tops its plateau has no fitted rate: the gate must not skip it
+        def fit(times, s_values):
+            rate, r2, plateau = plain_fit(times, s_values)
+            return (np.nan if len(times) == 13 else rate), r2, plateau  # lam = 12 takes 4 lam t = 12 steps
+
+        plain_fit = sweeps.fit_s_relaxation
+        monkeypatch.setattr(sweeps, "fit_s_relaxation", fit)
+        use_cpus(monkeypatch, 1)
+        report = sweep_hydrodynamic(hydro_base_config(), [6.0, 12.0, 24.0])
+        assert [np.isnan(m.s_rate) for m in report.members] == [False, True, False]
+        assert report.rate_ratio_ok is False and np.isnan(report.rate_ratio_worst)
+        assert not report.ok
 
     def test_hydro_needs_three_lambdas(self):
         with pytest.raises(ValueError, match="3 lambda"):

@@ -341,6 +341,21 @@ class TestEnergyBudget:
         for b in filled:
             assert b.dm2_dt == pytest.approx(dm2(b.t), abs=1e-12)
 
+    def test_finalize_budgets_is_the_written_out_stencils(self):
+        # bitwise: the centered difference in every interior slot, the one-sided one in slot 0
+        rng = np.random.default_rng(41)
+        dt, m2 = 1.0 / 160.0, 1.0 + rng.random(13)
+        budgets = [
+            EnergyBudget(t=k * dt, m2=float(m2[k]), grad_term=0.1, friction_term=0.2, gravity_term=0.3)
+            for k in range(12)
+        ]
+        filled = finalize_budgets(budgets, m2[12], dt)
+        expected = [(-3.0 * m2[0] + 4.0 * m2[1] - m2[2]) / (2.0 * dt)]
+        expected += [(m2[k + 1] - m2[k - 1]) / (2.0 * dt) for k in range(1, 12)]
+        assert [b.dm2_dt for b in filled] == expected
+        assert all(type(b.dm2_dt) is float for b in filled)
+        assert [b.m2 for b in filled] == [b.m2 for b in budgets]
+
 
 class TestRelaxationWeights:
     @pytest.mark.parametrize("r", [0.05, np.exp(-0.25), 0.97])
@@ -413,6 +428,35 @@ class TestJacobian:
         _, history = self.run_history(cloud, grid, 0.01, 3, coupling=False)
         report = jacobian_check(cloud, history, probes=2, seed=0)
         assert not report.applicable
+
+    def test_one_batched_replay_is_the_per_point_loop(self, monkeypatch):
+        # bitwise the central differences of single-point replays, from one replay of all starts
+        grid = GridSpec(16.0, 32)
+        lam, dt, steps, delta = 16.0, 0.005, 6, 1e-4
+        cloud = gaussian_cloud(300, lam, seed=23)
+        _, history = self.run_history(cloud, grid, dt, steps, coupling=True)
+        idx = np.random.default_rng(5).choice(cloud.n, size=3, replace=False)
+        dets, inv_lips = [], []
+        for i in idx:
+            jac = np.empty((6, 6))
+            for col in range(6):
+                bump = np.zeros(6)
+                bump[col] = delta
+                xp, wp = replay_flow(history, cloud.x[i] + bump[:3], cloud.v[i] + bump[3:], GRAVITY, lam)
+                xm, wm = replay_flow(history, cloud.x[i] - bump[:3], cloud.v[i] - bump[3:], GRAVITY, lam)
+                jac[:3, col] = (xp - xm) / (2.0 * delta)
+                jac[3:, col] = (wp - wm) / (2.0 * delta)
+            a, b, c, d = jac[:3, :3], jac[:3, 3:], jac[3:, :3], jac[3:, 3:]
+            dets.append(abs(np.linalg.det(d)))
+            inv_lips.append(np.linalg.norm(np.linalg.inv(d - c @ np.linalg.solve(a, b)), ord=2))
+
+        calls = []
+        replay = kinetic.replay_flow
+        monkeypatch.setattr(kinetic, "replay_flow", lambda *args: calls.append(args) or replay(*args))
+        report = jacobian_check(cloud, history, probes=3, delta=delta, seed=5)
+        assert len(calls) == 1 and calls[0][1].shape == (36, 3)
+        assert np.array_equal(report.det_values, dets)
+        assert np.array_equal(report.inverse_lip, inv_lips)
 
     def test_replay_matches_step_positions(self):
         # replaying the recorded fields reproduces the integrator's output
